@@ -9,10 +9,21 @@ Solves, over y in R^n:
 
 The equalities are eliminated up front: with y = y0 + N t for a particular
 solution y0 and an orthonormal nullspace basis N of A, the iteration runs on
-the unconstrained reduced variables t.  The search direction is the HKM
-direction with a Mehrotra predictor-corrector step; the Schur complement is
-assembled blockwise from the sparse occurrence arrays of the E_k and
-congruence-transformed by N.
+the unconstrained reduced variables t.  The search direction is the
+Nesterov-Todd direction with a Mehrotra predictor-corrector step.
+
+Schur complement.  With the NT factor r of each block, the reduced Schur
+matrix is H = J'J, where J stacks the rows svec(r' G_a r) of every block
+(upper triangle, off-diagonal entries weighted by sqrt 2, so a block of size
+n gives n(n+1)/2 rows) and G_a = sum_k N[k, a] E_k.  H is formed and
+Cholesky-factored in place; the factor is used when it exists and LAPACK's
+condition estimate reaches ``RCOND_MIN``.  Otherwise the step comes from a
+column-pivoted QR of J, which gives a zero step along directions outside the
+row space.  The guard 1e-6 bounds the relative error of a Cholesky step by
+about eps/rcond ~ 2e-10 before refinement; near-singular H, as on degenerate
+faces and late in infeasible solves, goes to the rank-revealing QR, which
+gives dead directions a zero step instead of amplified roundoff.  Both paths
+refine the solve twice against J'J.
 """
 
 from __future__ import annotations
@@ -23,8 +34,10 @@ from typing import Optional
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg import lapack
 
-DEBUG_NEWTON = False
+# Smallest reciprocal condition estimate of H = J'J for the Cholesky path.
+RCOND_MIN = 1e-6
 
 
 @dataclass
@@ -141,18 +154,76 @@ def _reduced_coefficients(block: BlockData, N: np.ndarray) -> np.ndarray:
 
 
 def _gram_rows_scaled(G3: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Rows vec(r' E'_a r) for every reduced variable a: (size^2 x nt)."""
+    """Rows svec(r' G_a r) for every reduced variable a: (size(size+1)/2 x nt).
+
+    svec keeps the upper triangle and weights off-diagonal entries by sqrt 2,
+    so the Gram matrix of these rows equals that of the full vec rows.
+    """
     tmp = np.tensordot(r, G3, axes=(0, 0))  # (i, q, a)
     out = np.tensordot(tmp, r, axes=(1, 0))  # (i, a, j)
-    n, nt = out.shape[0], out.shape[1]
-    return out.transpose(0, 2, 1).reshape(n * n, nt)
+    iu, ju = np.triu_indices(out.shape[0])
+    rows = out[iu, :, ju]  # (size(size+1)/2, nt)
+    rows[iu != ju] *= np.sqrt(2.0)
+    return rows
+
+
+def _schur_solver(J: np.ndarray):
+    """Solver for H dt = g with H = J'J, refined twice against J'J.
+
+    Cholesky of H when it is well conditioned (rcond >= RCOND_MIN), else a
+    column-pivoted QR of J restricted to its numerical row space; directions
+    outside it get a zero step, not roundoff divided by a tiny pivot.
+    """
+    nt = J.shape[1]
+    H = (J.T @ J).T  # symmetric; the transpose is Fortran-ordered for LAPACK
+    anorm = float(np.abs(H).sum(axis=0).max(initial=0.0))
+    c, info = lapack.dpotrf(H, lower=0, clean=0, overwrite_a=1)
+    del H  # c is the factor, written over H's buffer
+    if info == 0:
+        rcond, info = lapack.dpocon(c, anorm)
+    if info == 0 and rcond >= RCOND_MIN:
+        live = np.arange(nt)
+
+        def base(g):
+            return lapack.dpotrs(c, g)[0]
+    else:
+        del c  # free the buffer before the QR
+        Rtop, piv = sla.qr(J, mode="r", pivoting=True, check_finite=False)
+        Rtop = Rtop[: min(nt, Rtop.shape[0])]
+        rdiag = np.abs(np.diag(Rtop))
+        top = rdiag.max(initial=0.0)
+        rank = int((rdiag > max(top, 1.0) * 1e-14).sum())
+        R11 = Rtop[:rank, :rank]
+        live = piv[:rank]
+
+        def base(g):
+            u = sla.solve_triangular(R11.T, g, lower=True, check_finite=False)
+            return sla.solve_triangular(R11, u, lower=False,
+                                        check_finite=False)
+
+    def solve(g):
+        dt = np.zeros(nt)
+        if len(live):
+            dt[live] = base(g[live])
+            for _ in range(2):
+                res = g - J.T @ (J @ dt)
+                if np.abs(res[live]).max(initial=0.0) <= 1e-13 * (
+                    1.0 + np.abs(g).max(initial=0.0)
+                ):
+                    break
+                dt[live] += base(res[live])
+        return dt
+
+    return solve
 
 
 def _eliminate_equalities(A, d, n, tol_rank=1e-11):
     """Particular solution and orthonormal nullspace basis of A y = d."""
     if A is None or A.shape[0] == 0:
         return np.zeros(n), np.eye(n)
-    U, sv, Vt = np.linalg.svd(A, full_matrices=False)
+    # One full SVD: its leading triplets give y0, the rest of Vt spans the
+    # nullspace.
+    U, sv, Vt = np.linalg.svd(A, full_matrices=True)
     top = sv.max(initial=0.0)
     rank = int((sv > tol_rank * max(top, 1.0)).sum())
     y0 = Vt[:rank].T @ ((U[:, :rank].T @ d) / sv[:rank])
@@ -162,10 +233,7 @@ def _eliminate_equalities(A, d, n, tol_rank=1e-11):
         raise InconsistentEqualities(
             int(np.abs(resid).argmax()), float(np.abs(resid).max())
         )
-    # Full SVD row space complement.
-    _, _, Vt_full = np.linalg.svd(A, full_matrices=True)
-    N = Vt_full[rank:].T
-    return y0, N
+    return y0, Vt[rank:].T
 
 
 def solve_ipm(
@@ -244,16 +312,20 @@ def solve_ipm(
                   f" pobj {pobj:+.8e}")
 
         quality = max(relgap, err_lmi, err_adj)
-        snapshot = IpmResult("numerical_limit", y.copy(),
+
+        def snapshot():
+            return IpmResult("numerical_limit", y.copy(),
                              [M.copy() for M in X], [M.copy() for M in S],
                              pobj, dobj, it, mu, err_lmi, err_adj, err_eq)
+
         if best is None or quality < best_quality:
-            best = snapshot
+            best = snapshot()
             best_quality = quality
 
         if max(err_lmi, err_adj) <= tol and relgap <= tol:
             status = "optimal"
-            best = snapshot
+            if best.iterations != it:
+                best = snapshot()
             break
 
         # Divergence-based certificates.  A verified improving feasible
@@ -267,14 +339,14 @@ def solve_ipm(
             ray = _unboundedness_ray(prog, y, N)
             if ray is not None or pobj > 1e9 * bscale:
                 status = "unbounded"
-                best = snapshot
+                best = snapshot()
                 best.certificate = ray
                 break
         if xnorm > 1e8 * x0:
             ray = _infeasibility_certificate(prog, X, N, y0)
             if ray is not None:
                 status = "infeasible"
-                best = snapshot
+                best = snapshot()
                 best.certificate = ray
                 break
 
@@ -284,68 +356,36 @@ def solve_ipm(
         # r^{-1} X r^{-T} = diag(lam): both cone variables are mapped to the
         # same diagonal point, which keeps the scaled Newton system well
         # behaved on degenerate instances.
-        Ls, rs, rinvs, lams = [], [], [], []
+        Ls, LX, rs, lams = [], [], [], []
         ok_scaling = True
         for bi in range(len(blocks)):
-            if _chol(S[bi]) is None:
-                S[bi] = _repair_psd(S[bi], mu)
-            if _chol(X[bi]) is None:
-                X[bi] = _repair_psd(X[bi], mu)
             Lsb = _chol(S[bi])
+            if Lsb is None:
+                S[bi] = _repair_psd(S[bi], mu)
+                Lsb = _chol(S[bi])
             Lxb = _chol(X[bi])
+            if Lxb is None:
+                X[bi] = _repair_psd(X[bi], mu)
+                Lxb = _chol(X[bi])
             if Lsb is None or Lxb is None:
                 ok_scaling = False
                 break
             Ls.append(Lsb)
+            LX.append(Lxb)
             M = Lsb.T @ Lxb
-            U, lam, Vt = np.linalg.svd(M)
+            _, lam, Vt = np.linalg.svd(M)
             lam = np.maximum(lam, 1e-150)
             r = Lxb @ (Vt.T * lam ** -0.5)
-            rinv = (lam[:, None] ** 0.5) * sla.solve_triangular(
-                Lxb, Vt.T, lower=True, trans="T", check_finite=False
-            ).T
             rs.append(r)
-            rinvs.append(rinv)
             lams.append(lam)
         if not ok_scaling:
             break
 
-        # Reduced Schur complement as an exact Gram factor: the stacked rows
-        # J satisfy H_t = J' J, solved through the QR factor of J (positive
-        # semidefinite by construction, no cancellation across directions).
-        Jstack = np.vstack([
+        # Reduced Schur complement H_t = J'J from the stacked svec rows.
+        solve_reduced = _schur_solver(np.vstack([
             _gram_rows_scaled(pregram[bi], rs[bi])
             for bi in range(len(blocks))
-        ])  # (sum size^2) x nt
-        # Rank-revealing factorization: directions outside the row space get
-        # a zero step, not roundoff divided by a tiny regularizer.
-        Rtop, piv = sla.qr(Jstack, mode="r", pivoting=True,
-                           check_finite=False)
-        Rtop = Rtop[: min(nt, Rtop.shape[0])]
-        rdiag = np.abs(np.diag(Rtop))
-        top = rdiag.max(initial=0.0)
-        rank = int((rdiag > max(top, 1.0) * 1e-14).sum())
-        R11 = Rtop[:rank, :rank]
-        live = piv[:rank]
-
-        def solve_reduced(g):
-            dt = np.zeros(nt)
-            if rank:
-                u = sla.solve_triangular(R11.T, g[live], lower=True,
-                                         check_finite=False)
-                dt[live] = sla.solve_triangular(R11, u, lower=False,
-                                                check_finite=False)
-                for _ in range(2):
-                    res = g - Jstack.T @ (Jstack @ dt)
-                    if np.abs(res[live]).max(initial=0.0) <= 1e-13 * (
-                        1.0 + np.abs(g).max(initial=0.0)
-                    ):
-                        break
-                    u = sla.solve_triangular(R11.T, res[live], lower=True,
-                                             check_finite=False)
-                    dt[live] += sla.solve_triangular(R11, u, lower=False,
-                                                     check_finite=False)
-            return dt
+        ]))  # (sum size(size+1)/2) x nt
 
         def directions(sigmu, corr):
             # Scaled-space central equation: lam o (Dx + Ds) = rhs with the
@@ -390,23 +430,8 @@ def solve_ipm(
         try:
             # Predictor.
             dy, dS, dX, Dxs, Dss = directions(0.0, None)
-            if DEBUG_NEWTON:
-                dadj = np.zeros(n)
-                for bi, blk in enumerate(blocks):
-                    dadj -= blk.adjoint(dX[bi])
-                print("    newton adj viol:",
-                      np.abs(N.T @ dadj - r_adj).max())
             ap = min(1.0, *(tau * _max_step(Ls[bi], dS[bi])
                             for bi in range(len(blocks))))
-            LX = []
-            for bi in range(len(blocks)):
-                L = _chol(X[bi])
-                if L is None:
-                    X[bi] = _repair_psd(X[bi], mu)
-                    L = _chol(X[bi])
-                    if L is None:
-                        raise sla.LinAlgError("cone iterate beyond repair")
-                LX.append(L)
             ad = min(1.0, *(tau * _max_step(LX[bi], dX[bi])
                             for bi in range(len(blocks))))
             gap_aff = sum(
