@@ -21,7 +21,8 @@ from .entdim import (
     EntdimConfig,
     InfeasibleCorrelationError,
     Scenario,
-    xi_q,
+    build_xi_problem,
+    solve_xi_problem,
 )
 
 REPORT_SCHEMA = {
@@ -99,7 +100,13 @@ def _report_base(args, parameter: str, input_path=None) -> dict:
 def _solver_summary(solution) -> dict:
     if solution is None:
         return None
+    problem = solution.problem
     return {
+        "problem": None if problem is None else {
+            "num_vars": problem.num_vars,
+            "num_eq": problem.metadata["num_eq"],
+            "block_sizes": problem.metadata["block_sizes"],
+        },
         "iterations": solution.iterations,
         "residuals": {k: (float(v) if isinstance(v, (int, float, np.floating))
                           else v)
@@ -172,14 +179,12 @@ def cmd_corr_bound(args) -> int:
     with open(args.input) as fh:
         P = Correlation.from_json(fh.read())
     config = EntdimConfig()
+    problem = build_xi_problem(P, args.level, config)
     if args.export_sdpa:
-        from .entdim import build_xi_problem
-
-        problem = build_xi_problem(P, args.level, config)
         with open(args.export_sdpa, "wb") as fh:
             fh.write(conic.export_sdpa(problem))
     try:
-        res = xi_q(P, args.level, config)
+        res = solve_xi_problem(problem, config)
     except InfeasibleCorrelationError as e:
         report["status"] = "infeasible"
         report["diagnostics"] = {"message": str(e), "margin": e.margin}

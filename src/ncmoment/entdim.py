@@ -3,17 +3,22 @@ correlation, computed through the tracial moment hierarchy.
 
 The level-r program minimizes L(1) over tracial symmetric functionals on
 words in the measurement symbols and one state symbol, subject to the
-measurement quadratic module, the defining ideal (state idempotence,
-completeness sums, cross-party commutation), the state block-swap relations,
-and the data constraints pinning the degree-3 moments to the correlation
-table.
+measurement quadratic module, the defining ideal (state idempotence and
+cross-party commutation, both enforced by rewriting), the state block-swap
+relations, and the data constraints pinning the degree-3 moments to the
+correlation table.
+
+The alphabet is the Collins–Gisin one: the last answer of every question has
+no symbol, and its operator is one minus the other answers' symbols.  So
+completeness holds by construction and needs no sum-rule equalities, and
+the eliminated operators enter as localizing generators and data polynomials.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -26,7 +31,6 @@ from .momentize import (
     SdpProblem,
     VariableIndex,
     assemble,
-    ideal_constraints,
     localizing_block,
     moment_block,
     state_commutator_constraints,
@@ -35,7 +39,6 @@ from .ncwords import (
     EquivalenceMode,
     NcPolynomial,
     RewriteSystem,
-    Symbol,
     alice,
     bob,
     enumerate_basis,
@@ -74,15 +77,6 @@ class Scenario:
     @property
     def gamma_size(self) -> int:
         return self.nA * self.nB * self.nS * self.nT
-
-    def alice_symbols(self) -> list:
-        return [alice(s, a) for s in range(self.nS) for a in range(self.nA)]
-
-    def bob_symbols(self) -> list:
-        return [bob(t, b) for t in range(self.nT) for b in range(self.nB)]
-
-    def symbols(self) -> list:
-        return self.alice_symbols() + self.bob_symbols() + [state_symbol()]
 
 
 @dataclass
@@ -161,51 +155,59 @@ class EntdimSets:
     """Generator data of the level-r program for one scenario."""
 
     symbols: list
-    generators: list  # localizing generators: all measurement symbols and z
-    ideal: list  # the full defining ideal (reported; partly enforced by rewriting)
-    sum_rules: list  # completeness sums, enforced as linear constraints
+    generators: list  # localizing generators: kept symbols, complements, z
+    ideal: list  # the defining ideal, enforced by rewriting (reported only)
     rewrites: RewriteSystem
     r: int
 
 
-def build_entdim_sets(scenario: Scenario, r: int) -> EntdimSets:
-    """Generators, ideal, and rewrite rules of the level-r program.
+def _outcome(party, question: int, answer: int, n: int) -> NcPolynomial:
+    """Operator of ``answer`` to ``question`` in the Collins–Gisin alphabet.
 
-    State idempotence and the cross-party commutators enter the rewrite
-    system (substitution by them changes moments by truncated-ideal members
-    only); the completeness sums stay as linear constraints.
+    ``party`` is :func:`alice` or :func:`bob` and ``n`` the number of answers.
+    The last answer has no symbol: its operator is one minus the others.
+    """
+    if answer < n - 1:
+        return NcPolynomial.from_word((party(question, answer),))
+    out = NcPolynomial.one()
+    for a in range(n - 1):
+        out = out - NcPolynomial.from_word((party(question, a),))
+    return out
+
+
+def build_entdim_sets(scenario: Scenario, r: int) -> EntdimSets:
+    """Collins–Gisin alphabet, generators, ideal and rewrite rules at level r.
+
+    The alphabet keeps x_s^a for a < nA - 1, y_t^b for b < nB - 1, and z, so
+    there are no completeness sums.  The localizing generators are the kept
+    symbols, then 1 - sum_a x_s^a per question s and 1 - sum_b y_t^b per
+    question t (the eliminated operators; skipped where they are the constant
+    1, that is with one answer), then z.  State idempotence and the
+    cross-party commutators enter the rewrite system; substitution by them
+    changes moments by truncated-ideal members only.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
+    sc = scenario
     z = state_symbol()
-    xs = scenario.alice_symbols()
-    ys = scenario.bob_symbols()
+    xs = [alice(s, a) for s in range(sc.nS) for a in range(sc.nA - 1)]
+    ys = [bob(t, b) for t in range(sc.nT) for b in range(sc.nB - 1)]
     swap = frozenset((y, x) for y in ys for x in xs)
     rw = RewriteSystem(idempotents=frozenset([z]), swap_patterns=swap)
 
-    one = NcPolynomial.one()
     zpoly = NcPolynomial.from_word((z,))
     ideal = [zpoly - zpoly * zpoly]
-    sum_rules = []
-    for s in range(scenario.nS):
-        h = one
-        for a in range(scenario.nA):
-            h = h - NcPolynomial.from_word((alice(s, a),))
-        sum_rules.append(h)
-        ideal.append(h)
-    for t in range(scenario.nT):
-        h = one
-        for b in range(scenario.nB):
-            h = h - NcPolynomial.from_word((bob(t, b),))
-        sum_rules.append(h)
-        ideal.append(h)
     for x in xs:
         for y in ys:
             xy = NcPolynomial.from_word((x, y))
             yx = NcPolynomial.from_word((y, x))
             ideal.append(xy - yx)
-    generators = [NcPolynomial.from_word((s,)) for s in xs + ys + [z]]
-    return EntdimSets(xs + ys + [z], generators, ideal, sum_rules, rw, r)
+    generators = [NcPolynomial.from_word((s,)) for s in xs + ys]
+    generators += [_outcome(alice, s, sc.nA - 1, sc.nA) for s in range(sc.nS)]
+    generators += [_outcome(bob, t, sc.nB - 1, sc.nB) for t in range(sc.nT)]
+    generators = [g for g in generators if g.deg > 0]
+    generators.append(zpoly)
+    return EntdimSets(xs + ys + [z], generators, ideal, rw, r)
 
 
 @dataclass
@@ -224,7 +226,10 @@ class EntDimResult:
 def build_xi_problem(
     P: Correlation, r: int, config: Optional[EntdimConfig] = None
 ) -> SdpProblem:
+    """Level-r program of ``P``; raises ValueError above ``config.r_cap``."""
     config = config or EntdimConfig()
+    if r > config.r_cap:
+        raise ValueError(f"level {r} exceeds the configured cap {config.r_cap}")
     sc = P.scenario
     sets = build_entdim_sets(sc, r)
     rw, syms = sets.rewrites, sets.symbols
@@ -234,26 +239,24 @@ def build_xi_problem(
                            cap=config.basis_cap)
     blocks = [moment_block(rows, rw, mode, index)]
     for g in sets.generators:
-        word = next(iter(g.terms))
-        blocks.append(
-            localizing_block(g, r, rw, mode, index, syms, label=f"loc[{word[0]}]")
-        )
-    cons = ideal_constraints(sets.sum_rules, 2 * r, rw, mode, index, syms)
-    cons += state_commutator_constraints(r, syms, state_symbol(), rw, index)
+        blocks.append(localizing_block(g, r, rw, mode, index, syms))
     z = state_symbol()
+    zpoly = NcPolynomial.from_word((z,))
+    cons = state_commutator_constraints(r, syms, z, rw, index)
     cons.append(LinearConstraint({index.var_of((z,)): 1.0}, 1.0, Relation.EQ))
     dropped_data = 0
     if 2 * r >= 3:
-        for s in range(sc.nS):
-            for t in range(sc.nT):
-                for a in range(sc.nA):
-                    for b in range(sc.nB):
-                        vid = index.var_of((alice(s, a), bob(t, b), z))
-                        cons.append(
-                            LinearConstraint(
-                                {vid: 1.0}, float(P.table[a, b, s, t]), Relation.EQ
-                            )
-                        )
+        # L(E_s^a F_t^b z) = P(a,b|s,t), expanded where E or F is eliminated;
+        # assemble() drops the rows that coincide.
+        for s, t, a, b in np.ndindex(sc.nS, sc.nT, sc.nA, sc.nB):
+            poly = (_outcome(alice, s, a, sc.nA) * _outcome(bob, t, b, sc.nB)
+                    * zpoly)
+            terms: dict = {}
+            for w, c in poly.terms.items():
+                vid = index.var_of(w)
+                terms[vid] = terms.get(vid, 0.0) + c
+            cons.append(LinearConstraint(terms, float(P.table[a, b, s, t]),
+                                         Relation.EQ))
     else:
         dropped_data = sc.gamma_size  # degree-3 data exceeds the truncation
     return assemble(
@@ -264,14 +267,12 @@ def build_xi_problem(
     )
 
 
-def xi_q(
-    P: Correlation, r: int, config: Optional[EntdimConfig] = None
+def solve_xi_problem(
+    problem: SdpProblem, config: Optional[EntdimConfig] = None
 ) -> EntDimResult:
-    """Level-r lower bound on the average entanglement dimension of P."""
+    """Solve a program from :func:`build_xi_problem` and certify its value."""
     config = config or EntdimConfig()
-    if r > config.r_cap:
-        raise ValueError(f"level {r} exceeds the configured cap {config.r_cap}")
-    problem = build_xi_problem(P, r, config)
+    r = problem.r
     sol = conic.solve(problem, tol=config.tol,
                       objective_cap=config.objective_cap)
     if sol.status == SolveStatus.INFEASIBLE:
@@ -290,6 +291,14 @@ def xi_q(
         raise conic.SolverError(f"solver returned {sol.status.value}")
     rep = conic.flatness(sol, r, FlatnessMode.ENTDIM)
     return EntDimResult(r, sol.objective, sol, rep)
+
+
+def xi_q(
+    P: Correlation, r: int, config: Optional[EntdimConfig] = None
+) -> EntDimResult:
+    """Level-r lower bound on the average entanglement dimension of P."""
+    config = config or EntdimConfig()
+    return solve_xi_problem(build_xi_problem(P, r, config), config)
 
 
 def monotonicity_audit(

@@ -87,6 +87,9 @@ def test_corr_bound_level_one(classical_corr_file, tmp_path):
     rep = read_report(out)
     assert rc == 0
     assert abs(rep["value"] - 1.0) < 1e-4
+    # CHSH level 1 in the Collins-Gisin alphabet: 5 symbols, 9 generators
+    assert rep["solver"]["problem"] == {
+        "num_vars": 20, "num_eq": 1, "block_sizes": [6] + [1] * 9}
 
 
 def test_corr_bound_invalid_table(tmp_path):

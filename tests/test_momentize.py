@@ -114,11 +114,14 @@ def test_localizing_block_requires_symmetric_generator():
 
 
 def test_ideal_constraints_sum_rule():
-    sc = Scenario(2, 2, 1, 1)
-    sets = build_entdim_sets(sc, 1)
-    index = VariableIndex(sets.symbols, 2, sets.rewrites, TRC)
-    h = sets.sum_rules[0]  # 1 - x_0^0 - x_0^1
-    cons = ideal_constraints([h], 2, sets.rewrites, TRC, index, sets.symbols)
+    xs, ys, z = [alice(0, 0), alice(0, 1)], [bob(0, 0), bob(0, 1)], state_symbol()
+    syms = xs + ys + [z]
+    rw = RewriteSystem(idempotents=frozenset([z]),
+                       swap_patterns=frozenset((y, x) for y in ys for x in xs))
+    index = VariableIndex(syms, 2, rw, TRC)
+    h = (NcPolynomial.one() - NcPolynomial.from_word((xs[0],))
+         - NcPolynomial.from_word((xs[1],)))  # 1 - x_0^0 - x_0^1
+    cons = ideal_constraints([h], 2, rw, TRC, index, syms)
     base = [c for c in cons if 0 in c.terms and len(c.terms) == 3]
     assert base, "expected the multiplier-one expansion"
     terms = base[0].terms
