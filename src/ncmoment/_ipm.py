@@ -38,6 +38,8 @@ from scipy.linalg import lapack
 
 # Smallest reciprocal condition estimate of H = J'J for the Cholesky path.
 RCOND_MIN = 1e-6
+# Iteration limit; a solve that reaches it ends with status numerical_limit.
+MAX_ITER = 120
 
 
 @dataclass
@@ -236,12 +238,7 @@ def _eliminate_equalities(A, d, n, tol_rank=1e-11):
     return y0, Vt[rank:].T
 
 
-def solve_ipm(
-    prog: ConeProgram,
-    tol: float = 1e-8,
-    max_iter: int = 120,
-    verbose: bool = False,
-) -> IpmResult:
+def solve_ipm(prog: ConeProgram, tol: float = 1e-8) -> IpmResult:
     n = prog.nvars
     b = prog.objective
     blocks = prog.blocks
@@ -288,7 +285,7 @@ def solve_ipm(
     best_quality = np.inf
     status = "numerical_limit"
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         R_lmi = [blk.lmi_value(y) - S[bi] for bi, blk in enumerate(blocks)]
         adj_y = -b.copy()
         for bi, blk in enumerate(blocks):
@@ -305,11 +302,6 @@ def solve_ipm(
         ) / cscale
         err_adj = float(np.abs(r_adj).max(initial=0.0)) / bscale
         relgap = gap / (1.0 + abs(pobj) + abs(dobj))
-
-        if verbose:
-            print(f"  it {it:3d}  mu {mu:9.2e}  gap {relgap:9.2e} "
-                  f" lmi {err_lmi:8.1e} adj {err_adj:8.1e} "
-                  f" pobj {pobj:+.8e}")
 
         quality = max(relgap, err_lmi, err_adj)
 

@@ -1,16 +1,16 @@
 """Concrete SDP solving, post-solve numerics, and SDPA sparse file exchange.
 
-The embedded solve path is the interior-point method in :mod:`ncmoment._ipm`.
-Inequalities are implemented as 1x1 PSD blocks so the core solver only sees a
-single cone type.  Post-solve utilities compute numerical ranks of nested
-principal submatrices of the realized moment matrix and the flatness verdicts
-used for finite-convergence certificates.
+Every solve runs the interior-point method in :mod:`ncmoment._ipm`; SDPA
+files are exchange I/O only.  Inequalities are implemented as 1x1 PSD blocks
+so the core solver only sees a single cone type.  Post-solve utilities
+compute numerical ranks of nested principal submatrices of the realized
+moment matrix and the flatness verdicts used for finite-convergence
+certificates.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Tuple
@@ -48,9 +48,6 @@ class SdpSolution:
     certificate: Optional[dict] = None
     problem: Optional[SdpProblem] = None
 
-    def value_of(self, vid: int) -> float:
-        return float(self.y[vid])
-
 
 @dataclass
 class FlatnessReport:
@@ -76,11 +73,6 @@ class FlatnessReport:
         }
 
 
-class FlatnessMode(Enum):
-    GRAPH = "graph"
-    ENTDIM = "entdim"
-
-
 def _full_entries(block: CompiledBlock):
     """Expand upper-triangle occurrence arrays to both triangles."""
     off = block.rows != block.cols
@@ -92,12 +84,14 @@ def _full_entries(block: CompiledBlock):
 
 
 def _build_cone_program(
-    problem: SdpProblem, objective_cap: Optional[float] = None
-) -> Tuple[ConeProgram, float, np.ndarray, list]:
+    problem: SdpProblem, objective_cap: Optional[float] = None, margin: bool = False
+) -> Tuple[ConeProgram, float]:
     """Translate an LMI-form problem into the solver's internal data.
 
-    Returns (program, sign, c, dropped_eq_rows); the solver maximizes
-    sign * (original objective).
+    Returns (program, sign); the solver maximizes sign * (original objective).
+    With ``margin`` the program is instead the margin program
+    max { t : every block - t*I is PSD }, t being the variable after the
+    problem's own.
     """
     n = problem.num_vars
     c = np.zeros(n)
@@ -146,9 +140,20 @@ def _build_cone_program(
             "but in no PSD block; the problem is not in solvable LMI form"
         )
 
+    objective = sign * c
+    if margin:
+        for blk in blocks:
+            sz = blk.size
+            blk.vids = np.concatenate([blk.vids, np.full(sz, n, dtype=np.int64)])
+            blk.rows = np.concatenate([blk.rows, np.arange(sz)])
+            blk.cols = np.concatenate([blk.cols, np.arange(sz)])
+            blk.vals = np.concatenate([blk.vals, -np.ones(sz)])
+        objective = np.append(objective, 1.0)
+    nv = len(objective)
+
     eqs = problem.eq_constraints
     if eqs:
-        A = np.zeros((len(eqs), n))
+        A = np.zeros((len(eqs), nv))
         d = np.zeros(len(eqs))
         for i, con in enumerate(eqs):
             for vid, coef in con.terms.items():
@@ -156,34 +161,24 @@ def _build_cone_program(
             d[i] = con.rhs
     else:
         A, d = None, None
-    prog = ConeProgram(n, sign * c, blocks, A, d).finalize()
-    return prog, sign, c, []
+    return ConeProgram(nv, objective, blocks, A, d).finalize(), sign
 
 
 def solve(
     problem: SdpProblem,
     tol: float = DEFAULT_TOL,
     objective_cap: Optional[float] = None,
-    max_iter: int = 120,
-    verbose: bool = False,
-    solver: Optional[str] = None,
 ) -> SdpSolution:
-    """Solve an assembled moment SDP.
+    """Solve an assembled moment SDP with the interior-point method.
 
-    The path is chosen by ``solver`` or the NCMOMENT_SOLVER environment
-    variable: "embedded" (default) runs the in-process interior-point method
-    directly; "sdpa-file" round-trips the problem through the SDPA sparse
-    format first and solves the re-imported instance.
+    ``objective_cap`` adds the LMI objective <= cap as a numerical aid.  The
+    returned objective is the moment-side value; the dual objective is in
+    ``residuals["dual_objective"]``.
     """
     if not (0 < tol <= 1e-2):
         raise ValueError("tol must lie in (0, 1e-2]")
-    path = solver or os.environ.get("NCMOMENT_SOLVER", "embedded")
-    if path not in ("embedded", "sdpa-file"):
-        raise ValueError(f"unknown solver path '{path}'")
-    if path == "sdpa-file":
-        return _solve_via_sdpa_file(problem, tol, max_iter)
-    prog, sign, c, _ = _build_cone_program(problem, objective_cap)
-    res = solve_ipm(prog, tol=tol, max_iter=max_iter, verbose=verbose)
+    prog, sign = _build_cone_program(problem, objective_cap)
+    res = solve_ipm(prog, tol=tol)
     status = {
         "optimal": SolveStatus.OPTIMAL,
         "infeasible": SolveStatus.INFEASIBLE,
@@ -215,8 +210,6 @@ def solve(
 def feasibility(
     problem: SdpProblem,
     eps_feas: float = DEFAULT_EPS_FEAS,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = 120,
 ) -> Tuple[bool, float]:
     """Decide feasibility via the margin program max { t : blocks >= t*I }.
 
@@ -227,22 +220,8 @@ def feasibility(
     """
     if problem.objective:
         raise ValueError("feasibility expects a problem without objective")
-    prog, _, _, _ = _build_cone_program(problem)
-    t = problem.num_vars  # margin variable gets the next id
-    for blk in prog.blocks:
-        sz = blk.size
-        blk.vids = np.concatenate([blk.vids, np.full(sz, t, dtype=np.int64)])
-        blk.rows = np.concatenate([blk.rows, np.arange(sz)])
-        blk.cols = np.concatenate([blk.cols, np.arange(sz)])
-        blk.vals = np.concatenate([blk.vals, -np.ones(sz)])
-    obj = np.zeros(t + 1)
-    obj[t] = 1.0
-    prog.nvars = t + 1
-    prog.objective = obj
-    if prog.A is not None:
-        prog.A = np.hstack([prog.A, np.zeros((prog.A.shape[0], 1))])
-    prog.finalize()
-    res = solve_ipm(prog, tol=tol, max_iter=max_iter)
+    prog, _ = _build_cone_program(problem, margin=True)
+    res = solve_ipm(prog, tol=DEFAULT_TOL)
     if res.status == "unbounded":
         return True, math.inf
     if res.status == "infeasible":
@@ -253,7 +232,7 @@ def feasibility(
         res.err_lmi, res.err_adj, res.err_eq
     ) > 1e-4:
         raise SolverError("margin program did not reach acceptable accuracy")
-    margin = float(res.y[t])
+    margin = float(res.y[problem.num_vars])
     return margin >= -eps_feas, margin
 
 
@@ -273,7 +252,6 @@ def flatness_from_matrix(
     M: np.ndarray,
     degrees: np.ndarray,
     r: int,
-    mode: FlatnessMode = FlatnessMode.GRAPH,
     tau_rank: float = DEFAULT_TAU_RANK,
 ) -> FlatnessReport:
     """Rank profile of the nested principal submatrices M_s, s = 0..r.
@@ -291,22 +269,19 @@ def flatness_from_matrix(
     entdim_flat = (
         r - entdim_delta >= 0 and ranks[r - entdim_delta] == ranks[r]
     )
-    if mode == FlatnessMode.GRAPH:
-        pass  # any delta >= 1 in flat_deltas certifies flatness
     return FlatnessReport(r, ranks, tau_rank, flat_deltas, entdim_delta, entdim_flat)
 
 
 def flatness(
     solution: SdpSolution,
     r: int,
-    mode: FlatnessMode = FlatnessMode.GRAPH,
     tau_rank: float = DEFAULT_TAU_RANK,
 ) -> FlatnessReport:
     """Flatness report of a solved instance's realized moment matrix."""
     if solution.moment_matrix is None:
         raise ValueError("solution carries no realized moment matrix")
     return flatness_from_matrix(
-        solution.moment_matrix, solution.moment_degrees, r, mode, tau_rank
+        solution.moment_matrix, solution.moment_degrees, r, tau_rank
     )
 
 
@@ -558,19 +533,12 @@ def sdpa_to_problem(parsed: SdpaProblem) -> SdpProblem:
         for k, ent in enumerate(parsed.constraint_entries)
     ]
 
-    class _SlotIndex:
-        def __init__(self, nv):
-            self.words = list(range(nv))
-
-        def __len__(self):
-            return len(self.words)
-
     return assemble(
         objective=form_of(parsed.objective_entries),
         sense="min",
         blocks=blocks,
         constraints=constraints,
-        index=_SlotIndex(len(slots)),
+        index=range(len(slots)),  # assemble only counts the variables
         description="imported sdpa problem",
     )
 
@@ -581,36 +549,4 @@ def import_sdpa(data: bytes) -> SdpProblem:
 
 def import_solution_sdpa(data: bytes, tol: float = DEFAULT_TOL) -> SdpSolution:
     """Parse an SDPA problem file, solve it, and return the solution."""
-    return solve(import_sdpa(data), tol=tol, solver="embedded")
-
-
-def _solve_via_sdpa_file(problem: SdpProblem, tol: float,
-                         max_iter: int) -> SdpSolution:
-    """Exchange-format solve path: export, re-import, solve, map back.
-
-    The file always encodes a minimization over matrix entries; the moment
-    values are read back off the representative entries, so the returned
-    solution matches the embedded path's conventions.
-    """
-    forms = _entry_forms(problem)
-    reps = _representatives(problem, forms)
-    data = export_sdpa(problem)
-    fsol = import_solution_sdpa(data, tol=tol)
-    mats = [blk.materialize(fsol.y) for blk in fsol.problem.blocks]
-    y = np.zeros(problem.num_vars)
-    for vid, (b, i, j) in reps.items():
-        y[vid] = mats[b][i, j]
-    sign = 1.0 if problem.sense == "min" else -1.0
-    mi = problem.moment_block_index()
-    mom = problem.blocks[mi].materialize(y)
-    return SdpSolution(
-        status=fsol.status,
-        objective=float(sign * fsol.objective),
-        y=y,
-        moment_matrix=mom,
-        moment_degrees=problem.blocks[mi].row_degrees,
-        iterations=fsol.iterations,
-        residuals=dict(fsol.residuals, path="sdpa-file"),
-        certificate=fsol.certificate,
-        problem=problem,
-    )
+    return solve(import_sdpa(data), tol=tol)

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import conic
-from .conic import FlatnessMode, SdpSolution, SolveStatus
+from .conic import SdpSolution, SolveStatus
 from .momentize import (
     LinearConstraint,
     Relation,
@@ -289,7 +289,7 @@ def solve_xi_problem(
         raise InfeasibleCorrelationError(r, margin)
     if sol.status not in (SolveStatus.OPTIMAL, SolveStatus.NUMERICAL_LIMIT):
         raise conic.SolverError(f"solver returned {sol.status.value}")
-    rep = conic.flatness(sol, r, FlatnessMode.ENTDIM)
+    rep = conic.flatness(sol, r)
     return EntDimResult(r, sol.objective, sol, rep)
 
 

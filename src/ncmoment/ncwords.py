@@ -9,7 +9,6 @@ symbols, one-directional swaps).  Everything here is immutable and pure.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Iterable, Iterator, NamedTuple, Optional
@@ -62,10 +61,6 @@ def vertex(i: int, color: int = 0) -> Symbol:
 # A word is a tuple of symbols; the empty tuple is the multiplicative identity.
 Word = tuple
 IDENTITY: Word = ()
-
-
-def degree(word: Word) -> int:
-    return len(word)
 
 
 def involution(word: Word) -> Word:
@@ -378,19 +373,3 @@ class NcPolynomial:
         for w in sorted(self.terms, key=lambda w: (len(w), w)):
             parts.append(f"{self.terms[w]:+g}*{word_str(w)}")
         return " ".join(parts)
-
-
-def reduce_poly(poly: NcPolynomial, rw: RewriteSystem) -> NcPolynomial:
-    """Rewrite every term to normal form and recombine."""
-    return poly.reduced(rw)
-
-
-def words_of_degree(
-    symbols: Iterable[Symbol], deg: int, rw: RewriteSystem
-) -> Iterator[Word]:
-    """Iterate over reduced words of exactly the given degree."""
-    syms = sorted(set(symbols))
-    for combo in itertools.product(syms, repeat=deg):
-        r = reduce_word(combo, rw)
-        if r is not None and len(r) == deg and r == combo:
-            yield combo

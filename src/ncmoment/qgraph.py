@@ -2,8 +2,9 @@
 
 Vertex-variable hierarchies (stability and coloring side), their commutative
 Lasserre counterparts, the theta-type order-1 bounds and their strengthenings,
-the color/index-labeled feasibility hierarchies with integer search, and the
-graph-product reductions tying the two families together.
+the color/index-labeled feasibility hierarchies, and the graph-product
+reductions tying the two families together.  Every integer parameter is the
+first count of a monotone scan that passes its test (``_first_passing``).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from enum import Enum
 from typing import Optional
 
 from . import conic
-from .conic import FlatnessMode, SdpSolution, SolveStatus
+from .conic import SdpSolution, SolveStatus
 from .graphs import Graph, all_cliques, cartesian_product, greedy_stable_set, star_product
 from .momentize import (
     LinearConstraint,
@@ -27,12 +28,14 @@ from .momentize import (
 )
 from .ncwords import (
     EquivalenceMode,
-    IDENTITY,
     NcPolynomial,
     RewriteSystem,
     enumerate_basis,
     vertex,
 )
+
+# A product-route stability value within this of its target counts as reaching it.
+PRODUCT_TOL = 1e-5
 
 
 class Strengthening(Enum):
@@ -196,7 +199,7 @@ def _solved(problem: SdpProblem, tol: float) -> SdpSolution:
 def xi_stab(g: Graph, r: int, tol: float = 1e-8) -> GraphBoundResult:
     """Tracial stability-side bound; order 1 is the theta number."""
     sol = _solved(build_stab_problem(g, r), tol)
-    rep = conic.flatness(sol, r, FlatnessMode.GRAPH)
+    rep = conic.flatness(sol, r)
     return GraphBoundResult(
         "xi-stab", g, r, sol.objective, sol, rep,
         anchor="upper bound chain toward the projective packing value",
@@ -211,7 +214,7 @@ def xi_col(
 ) -> GraphBoundResult:
     """Tracial coloring-side bound; order 1 is theta of the complement."""
     sol = _solved(build_col_problem(g, r, strengthening), tol)
-    rep = conic.flatness(sol, r, FlatnessMode.GRAPH)
+    rep = conic.flatness(sol, r)
     name = {
         Strengthening.NONE: "xi-col",
         Strengthening.THETA_PLUS: "theta-plus",
@@ -231,14 +234,14 @@ def theta(g: Graph, tol: float = 1e-8) -> GraphBoundResult:
 
 def lasserre_stab(g: Graph, r: int, tol: float = 1e-8) -> GraphBoundResult:
     sol = _solved(build_stab_problem(g, r, commutative=True), tol)
-    rep = conic.flatness(sol, r, FlatnessMode.GRAPH)
+    rep = conic.flatness(sol, r)
     return GraphBoundResult("las-stab", g, r, sol.objective, sol, rep,
                             anchor="commutative relaxation of the stability number")
 
 
 def lasserre_col(g: Graph, r: int, tol: float = 1e-8) -> GraphBoundResult:
     sol = _solved(build_col_problem(g, r, commutative=True), tol)
-    rep = conic.flatness(sol, r, FlatnessMode.GRAPH)
+    rep = conic.flatness(sol, r)
     return GraphBoundResult("las-col", g, r, sol.objective, sol, rep,
                             anchor="commutative relaxation of the chromatic side")
 
@@ -248,196 +251,163 @@ def lasserre_col(g: Graph, r: int, tol: float = 1e-8) -> GraphBoundResult:
 # ---------------------------------------------------------------------------
 
 
-def _col_system(g: Graph, k: int, r: int):
-    """Moment system over {x_i^c}: color sums to one, edge/color orthogonality."""
-    syms = [vertex(i, c) for i in range(g.n) for c in range(k)]
-    zero = set()
-    for i in range(g.n):
-        for c in range(k):
-            for cp in range(k):
-                if c != cp:
-                    zero.add((vertex(i, c), vertex(i, cp)))
-    for (i, j) in g.edges:
-        for c in range(k):
-            zero.add((vertex(i, c), vertex(j, c)))
-            zero.add((vertex(j, c), vertex(i, c)))
+def _labeled_system(groups: list, zero: set, description: str, r: int) -> SdpProblem:
+    """Moment system over projectors in groups that each sum to one.
+
+    Members of a group are mutually orthogonal; ``zero`` lists the further
+    pairs with product zero (either order suffices).  L(1) = 1 normalizes.
+    """
+    syms = [s for group in groups for s in group]
+    zero = set(zero)
+    for group in groups:
+        zero.update((a, b) for a in group for b in group if a != b)
+    zero.update([(b, a) for (a, b) in zero])
     rw = RewriteSystem(zero_pairs=frozenset(zero), idempotents=frozenset(syms))
-    index = VariableIndex(syms, 2 * r, rw, EquivalenceMode.TRACIAL_SYMMETRIC)
+    mode = EquivalenceMode.TRACIAL_SYMMETRIC
+    index = VariableIndex(syms, 2 * r, rw, mode)
     rows = enumerate_basis(syms, r, rw, EquivalenceMode.PLAIN)
-    block = moment_block(rows, rw, EquivalenceMode.TRACIAL_SYMMETRIC, index)
+    block = moment_block(rows, rw, mode, index)
     gens = []
-    for i in range(g.n):
+    for group in groups:
         h = NcPolynomial.one()
-        for c in range(k):
-            h = h - NcPolynomial.from_word((vertex(i, c),))
+        for s in group:
+            h = h - NcPolynomial.from_word((s,))
         gens.append(h)
-    cons = ideal_constraints(gens, 2 * r, rw, EquivalenceMode.TRACIAL_SYMMETRIC,
-                             index, syms)
+    cons = ideal_constraints(gens, 2 * r, rw, mode, index, syms)
     cons.append(LinearConstraint({0: 1.0}, 1.0, Relation.EQ))
-    return assemble({}, "min", [block], cons, index,
-                    description=f"coloring system k={k} level {r}", r=r)
+    return assemble({}, "min", [block], cons, index, description=description, r=r)
 
 
-def _stab_system(g: Graph, k: int, r: int):
-    """Moment system over {x_c^i}: index sums to one, vertex consistency."""
-    syms = [vertex(i, c) for c in range(k) for i in range(g.n)]
+def col_system_feasible(g: Graph, k: int, r: int):
+    """Margin test of the system over {x_i^c}: each vertex gets one color,
+    adjacent vertices never share one."""
+    groups = [[vertex(i, c) for c in range(k)] for i in range(g.n)]
+    zero = {(vertex(i, c), vertex(j, c)) for (i, j) in g.edges for c in range(k)}
+    return conic.feasibility(
+        _labeled_system(groups, zero, f"coloring system k={k} level {r}", r)
+    )
+
+
+def stab_system_feasible(g: Graph, k: int, r: int):
+    """Margin test of the system over {x_c^i}: each index picks one vertex,
+    and distinct indices pick distinct, non-adjacent vertices."""
+    groups = [[vertex(i, c) for i in range(g.n)] for c in range(k)]
     zero = set()
-    for c in range(k):
-        for i in range(g.n):
-            for j in range(g.n):
-                if i != j:
-                    zero.add((vertex(i, c), vertex(j, c)))
     for c in range(k):
         for cp in range(k):
-            if c == cp:
-                continue
-            for i in range(g.n):
-                zero.add((vertex(i, c), vertex(i, cp)))
-            for (i, j) in g.edges:
-                zero.add((vertex(i, c), vertex(j, cp)))
-                zero.add((vertex(j, c), vertex(i, cp)))
-    rw = RewriteSystem(zero_pairs=frozenset(zero), idempotents=frozenset(syms))
-    index = VariableIndex(syms, 2 * r, rw, EquivalenceMode.TRACIAL_SYMMETRIC)
-    rows = enumerate_basis(syms, r, rw, EquivalenceMode.PLAIN)
-    block = moment_block(rows, rw, EquivalenceMode.TRACIAL_SYMMETRIC, index)
-    gens = []
-    for c in range(k):
-        h = NcPolynomial.one()
-        for i in range(g.n):
-            h = h - NcPolynomial.from_word((vertex(i, c),))
-        gens.append(h)
-    cons = ideal_constraints(gens, 2 * r, rw, EquivalenceMode.TRACIAL_SYMMETRIC,
-                             index, syms)
-    cons.append(LinearConstraint({0: 1.0}, 1.0, Relation.EQ))
-    return assemble({}, "min", [block], cons, index,
-                    description=f"stability system k={k} level {r}", r=r)
+            if c != cp:
+                zero.update((vertex(i, c), vertex(i, cp)) for i in range(g.n))
+                zero.update((vertex(i, c), vertex(j, cp)) for (i, j) in g.edges)
+    return conic.feasibility(
+        _labeled_system(groups, zero, f"stability system k={k} level {r}", r)
+    )
 
 
-def col_system_feasible(g: Graph, k: int, r: int, eps_feas: float = 1e-6):
-    return conic.feasibility(_col_system(g, k, r), eps_feas=eps_feas)
+def _first_passing(ks: range, passes, what: str) -> int:
+    """First count of the ordered range ``ks`` that passes; BracketError if none.
+
+    Each test here is monotone in k, so a scan that starts on the failing
+    side of its bracket stops at the boundary count, the parameter's value.
+    """
+    for k in ks:
+        if passes(k):
+            return k
+    raise BracketError(f"{what}: no k in {list(ks)} passes")
 
 
-def stab_system_feasible(g: Graph, k: int, r: int, eps_feas: float = 1e-6):
-    return conic.feasibility(_stab_system(g, k, r), eps_feas=eps_feas)
+def _check_product_route(result: GraphBoundResult, via: int):
+    result.diagnostics["product_route"] = via
+    if via != result.value:
+        raise BracketError(
+            f"product-route disagreement: direct {int(result.value)} vs product {via}"
+        )
 
 
-def gamma_col(
-    g: Graph, r: int, eps_feas: float = 1e-6, cross_check: bool = False
-) -> GraphBoundResult:
+def _theta_floor(g: Graph) -> int:
+    """floor(theta(G)), the order-1 bound on the stability side."""
+    return int(math.floor(xi_stab(g, 1).value + 1e-6))
+
+
+def gamma_col(g: Graph, r: int, cross_check: bool = False) -> GraphBoundResult:
     """Smallest color count whose level-r moment system is feasible.
 
-    The search is bracketed below by the order-1 coloring bound and above by
-    the vertex count; feasibility is monotone in k (witness embedding), so a
-    binary search applies.
+    Feasibility is monotone in k (witness embedding), so the counts are
+    scanned upward from the order-1 coloring bound to the vertex count and
+    the first feasible one is returned.
     """
-    base = xi_col(g, 1)
-    lo = max(1, math.ceil(base.value - 1e-6))
-    hi = g.n
-    if lo > hi:
-        raise BracketError(f"bracket inversion: lo={lo} > hi={hi}")
+    bracket_lo = math.ceil(xi_col(g, 1).value - 1e-6)
     margins = {}
-    feas_hi, m_hi = col_system_feasible(g, hi, r, eps_feas)
-    margins[hi] = m_hi
-    if not feas_hi:
-        raise BracketError(
-            f"coloring system infeasible at k=n={hi} (margin {m_hi:.3e})"
-        )
-    while lo < hi:
-        mid = (lo + hi) // 2
-        feas, m = col_system_feasible(g, mid, r, eps_feas)
-        margins[mid] = m
-        if feas:
-            hi = mid
-        else:
-            lo = mid + 1
+
+    def feasible(k):
+        ok, margins[k] = col_system_feasible(g, k, r)
+        return ok
+
+    k = _first_passing(range(max(1, bracket_lo), g.n + 1), feasible,
+                       "coloring system")
     result = GraphBoundResult(
-        "gamma-col", g, r, float(lo),
+        "gamma-col", g, r, float(k),
         anchor="lower bound on the commuting quantum chromatic number",
-        diagnostics={"margins": margins, "bracket_lo": math.ceil(base.value - 1e-6)},
+        diagnostics={"margins": margins, "bracket_lo": bracket_lo},
     )
     if cross_check:
-        via = gamma_col_via_product(g, r)
-        result.diagnostics["product_route"] = via
-        if via != lo:
-            raise BracketError(
-                f"product-route disagreement: direct {lo} vs product {via}"
-            )
+        _check_product_route(result, gamma_col_via_product(g, r))
     return result
 
 
-def gamma_stab(
-    g: Graph, r: int, eps_feas: float = 1e-6, cross_check: bool = False
-) -> GraphBoundResult:
-    """Largest index count whose level-r moment system is feasible."""
+def gamma_stab(g: Graph, r: int, cross_check: bool = False) -> GraphBoundResult:
+    """Largest index count whose level-r moment system is feasible.
+
+    The counts are scanned downward from floor(theta) to the greedy stable
+    set size and the first feasible one is returned.
+    """
     lo = max(1, len(greedy_stable_set(g)))
-    hi = int(math.floor(xi_stab(g, 1).value + 1e-6))
-    if hi < lo:
-        raise BracketError(f"bracket inversion: hi={hi} < lo={lo}")
     margins = {}
-    feas_lo, m_lo = stab_system_feasible(g, lo, r, eps_feas)
-    margins[lo] = m_lo
-    if not feas_lo:
-        raise BracketError(
-            f"stability system infeasible at greedy bracket k={lo} "
-            f"(margin {m_lo:.3e})"
-        )
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        feas, m = stab_system_feasible(g, mid, r, eps_feas)
-        margins[mid] = m
-        if feas:
-            lo = mid
-        else:
-            hi = mid - 1
+
+    def feasible(k):
+        ok, margins[k] = stab_system_feasible(g, k, r)
+        return ok
+
+    k = _first_passing(range(_theta_floor(g), lo - 1, -1), feasible,
+                       "stability system")
     result = GraphBoundResult(
-        "gamma-stab", g, r, float(lo),
+        "gamma-stab", g, r, float(k),
         anchor="upper bound on the commuting quantum stability number",
         diagnostics={"margins": margins},
     )
     if cross_check:
-        via = gamma_stab_via_product(g, r)
-        result.diagnostics["product_route"] = via
-        if via != lo:
-            raise BracketError(
-                f"product-route disagreement: direct {lo} vs product {via}"
-            )
+        _check_product_route(result, gamma_stab_via_product(g, r))
     return result
 
 
-def gamma_col_via_product(g: Graph, r: int, threshold: float = 1e-5) -> int:
-    """Smallest k with xi_stab(G box K_k, r) reaching |V| (within threshold)."""
-    for k in range(1, g.n + 1):
-        val = xi_stab(cartesian_product(g, k), r).value
-        if val >= g.n - threshold:
-            return k
-    raise BracketError("product reduction found no k up to n")
+def gamma_col_via_product(g: Graph, r: int) -> int:
+    """Smallest k with xi_stab(G box K_k, r) reaching |V| (within PRODUCT_TOL)."""
+    return _first_passing(
+        range(1, g.n + 1),
+        lambda k: xi_stab(cartesian_product(g, k), r).value >= g.n - PRODUCT_TOL,
+        "coloring product reduction",
+    )
 
 
-def gamma_stab_via_product(g: Graph, r: int, threshold: float = 1e-5) -> int:
-    """Largest k with xi_stab(K_k star G, r) staying at k (within threshold)."""
-    hi = int(math.floor(xi_stab(g, 1).value + 1e-6))
-    best = None
-    for k in range(1, hi + 1):
-        val = xi_stab(star_product(k, g), r).value
-        if val >= k - threshold:
-            best = k
-        else:
-            break
-    if best is None:
-        raise BracketError("product reduction failed at k=1")
-    return best
+def gamma_stab_via_product(g: Graph, r: int) -> int:
+    """Largest k with xi_stab(K_k star G, r) staying at k (within PRODUCT_TOL)."""
+    return _first_passing(
+        range(_theta_floor(g), 0, -1),
+        lambda k: xi_stab(star_product(k, g), r).value >= k - PRODUCT_TOL,
+        "stability product reduction",
+    )
 
 
-def Lambda(g: Graph, r: int, threshold: float = 1e-5) -> GraphBoundResult:
+def Lambda(g: Graph, r: int) -> GraphBoundResult:
     """Commutative product reduction: smallest k with las_stab(G box K_k) = |V|."""
-    for k in range(1, g.n + 1):
-        val = lasserre_stab(cartesian_product(g, k), r).value
-        if val >= g.n - threshold:
-            return GraphBoundResult(
-                "lambda", g, r, float(k),
-                anchor="classical chromatic lower bound via product stability",
-            )
-    raise BracketError("no k up to n reached the vertex count")
+    k = _first_passing(
+        range(1, g.n + 1),
+        lambda k: lasserre_stab(cartesian_product(g, k), r).value >= g.n - PRODUCT_TOL,
+        "commutative product reduction",
+    )
+    return GraphBoundResult(
+        "lambda", g, r, float(k),
+        anchor="classical chromatic lower bound via product stability",
+    )
 
 
 def product_identity_check(g: Graph, r: int, vertex_transitive: bool = False) -> dict:

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from ncmoment import conic, corrlab, graphs, qgraph, witness
-from ncmoment.conic import FlatnessMode
 from ncmoment.entdim import Correlation, Scenario, build_xi_problem, xi_q
 from ncmoment.ncwords import (
     EquivalenceMode,
@@ -243,7 +242,7 @@ def test_criterion_09_flatness_machinery():
     rows = enumerate_basis(syms, 3, rw, EquivalenceMode.PLAIN)
     M = witness.moment_matrix_from_functional(rows, L)
     degs = np.array([len(w) for w in rows])
-    rep_graph = conic.flatness_from_matrix(M, degs, 3, FlatnessMode.GRAPH)
+    rep_graph = conic.flatness_from_matrix(M, degs, 3)
     graph_ok = 1 in rep_graph.flat_deltas
 
     # entanglement mode: classical scalar witness at r = 3, delta = 2
@@ -265,7 +264,7 @@ def test_criterion_09_flatness_machinery():
                             EquivalenceMode.PLAIN)
     M2 = witness.moment_matrix_from_functional(rows2, L2)
     degs2 = np.array([len(w) for w in rows2])
-    rep_ent = conic.flatness_from_matrix(M2, degs2, 3, FlatnessMode.ENTDIM)
+    rep_ent = conic.flatness_from_matrix(M2, degs2, 3)
     ent_ok = rep_ent.entdim_delta == 2 and rep_ent.entdim_flat
     ok = graph_ok and ent_ok
     report(9, ok,

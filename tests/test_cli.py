@@ -167,15 +167,6 @@ def test_sync_gram_and_realize(tmp_path):
     assert gram["min_eigenvalue"] >= -1e-9
 
 
-def test_solver_env_selector(c5_file, tmp_path, monkeypatch):
-    out = str(tmp_path / "rep.json")
-    monkeypatch.setenv("NCMOMENT_SOLVER", "sdpa-file")
-    rc = main(["graph-bound", "--param", "theta", "--level", "1",
-               "--input", c5_file, "--out", out])
-    assert rc == 0
-    assert abs(read_report(out)["value"] - 5 ** 0.5) < 1e-4
-
-
 def test_unknown_parameter_rejected(c5_file, capsys):
     with pytest.raises(SystemExit):
         main(["graph-bound", "--param", "bogus", "--input", c5_file])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ncmoment import conic, graphs, qgraph, witness
-from ncmoment.conic import FlatnessMode, SolveStatus
+from ncmoment.conic import SolveStatus
 from ncmoment.momentize import (
     LinearConstraint,
     Relation,
@@ -196,7 +196,7 @@ def test_flatness_projector_evaluation_c5():
     rows = enumerate_basis(syms, 3, rw, EquivalenceMode.PLAIN)
     M = witness.moment_matrix_from_functional(rows, L)
     degs = np.array([len(w) for w in rows])
-    rep = conic.flatness_from_matrix(M, degs, 3, FlatnessMode.GRAPH)
+    rep = conic.flatness_from_matrix(M, degs, 3)
     assert rep.ranks[2] == rep.ranks[3]
     assert 1 in rep.flat_deltas
     assert rep.flat
@@ -218,7 +218,7 @@ def test_flatness_scalar_coloring_flat_all_deltas():
     rows = enumerate_basis(syms, 3, rw, EquivalenceMode.PLAIN)
     M = witness.moment_matrix_from_functional(rows, L)
     degs = np.array([len(w) for w in rows])
-    rep = conic.flatness_from_matrix(M, degs, 3, FlatnessMode.GRAPH)
+    rep = conic.flatness_from_matrix(M, degs, 3)
     assert rep.flat_deltas == [1, 2]  # every delta up to r-1
 
 

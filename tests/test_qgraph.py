@@ -178,7 +178,12 @@ def test_clique_bound_from_solved_col_relaxation():
 
 
 def test_bracket_error_surfaces():
-    # gamma_stab bracket inversion cannot occur on honest inputs; exercise
-    # the error type through a direct call with a crafted graph instead
+    # bracket inversion cannot occur on honest inputs, so drive the integer
+    # search directly with a test that never passes, and an empty bracket
+    with pytest.raises(qgraph.BracketError):
+        qgraph._first_passing(range(1, 4), lambda k: False, "never")
+    with pytest.raises(qgraph.BracketError):
+        qgraph._first_passing(range(3, 2), lambda k: True, "inverted")
+    assert qgraph._first_passing(range(5, 0, -1), lambda k: k <= 2, "down") == 2
     with pytest.raises(ValueError):
         qgraph.Strengthening("bogus")

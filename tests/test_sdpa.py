@@ -90,14 +90,6 @@ def test_ge_constraints_become_diagonal_slack_block():
     assert parsed.block_sizes[-1] < 0  # diagonal slack block
 
 
-def test_sdpa_file_solver_path_matches(monkeypatch):
-    monkeypatch.setenv("NCMOMENT_SOLVER", "sdpa-file")
-    v1 = qgraph.theta(graphs.cycle(5)).value
-    monkeypatch.delenv("NCMOMENT_SOLVER")
-    v2 = qgraph.theta(graphs.cycle(5)).value
-    assert abs(v1 - v2) < 1e-6
-
-
 def test_parse_error_line_two():
     with pytest.raises(SdpaFormatError, match="line 2"):
         conic.parse_sdpa(b"1\nnot-a-number\n1\n1\n1 1 1 1 1\n")
