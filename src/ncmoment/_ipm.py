@@ -12,6 +12,15 @@ solution y0 and an orthonormal nullspace basis N of A, the iteration runs on
 the unconstrained reduced variables t.  The search direction is the
 Nesterov-Todd direction with a Mehrotra predictor-corrector step.
 
+Size groups.  ``ConeProgram.finalize`` groups the blocks by size; X, S and
+every per-iteration kernel work on one stacked (k, n, n) array per group:
+one sparse owner map gives S(y) and the adjoint, and the Cholesky factors,
+the NT-scaling SVD, the step lengths and the neighbourhood guard are one
+stacked LAPACK call each.  An iteration's call count thus grows with the
+number of distinct block sizes, not with the number of blocks; 1x1 blocks
+(inequalities) are simply the size-1 group.  Step lengths are read in the
+NT-scaled space, where both iterates sit at the same diagonal point.
+
 Schur complement.  With the NT factor r of each block, the reduced Schur
 matrix is H = J'J, where J stacks the rows svec(r' G_a r) of every block
 (upper triangle, off-diagonal entries weighted by sqrt 2, so a block of size
@@ -56,24 +65,42 @@ class BlockData:
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
-    occ: sp.csr_matrix = field(init=False)  # (#entries x nvars) owner map
-    flat: np.ndarray = field(init=False)
 
-    def finalize(self, nvars: int):
-        ne = len(self.vids)
-        self.occ = sp.csr_matrix(
-            (self.vals, (np.arange(ne), self.vids)), shape=(ne, nvars)
-        )
-        self.flat = self.rows * self.size + self.cols
+
+@dataclass
+class SizeGroup:
+    """The blocks of one size, stacked into (k, size, size) arrays.
+
+    ``members`` are their indices in ``ConeProgram.blocks``, ascending; the
+    owner map ``occ`` sends y to every entry of the stack at once.
+    """
+
+    size: int
+    members: np.ndarray
+    const: np.ndarray  # (k, size, size)
+    occ: sp.csr_matrix  # (k*size*size x nvars)
+    occT: sp.csr_matrix  # its transpose, for the adjoint
 
     def lmi_value(self, y: np.ndarray) -> np.ndarray:
-        m = self.const.copy()
-        np.add.at(m, (self.rows, self.cols), self.vals * y[self.vids])
-        return m
+        return self.const + (self.occ @ y).reshape(self.const.shape)
 
     def adjoint(self, M: np.ndarray) -> np.ndarray:
-        """Vector with k-th entry <E_k, M> (M need not be symmetric)."""
-        return self.occ.T @ M[self.rows, self.cols]
+        """Vector of sum_b <E_k^(b), M_b> over k (M need not be symmetric)."""
+        return self.occT @ M.reshape(-1)
+
+
+def _size_group(blocks: list, members: list, nvars: int) -> SizeGroup:
+    n = blocks[members[0]].size
+    part = [blocks[bi] for bi in members]
+    entry = np.concatenate([j * n * n + blk.rows * n + blk.cols
+                            for j, blk in enumerate(part)])
+    occ = sp.csr_matrix(
+        (np.concatenate([blk.vals for blk in part]),
+         (entry, np.concatenate([blk.vids for blk in part]))),
+        shape=(len(part) * n * n, nvars),
+    )
+    const = np.stack([blk.const for blk in part]).astype(float)
+    return SizeGroup(n, np.array(members), const, occ, occ.T.tocsr())
 
 
 @dataclass
@@ -83,11 +110,23 @@ class ConeProgram:
     blocks: list
     A: Optional[np.ndarray]  # equality matrix (may be rank deficient)
     d: Optional[np.ndarray]
+    groups: list = field(init=False, default_factory=list)  # SizeGroups
 
     def finalize(self):
-        for b in self.blocks:
-            b.finalize(self.nvars)
+        members = {}
+        for bi, blk in enumerate(self.blocks):
+            members.setdefault(blk.size, []).append(bi)
+        self.groups = [_size_group(self.blocks, members[size], self.nvars)
+                       for size in sorted(members)]
         return self
+
+    def unstack(self, stacks: list) -> list:
+        """One stack per size group -> copies of the blocks, in block order."""
+        out = [None] * len(self.blocks)
+        for g, st in zip(self.groups, stacks):
+            for j, bi in enumerate(g.members):
+                out[bi] = st[j].copy()
+        return out
 
 
 @dataclass
@@ -104,6 +143,7 @@ class IpmResult:
     err_adj: float
     err_eq: float
     certificate: Optional[dict] = None
+    qr_fallbacks: int = 0  # Schur solves that took the pivoted-QR path
 
 
 class InconsistentEqualities(RuntimeError):
@@ -115,11 +155,12 @@ class InconsistentEqualities(RuntimeError):
         )
 
 
-def _chol(M: np.ndarray) -> Optional[np.ndarray]:
-    try:
-        return sla.cholesky(M, lower=True, check_finite=False)
-    except sla.LinAlgError:
-        return None
+def _T(M: np.ndarray) -> np.ndarray:
+    return np.swapaxes(M, -1, -2)
+
+
+def _sym(M: np.ndarray) -> np.ndarray:
+    return 0.5 * (M + _T(M))
 
 
 def _repair_psd(M: np.ndarray, mu: float) -> np.ndarray:
@@ -130,47 +171,94 @@ def _repair_psd(M: np.ndarray, mu: float) -> np.ndarray:
     return M + shift * np.eye(M.shape[0])
 
 
-def _max_step(L: np.ndarray, dM: np.ndarray) -> float:
-    """Largest alpha with M + alpha*dM PSD, for M = L L'."""
-    W = sla.solve_triangular(L, dM, lower=True, check_finite=False)
-    W = sla.solve_triangular(L, W.T, lower=True, check_finite=False)
-    lam = sla.eigvalsh(0.5 * (W + W.T), check_finite=False)[0]
-    if lam >= -1e-14:
+def _chol_repaired(M: np.ndarray, mu: float) -> Optional[np.ndarray]:
+    """Lower Cholesky factors of a stack, or None.
+
+    When the stacked factorization fails, the blocks that fail on their own
+    are repaired in place with ``_repair_psd``; the others stay untouched.
+    """
+    try:
+        return np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        pass
+    for j in range(len(M)):
+        try:
+            np.linalg.cholesky(M[j])
+        except np.linalg.LinAlgError:
+            M[j] = _repair_psd(M[j], mu)
+    try:
+        return np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _nt_scaling(Ls: np.ndarray, Lx: np.ndarray):
+    """Nesterov-Todd factors r and scaled points lam of a stack.
+
+    With X = L_x L_x', S = L_s L_s' and the SVD L_s' L_x = U diag(lam) V',
+    the factor r = L_x V diag(lam)^{-1/2} satisfies r' S r = diag(lam) and
+    r^{-1} X r^{-T} = diag(lam): both cone variables are mapped to the same
+    diagonal point, which keeps the scaled Newton system well behaved on
+    degenerate instances.
+    """
+    _, lam, Vt = np.linalg.svd(_T(Ls) @ Lx)
+    lam = np.maximum(lam, 1e-150)
+    return Lx @ (_T(Vt) * lam[:, None, :] ** -0.5), lam
+
+
+def _max_step(lam: np.ndarray, D: np.ndarray) -> float:
+    """Largest alpha with diag(lam_b) + alpha*D_b PSD for every block b.
+
+    In the NT-scaled space both cone variables sit at diag(lam), and
+    S + alpha dS (or X + alpha dX) is PSD exactly when diag(lam) + alpha D
+    is, with D = r' dS r (or r^{-1} dX r^{-T}); D must be symmetric.
+    """
+    s = lam ** -0.5
+    low = np.linalg.eigvalsh(D * s[:, :, None] * s[:, None, :])[:, 0].min()
+    if low >= -1e-14:
         return np.inf
-    return -1.0 / lam
+    return -1.0 / low
 
 
-def _reduced_coefficients(block: BlockData, N: np.ndarray) -> np.ndarray:
-    """Tensor G with G[:, :, a] = sum_k N[k, a] E_k for this block.
+def _centered(X: np.ndarray, S: np.ndarray, floor: float) -> bool:
+    """Whether S is PD and lambda_min(L' X L) >= floor, S = L L', per block."""
+    try:
+        L = np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        return False
+    return np.linalg.eigvalsh(_T(L) @ X @ L)[:, 0].min() >= floor
+
+
+def _reduced_coefficients(group: SizeGroup, N: np.ndarray) -> np.ndarray:
+    """Stack G with G[b, :, :, a] = sum_k N[k, a] E_k^(b) for the group.
 
     Constant over the iteration; the scaled Gram rows are then plain
-    congruences r' G[:, :, a] r.
+    congruences r_b' G[b, :, :, a] r_b.
     """
-    n = block.size
-    F = len(block.vids)
-    W = block.occ @ N  # (F x nt)
-    pat = sp.csr_matrix(
-        (np.ones(F), (block.flat, np.arange(F))), shape=(n * n, F)
-    )
-    return np.asarray(pat @ W).reshape(n, n, -1)
+    n = group.size
+    return np.asarray(group.occ @ N).reshape(len(group.members), n, n, -1)
 
 
-def _gram_rows_scaled(G3: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Rows svec(r' G_a r) for every reduced variable a: (size(size+1)/2 x nt).
+def _gram_rows_scaled(G: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Rows svec(r_b' G_ba r_b) for every block b and reduced variable a.
 
-    svec keeps the upper triangle and weights off-diagonal entries by sqrt 2,
-    so the Gram matrix of these rows equals that of the full vec rows.
+    Returns (k * size(size+1)/2 x nt).  svec keeps the upper triangle and
+    weights off-diagonal entries by sqrt 2, so the Gram matrix of these rows
+    equals that of the full vec rows; only the upper triangle is formed.
     """
-    tmp = np.tensordot(r, G3, axes=(0, 0))  # (i, q, a)
-    out = np.tensordot(tmp, r, axes=(1, 0))  # (i, a, j)
-    iu, ju = np.triu_indices(out.shape[0])
-    rows = out[iu, :, ju]  # (size(size+1)/2, nt)
-    rows[iu != ju] *= np.sqrt(2.0)
-    return rows
+    k, n, _, nt = G.shape
+    tmp = (_T(r) @ G.reshape(k, n, n * nt)).reshape(k, n, n, nt)  # r' G
+    rows = np.concatenate(
+        [_T(r[:, :, i:]) @ tmp[:, i] for i in range(n)], axis=1
+    )  # (k, size(size+1)/2, nt): entries (i, j >= i) in row-major order
+    iu, ju = np.triu_indices(n)
+    rows[:, iu != ju] *= np.sqrt(2.0)
+    return rows.reshape(-1, nt)
 
 
 def _schur_solver(J: np.ndarray):
-    """Solver for H dt = g with H = J'J, refined twice against J'J.
+    """Solver for H dt = g with H = J'J, refined twice against J'J, and
+    whether it took the QR fallback.
 
     Cholesky of H when it is well conditioned (rcond >= RCOND_MIN), else a
     column-pivoted QR of J restricted to its numerical row space; directions
@@ -183,7 +271,8 @@ def _schur_solver(J: np.ndarray):
     del H  # c is the factor, written over H's buffer
     if info == 0:
         rcond, info = lapack.dpocon(c, anorm)
-    if info == 0 and rcond >= RCOND_MIN:
+    use_qr = not (info == 0 and rcond >= RCOND_MIN)
+    if not use_qr:
         live = np.arange(nt)
 
         def base(g):
@@ -216,7 +305,7 @@ def _schur_solver(J: np.ndarray):
                 dt[live] += base(res[live])
         return dt
 
-    return solve
+    return solve, use_qr
 
 
 def _eliminate_equalities(A, d, n, tol_rank=1e-11):
@@ -239,10 +328,11 @@ def _eliminate_equalities(A, d, n, tol_rank=1e-11):
 
 
 def solve_ipm(prog: ConeProgram, tol: float = 1e-8) -> IpmResult:
+    """Solve a finalized program; every kernel runs once per size group."""
     n = prog.nvars
     b = prog.objective
-    blocks = prog.blocks
-    ntot = sum(blk.size for blk in blocks)
+    groups = prog.groups
+    ntot = sum(blk.size for blk in prog.blocks)
 
     try:
         y0, N = _eliminate_equalities(prog.A, prog.d, n)
@@ -254,10 +344,9 @@ def solve_ipm(prog: ConeProgram, tol: float = 1e-8) -> IpmResult:
                          "residual": exc.residual},
         )
     nt = N.shape[1]
-    bt = N.T @ b
 
     bscale = 1.0 + float(np.abs(b).max(initial=0.0))
-    cscale = 1.0 + max(float(np.abs(blk.const).max(initial=0.0)) for blk in blocks)
+    cscale = 1.0 + max(float(np.abs(g.const).max(initial=0.0)) for g in groups)
     err_eq = 0.0
     if prog.A is not None and prog.A.shape[0] > 0:
         err_eq = float(np.abs(prog.A @ y0 - prog.d).max()) / (
@@ -267,48 +356,48 @@ def solve_ipm(prog: ConeProgram, tol: float = 1e-8) -> IpmResult:
     if nt == 0:
         return _solve_fixed(prog, y0, err_eq, tol)
 
-    pregram = [_reduced_coefficients(blk, N) for blk in blocks]
+    pregram = [_reduced_coefficients(g, N) for g in groups]
 
     # Starting point: y on the affine subspace, scaled identity cone pair.
-    t = np.zeros(nt)
+    # X and S hold one (k, size, size) stack per size group.
     y = y0.copy()
     s0 = max(10.0, cscale, bscale)
     x0 = max(10.0, bscale)
-    X = [x0 * np.eye(blk.size) for blk in blocks]
+    X = [x0 * np.tile(np.eye(g.size), (len(g.members), 1, 1)) for g in groups]
     S = []
-    for blk in blocks:
-        M = blk.lmi_value(y)
-        lam = sla.eigvalsh(M)[0] if blk.size > 1 else M[0, 0]
-        S.append(M + max(s0, -1.5 * lam + s0) * np.eye(blk.size))
+    for g in groups:
+        M = g.lmi_value(y)
+        lam = np.linalg.eigvalsh(M)[:, 0]
+        S.append(M + np.maximum(s0, -1.5 * lam + s0)[:, None, None]
+                 * np.eye(g.size))
 
     best = None
     best_quality = np.inf
     status = "numerical_limit"
+    qr_fallbacks = 0
     it = 0
     for it in range(1, MAX_ITER + 1):
-        R_lmi = [blk.lmi_value(y) - S[bi] for bi, blk in enumerate(blocks)]
+        R_lmi = [g.lmi_value(y) - S[gi] for gi, g in enumerate(groups)]
         adj_y = -b.copy()
-        for bi, blk in enumerate(blocks):
-            adj_y -= blk.adjoint(X[bi])
+        for gi, g in enumerate(groups):
+            adj_y -= g.adjoint(X[gi])
         r_adj = -(N.T @ adj_y)
 
-        gap = sum(float(np.tensordot(X[bi], S[bi])) for bi in range(len(blocks)))
+        gap = sum(float(np.vdot(Xg, Sg)) for Xg, Sg in zip(X, S))
         mu = gap / ntot
         pobj = float(b @ y)
         dobj = pobj + gap  # exact at feasibility; used for gap control
 
-        err_lmi = max(
-            float(np.abs(R_lmi[bi]).max(initial=0.0)) for bi in range(len(blocks))
-        ) / cscale
+        err_lmi = max(float(np.abs(R).max(initial=0.0)) for R in R_lmi) / cscale
         err_adj = float(np.abs(r_adj).max(initial=0.0)) / bscale
         relgap = gap / (1.0 + abs(pobj) + abs(dobj))
 
         quality = max(relgap, err_lmi, err_adj)
 
         def snapshot():
-            return IpmResult("numerical_limit", y.copy(),
-                             [M.copy() for M in X], [M.copy() for M in S],
-                             pobj, dobj, it, mu, err_lmi, err_adj, err_eq)
+            return IpmResult("numerical_limit", y.copy(), prog.unstack(X),
+                             prog.unstack(S), pobj, dobj, it, mu, err_lmi,
+                             err_adj, err_eq)
 
         if best is None or quality < best_quality:
             best = snapshot()
@@ -323,7 +412,7 @@ def solve_ipm(prog: ConeProgram, tol: float = 1e-8) -> IpmResult:
         # Divergence-based certificates.  A verified improving feasible
         # direction proves unboundedness; probe for one when the objective
         # runs away or when everything except dual feasibility has converged.
-        xnorm = max(float(np.abs(X[bi]).max(initial=0.0)) for bi in range(len(blocks)))
+        xnorm = max(float(np.abs(Xg).max(initial=0.0)) for Xg in X)
         probe_ray = (pobj > 1e5 * bscale and err_lmi <= 1e-6) or (
             relgap <= tol and err_lmi <= 10 * tol and err_adj > 1e3 * tol
         )
@@ -342,42 +431,26 @@ def solve_ipm(prog: ConeProgram, tol: float = 1e-8) -> IpmResult:
                 best.certificate = ray
                 break
 
-        # Nesterov-Todd scaling per block.  With X = L_x L_x', S = L_s L_s'
-        # and the SVD L_s' L_x = U diag(lam) V', the factor r = L_x V
-        # diag(lam)^{-1/2} satisfies r' S r = diag(lam) and
-        # r^{-1} X r^{-T} = diag(lam): both cone variables are mapped to the
-        # same diagonal point, which keeps the scaled Newton system well
-        # behaved on degenerate instances.
-        Ls, LX, rs, lams = [], [], [], []
+        # Nesterov-Todd scaling per group (see _nt_scaling).
+        rs, lams = [], []
         ok_scaling = True
-        for bi in range(len(blocks)):
-            Lsb = _chol(S[bi])
-            if Lsb is None:
-                S[bi] = _repair_psd(S[bi], mu)
-                Lsb = _chol(S[bi])
-            Lxb = _chol(X[bi])
-            if Lxb is None:
-                X[bi] = _repair_psd(X[bi], mu)
-                Lxb = _chol(X[bi])
-            if Lsb is None or Lxb is None:
+        for gi in range(len(groups)):
+            Ls = _chol_repaired(S[gi], mu)
+            Lx = _chol_repaired(X[gi], mu)
+            if Ls is None or Lx is None:
                 ok_scaling = False
                 break
-            Ls.append(Lsb)
-            LX.append(Lxb)
-            M = Lsb.T @ Lxb
-            _, lam, Vt = np.linalg.svd(M)
-            lam = np.maximum(lam, 1e-150)
-            r = Lxb @ (Vt.T * lam ** -0.5)
+            r, lam = _nt_scaling(Ls, Lx)
             rs.append(r)
             lams.append(lam)
         if not ok_scaling:
             break
 
         # Reduced Schur complement H_t = J'J from the stacked svec rows.
-        solve_reduced = _schur_solver(np.vstack([
-            _gram_rows_scaled(pregram[bi], rs[bi])
-            for bi in range(len(blocks))
+        solve_reduced, used_qr = _schur_solver(np.vstack([
+            _gram_rows_scaled(pregram[gi], rs[gi]) for gi in range(len(groups))
         ]))  # (sum size(size+1)/2) x nt
+        qr_fallbacks += used_qr
 
         def directions(sigmu, corr):
             # Scaled-space central equation: lam o (Dx + Ds) = rhs with the
@@ -385,51 +458,45 @@ def solve_ipm(prog: ConeProgram, tol: float = 1e-8) -> IpmResult:
             # the eigenvalue-pair means.
             gy = np.zeros(n)
             core = []
-            for bi, blk in enumerate(blocks):
-                lam = lams[bi]
-                rhs = -np.diag(lam * lam)
-                if sigmu > 0:
-                    rhs = rhs + sigmu * np.eye(blocks[bi].size)
+            for gi, g in enumerate(groups):
+                lam, r = lams[gi], rs[gi]
+                diag = np.arange(g.size)
+                rhs = np.zeros_like(r)
+                rhs[:, diag, diag] = sigmu - lam * lam
                 if corr is not None:
-                    Dxp, Dsp = corr[bi]
-                    rhs = rhs - 0.5 * (Dxp @ Dsp + Dsp @ Dxp)
-                pair_means = 0.5 * (lam[:, None] + lam[None, :])
-                core_b = rhs / pair_means  # L_V^{-1}(rhs), symmetric
-                core.append(core_b)
-                r = rs[bi]
-                term = r @ core_b @ r.T - r @ (
-                    (r.T @ R_lmi[bi] @ r) @ r.T
-                )
-                gy += blk.adjoint(term)
+                    Dxp, Dsp = corr[gi]
+                    rhs -= 0.5 * (Dxp @ Dsp + Dsp @ Dxp)
+                core_g = rhs / (0.5 * (lam[:, :, None] + lam[:, None, :]))
+                core.append(core_g)  # L_V^{-1}(rhs), symmetric
+                gy += g.adjoint(r @ (core_g - _T(r) @ R_lmi[gi] @ r) @ _T(r))
             dt = solve_reduced(r_adj + N.T @ gy)
             dy = N @ dt
             dS, dX, Dxs, Dss = [], [], [], []
-            for bi, blk in enumerate(blocks):
-                r = rs[bi]
-                dSb = blk.lmi_value(dy) - blk.const + R_lmi[bi]
-                Dsb = r.T @ dSb @ r
-                Dxb = core[bi] - Dsb
-                dXb = r @ Dxb @ r.T
-                dX.append(0.5 * (dXb + dXb.T))
-                dS.append(dSb)
-                Dxs.append(0.5 * (Dxb + Dxb.T))
-                Dss.append(0.5 * (Dsb + Dsb.T))
+            for gi, g in enumerate(groups):
+                r = rs[gi]
+                dSg = (g.occ @ dy).reshape(g.const.shape) + R_lmi[gi]
+                Dsg = _T(r) @ dSg @ r
+                Dxg = _sym(core[gi] - Dsg)
+                dX.append(r @ Dxg @ _T(r))
+                dS.append(dSg)
+                Dxs.append(Dxg)
+                Dss.append(_sym(Dsg))
             return dy, dS, dX, Dxs, Dss
 
         err_all = max(err_lmi, err_adj)
         infeasible_phase = err_all > 100.0 * max(relgap, tol)
         tau = 0.95 if infeasible_phase else 0.98
+
+        def step(Ds):
+            # Step bound in the scaled space, where both iterates are diag(lam).
+            return min(1.0, *(tau * _max_step(lam, D) for lam, D in zip(lams, Ds)))
+
         try:
             # Predictor.
             dy, dS, dX, Dxs, Dss = directions(0.0, None)
-            ap = min(1.0, *(tau * _max_step(Ls[bi], dS[bi])
-                            for bi in range(len(blocks))))
-            ad = min(1.0, *(tau * _max_step(LX[bi], dX[bi])
-                            for bi in range(len(blocks))))
-            gap_aff = sum(
-                float(np.tensordot(X[bi] + ad * dX[bi], S[bi] + ap * dS[bi]))
-                for bi in range(len(blocks))
-            )
+            ap, ad = step(Dss), step(Dxs)
+            gap_aff = sum(float(np.vdot(X[gi] + ad * dX[gi], S[gi] + ap * dS[gi]))
+                          for gi in range(len(groups)))
             sigma = min(1.0, max((gap_aff / gap) ** 3, 1e-8))
             if infeasible_phase:
                 # Keep the barrier parameter from outrunning the residuals,
@@ -442,20 +509,17 @@ def solve_ipm(prog: ConeProgram, tol: float = 1e-8) -> IpmResult:
             else:
                 corr = None
                 sigma = max(sigma, 0.5)
-            dy, dS, dX, _, _ = directions(sigma * mu, corr)
-            ap = min(1.0, *(tau * _max_step(Ls[bi], dS[bi])
-                            for bi in range(len(blocks))))
-            ad = min(1.0, *(tau * _max_step(LX[bi], dX[bi])
-                            for bi in range(len(blocks))))
+            dy, dS, dX, Dxs, Dss = directions(sigma * mu, corr)
+            ap, ad = step(Dss), step(Dxs)
             if infeasible_phase:
                 ap = ad = min(ap, ad)
-        except sla.LinAlgError:
+        except np.linalg.LinAlgError:
             break
 
         if ap < 1e-10 and ad < 1e-10:
             break
-        if not all(np.isfinite(dX[bi]).all() and np.isfinite(dS[bi]).all()
-                   for bi in range(len(blocks))):
+        if not all(np.isfinite(dXg).all() and np.isfinite(dSg).all()
+                   for dXg, dSg in zip(dX, dS)):
             break
         # Wide-neighborhood guard: shrink the step until every block keeps
         # lambda_min(X S) above a fraction of the new barrier parameter;
@@ -463,34 +527,22 @@ def solve_ipm(prog: ConeProgram, tol: float = 1e-8) -> IpmResult:
         # later iterations.
         gamma = 1e-3
         for _ in range(12):
-            gap_new = sum(
-                float(np.tensordot(X[bi] + ad * dX[bi], S[bi] + ap * dS[bi]))
-                for bi in range(len(blocks))
-            )
+            Xn = [X[gi] + ad * dX[gi] for gi in range(len(groups))]
+            Sn = [S[gi] + ap * dS[gi] for gi in range(len(groups))]
+            gap_new = sum(float(np.vdot(Xg, Sg)) for Xg, Sg in zip(Xn, Sn))
             mu_new = max(gap_new / ntot, 0.0)
             if mu_new <= 0 or mu_new > 10.0 * mu + 10.0:
                 ap *= 0.7
                 ad *= 0.7
                 continue
-            ok = True
-            for bi in range(len(blocks)):
-                Snew = S[bi] + ap * dS[bi]
-                Lnew = _chol(Snew)
-                if Lnew is None:
-                    ok = False
-                    break
-                W = Lnew.T @ (X[bi] + ad * dX[bi]) @ Lnew
-                if sla.eigvalsh(W, check_finite=False)[0] < gamma * mu_new:
-                    ok = False
-                    break
-            if ok:
+            if all(_centered(Xg, Sg, gamma * mu_new) for Xg, Sg in zip(Xn, Sn)):
                 break
             ap *= 0.7
             ad *= 0.7
         y = y + ap * dy
-        for bi in range(len(blocks)):
-            S[bi] = S[bi] + ap * dS[bi]
-            X[bi] = X[bi] + ad * dX[bi]
+        for gi in range(len(groups)):
+            S[gi] = S[gi] + ap * dS[gi]
+            X[gi] = X[gi] + ad * dX[gi]
 
     res = best
     res.status = status if status != "numerical_limit" else (
@@ -500,20 +552,21 @@ def solve_ipm(prog: ConeProgram, tol: float = 1e-8) -> IpmResult:
         else "numerical_limit"
     )
     res.iterations = it
-    res.dobj = _dual_objective(prog, res.X, res.y, res.pobj)
+    res.qr_fallbacks = qr_fallbacks
+    res.dobj = _dual_objective(prog, res.X, res.pobj)
     return res
 
 
-def _dual_objective(prog: ConeProgram, X: list, y: np.ndarray, pobj: float):
+def _dual_objective(prog: ConeProgram, X: list, pobj: float):
     """Dual bound sum_b <C_b, X_b> + d'w with w from least squares."""
     if not X:
         return pobj
-    val = sum(float(np.tensordot(X[bi], blk.const))
-              for bi, blk in enumerate(prog.blocks))
+    Xs = [np.stack([X[bi] for bi in g.members]) for g in prog.groups]
+    val = sum(float(np.vdot(Xg, g.const)) for g, Xg in zip(prog.groups, Xs))
     if prog.A is not None and prog.A.shape[0] > 0:
         adj = prog.objective.copy()
-        for bi, blk in enumerate(prog.blocks):
-            adj += blk.adjoint(X[bi])
+        for g, Xg in zip(prog.groups, Xs):
+            adj += g.adjoint(Xg)
         w, *_ = np.linalg.lstsq(prog.A.T, adj, rcond=None)
         val += float(prog.d @ w)
     return val
@@ -522,12 +575,11 @@ def _dual_objective(prog: ConeProgram, X: list, y: np.ndarray, pobj: float):
 def _solve_fixed(prog: ConeProgram, y0: np.ndarray, err_eq: float,
                  tol: float) -> IpmResult:
     """Degenerate case: the equalities pin every variable."""
-    S = [blk.lmi_value(y0) for blk in prog.blocks]
-    lam = min(
-        float(sla.eigvalsh(M)[0]) if M.shape[0] > 1 else float(M[0, 0]) for M in S
-    )
+    S = [g.lmi_value(y0) for g in prog.groups]
+    lam = min(float(np.linalg.eigvalsh(M)[:, 0].min()) for M in S)
     pobj = float(prog.objective @ y0)
     X = [np.zeros((blk.size, blk.size)) for blk in prog.blocks]
+    S = prog.unstack(S)
     if lam < -1e-9:
         return IpmResult(
             "infeasible", y0, X, S, pobj, pobj, 0, 0.0, 0.0, 0.0, err_eq,
@@ -547,30 +599,29 @@ def _unboundedness_ray(prog: ConeProgram, y: np.ndarray,
     gain = float(prog.objective @ yh)
     if gain < 1e-7:
         return None
-    for blk in prog.blocks:
-        M = blk.lmi_value(yh) - blk.const
-        lam = sla.eigvalsh(0.5 * (M + M.T), check_finite=False)[0]
-        if lam < -1e-9:
+    for g in prog.groups:
+        M = g.lmi_value(yh) - g.const
+        if np.linalg.eigvalsh(_sym(M))[:, 0].min() < -1e-9:
             return None
     return {"improving_direction": True, "gain": gain}
 
 
 def _infeasibility_certificate(prog: ConeProgram, X: list, N: np.ndarray,
                                y0: np.ndarray) -> Optional[dict]:
-    """Check a scaled X for a Farkas ray of the reduced LMI system.
+    """Check a scaled X (one stack per size group) for a Farkas ray of the
+    reduced LMI system.
 
     The ray must satisfy N' <E_k, X_b> = 0 approximately and make
     sum_b <C_b + E(y0), X_b> strictly negative after normalization.
     """
-    scale = sum(float(np.trace(X[bi])) for bi in range(len(prog.blocks)))
+    scale = sum(float(np.trace(Xg, axis1=1, axis2=2).sum()) for Xg in X)
     if scale <= 0:
         return None
-    Xn = [M / scale for M in X]
     adj = np.zeros(prog.nvars)
     viol = 0.0
-    for bi, blk in enumerate(prog.blocks):
-        adj += blk.adjoint(Xn[bi])
-        viol -= float(np.tensordot(Xn[bi], blk.lmi_value(y0)))
+    for g, Xg in zip(prog.groups, X):
+        adj += g.adjoint(Xg / scale)
+        viol -= float(np.vdot(Xg / scale, g.lmi_value(y0)))
     if np.abs(N.T @ adj).max(initial=0.0) <= 1e-7 and viol >= 1e-7:
         return {"ray_trace": 1.0, "violation": float(viol)}
     return None

@@ -108,6 +108,7 @@ def _solver_summary(solution) -> dict:
             "block_sizes": problem.metadata["block_sizes"],
         },
         "iterations": solution.iterations,
+        "qr_fallbacks": solution.qr_fallbacks,
         "residuals": {k: (float(v) if isinstance(v, (int, float, np.floating))
                           else v)
                       for k, v in solution.residuals.items()},

@@ -44,6 +44,7 @@ class SdpSolution:
     moment_matrix: Optional[np.ndarray]
     moment_degrees: Optional[np.ndarray]
     iterations: int = 0
+    qr_fallbacks: int = 0  # Schur solves that took the pivoted-QR path
     residuals: dict = field(default_factory=dict)
     certificate: Optional[dict] = None
     problem: Optional[SdpProblem] = None
@@ -195,6 +196,7 @@ def solve(
         moment_matrix=mom,
         moment_degrees=problem.blocks[mi].row_degrees,
         iterations=res.iterations,
+        qr_fallbacks=res.qr_fallbacks,
         residuals={
             "lmi": res.err_lmi,
             "adjoint": res.err_adj,

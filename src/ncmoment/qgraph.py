@@ -323,9 +323,9 @@ def _check_product_route(result: GraphBoundResult, via: int):
         )
 
 
-def _theta_floor(g: Graph) -> int:
+def _theta_floor(theta: float) -> int:
     """floor(theta(G)), the order-1 bound on the stability side."""
-    return int(math.floor(xi_stab(g, 1).value + 1e-6))
+    return int(math.floor(theta + 1e-6))
 
 
 def gamma_col(g: Graph, r: int, cross_check: bool = False) -> GraphBoundResult:
@@ -335,7 +335,13 @@ def gamma_col(g: Graph, r: int, cross_check: bool = False) -> GraphBoundResult:
     scanned upward from the order-1 coloring bound to the vertex count and
     the first feasible one is returned.
     """
-    bracket_lo = math.ceil(xi_col(g, 1).value - 1e-6)
+    return _gamma_col(g, r, xi_col(g, 1).value, cross_check)
+
+
+def _gamma_col(g: Graph, r: int, order_one: float,
+               cross_check: bool = False) -> GraphBoundResult:
+    """gamma_col with the order-1 bound xi_col(g, 1) already solved."""
+    bracket_lo = math.ceil(order_one - 1e-6)
     margins = {}
 
     def feasible(k):
@@ -360,6 +366,12 @@ def gamma_stab(g: Graph, r: int, cross_check: bool = False) -> GraphBoundResult:
     The counts are scanned downward from floor(theta) to the greedy stable
     set size and the first feasible one is returned.
     """
+    return _gamma_stab(g, r, _theta_floor(xi_stab(g, 1).value), cross_check)
+
+
+def _gamma_stab(g: Graph, r: int, top: int,
+                cross_check: bool = False) -> GraphBoundResult:
+    """gamma_stab with its scan start top = floor(theta) already solved."""
     lo = max(1, len(greedy_stable_set(g)))
     margins = {}
 
@@ -367,15 +379,14 @@ def gamma_stab(g: Graph, r: int, cross_check: bool = False) -> GraphBoundResult:
         ok, margins[k] = stab_system_feasible(g, k, r)
         return ok
 
-    k = _first_passing(range(_theta_floor(g), lo - 1, -1), feasible,
-                       "stability system")
+    k = _first_passing(range(top, lo - 1, -1), feasible, "stability system")
     result = GraphBoundResult(
         "gamma-stab", g, r, float(k),
         anchor="upper bound on the commuting quantum stability number",
         diagnostics={"margins": margins},
     )
     if cross_check:
-        _check_product_route(result, gamma_stab_via_product(g, r))
+        _check_product_route(result, _stab_product_scan(g, r, top))
     return result
 
 
@@ -390,8 +401,13 @@ def gamma_col_via_product(g: Graph, r: int) -> int:
 
 def gamma_stab_via_product(g: Graph, r: int) -> int:
     """Largest k with xi_stab(K_k star G, r) staying at k (within PRODUCT_TOL)."""
+    return _stab_product_scan(g, r, _theta_floor(xi_stab(g, 1).value))
+
+
+def _stab_product_scan(g: Graph, r: int, top: int) -> int:
+    """gamma_stab_via_product, scanning down from top = floor(theta)."""
     return _first_passing(
-        range(_theta_floor(g), 0, -1),
+        range(top, 0, -1),
         lambda k: xi_stab(star_product(k, g), r).value >= k - PRODUCT_TOL,
         "stability product reduction",
     )
@@ -438,8 +454,11 @@ def hierarchy_comparison(g: Graph, r: int) -> dict:
     """Check the refinement inequalities between the two hierarchy families."""
     xc = xi_col(g, r).value
     xs = xi_stab(g, r).value
-    gc = gamma_col(g, r).value
-    gs = gamma_stab(g, r).value
+    # The scans start from the order-1 values, which at r = 1 are these.
+    col1 = xc if r == 1 else xi_col(g, 1).value
+    stab1 = xs if r == 1 else xi_stab(g, 1).value
+    gc = _gamma_col(g, r, col1).value
+    gs = _gamma_stab(g, r, _theta_floor(stab1)).value
     report = {
         "xi_col": xc,
         "gamma_col": gc,

@@ -90,6 +90,8 @@ def test_corr_bound_level_one(classical_corr_file, tmp_path):
     # CHSH level 1 in the Collins-Gisin alphabet: 5 symbols, 9 generators
     assert rep["solver"]["problem"] == {
         "num_vars": 20, "num_eq": 1, "block_sizes": [6] + [1] * 9}
+    # Schur solves that took the QR fallback, reported next to iterations
+    assert 0 <= rep["solver"]["qr_fallbacks"] <= rep["solver"]["iterations"]
 
 
 def test_corr_bound_invalid_table(tmp_path):

@@ -2,7 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ncmoment.entdim import Scenario, build_entdim_sets
 from ncmoment.ncwords import (
     EquivalenceMode,
     IDENTITY,
@@ -222,6 +225,53 @@ def test_exhaustive_order_independence_degree_six():
                 assert _reduce_random_order(w, rw, rng) == expected
             count += 1
     assert count == sum(5 ** d for d in range(7))
+
+
+def _chsh_rewrites():
+    """Level-2 CHSH rewrite system: idempotent z, Bob's symbols right of
+    Alice's."""
+    return build_entdim_sets(Scenario(2, 2, 2, 2), 2).rewrites
+
+
+# (rewrite system, its alphabet) for the property tests; the CHSH alphabet
+# adds Alice's eliminated answer x_s^1 so that swaps also meet symbols the
+# rules do not name.
+REWRITE_CASES = {
+    "chsh": (_chsh_rewrites(),
+             [alice(0, 0), alice(1, 0), alice(0, 1), bob(0, 0), bob(1, 0),
+              state_symbol()]),
+    "c5": (c5_rewrites(), [vertex(i) for i in range(5)]),
+}
+# Deterministic examples, nothing stored between runs.
+PROPERTY = settings(max_examples=200, derandomize=True, database=None,
+                    deadline=None)
+
+
+@st.composite
+def rewrite_words(draw):
+    name = draw(st.sampled_from(sorted(REWRITE_CASES)))
+    rw, syms = REWRITE_CASES[name]
+    return rw, tuple(draw(st.lists(st.sampled_from(syms), max_size=8)))
+
+
+@PROPERTY
+@given(rewrite_words(), st.sampled_from([PLAIN, SYM, TRC]))
+def test_canonical_reduced_is_idempotent(case, mode):
+    rw, w = case
+    c = canonical_reduced(w, rw, mode)
+    if c is not None:
+        assert canonical_reduced(c, rw, mode) == c
+
+
+@PROPERTY
+@given(rewrite_words(), st.randoms(use_true_random=False))
+def test_reduce_word_is_confluent(case, rng):
+    rw, w = case
+    expected = reduce_word(w, rw)
+    if expected is not None:
+        assert reduce_word(expected, rw) == expected
+    for _ in range(3):
+        assert _reduce_random_order(w, rw, rng) == expected
 
 
 def test_polynomial_algebra():

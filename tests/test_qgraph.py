@@ -96,6 +96,41 @@ def test_gamma_cross_check_mode():
     assert res.diagnostics["product_route"] == 2
 
 
+def _counted(monkeypatch, name):
+    """Record the calls of a qgraph function, including its internal ones."""
+    calls = []
+    func = getattr(qgraph, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return func(*args, **kwargs)
+
+    monkeypatch.setattr(qgraph, name, counting)
+    return calls
+
+
+def test_gamma_stab_cross_check_solves_theta_once(monkeypatch):
+    calls = _counted(monkeypatch, "xi_stab")
+    res = qgraph.gamma_stab(cycle(7), 1, cross_check=True)
+    assert res.value == 3
+    assert res.diagnostics["product_route"] == 3
+    # theta(C7) once, then the star product K_3 * C7
+    assert len(calls) == 2
+
+
+def test_hierarchy_comparison_reuses_order_one_values(monkeypatch):
+    g = cycle(5)
+    col_calls = _counted(monkeypatch, "xi_col")
+    stab_calls = _counted(monkeypatch, "xi_stab")
+    rep = qgraph.hierarchy_comparison(g, 1)
+    assert len(col_calls) + len(stab_calls) == 2
+    monkeypatch.undo()
+    assert rep["gamma_col"] == qgraph.gamma_col(g, 1).value == 3
+    assert rep["gamma_stab"] == qgraph.gamma_stab(g, 1).value == 2
+    assert rep["xi_col"] == qgraph.xi_col(g, 1).value
+    assert rep["xi_stab"] == qgraph.xi_stab(g, 1).value
+
+
 def test_lambda_k3_brute_force():
     # las_stab(K3 box K_k) equals min(3, k)-ish and first reaches 3 at k = 3
     from ncmoment.graphs import cartesian_product
