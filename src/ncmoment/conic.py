@@ -6,6 +6,23 @@ so the core solver only sees a single cone type.  Post-solve utilities
 compute numerical ranks of nested principal submatrices of the realized
 moment matrix and the flatness verdicts used for finite-convergence
 certificates.
+
+Symmetry.  A builder may attach symbol maps (``SdpProblem.symmetries``).
+Before the solve each one is turned into a variable permutation, read off
+the blocks' entry patterns, and checked: it must map every block, the
+constraint set and the objective onto themselves, else SymmetryError.  The
+variables of one orbit of the group these permutations generate are merged
+into one, so the solver sees one variable per orbit and y = z[label]; a
+problem without symmetries has singleton orbits.  Because the program is
+invariant, the group average of any feasible point is feasible with the
+same objective, so the optimum over the merged (fixed) subspace is the full
+optimum.  The dual side carries over too: averaging a dual solution of the
+merged program over the group, and spreading each equality multiplier over
+the orbit of its row, gives a dual solution of the full program with the
+same dual objective.  So the dual objective and the certificates of the
+merged program hold for the full one, and its residuals are those of the
+averaged point, summed over each orbit.  Correctness rests on the checks
+alone; a missed symmetry costs only speed.
 """
 
 from __future__ import annotations
@@ -18,7 +35,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ._ipm import BlockData, ConeProgram, solve_ipm
-from .momentize import CompiledBlock, Relation, SdpProblem
+from .momentize import CompiledBlock, LinearConstraint, Relation, SdpProblem, _combine
+from .ncwords import reduce_word
 
 DEFAULT_TOL = 1e-8
 DEFAULT_EPS_FEAS = 1e-6
@@ -45,6 +63,7 @@ class SdpSolution:
     moment_degrees: Optional[np.ndarray]
     iterations: int = 0
     qr_fallbacks: int = 0  # Schur solves that took the pivoted-QR path
+    num_orbits: int = 0  # variables the solver saw: one per variable orbit
     residuals: dict = field(default_factory=dict)
     certificate: Optional[dict] = None
     problem: Optional[SdpProblem] = None
@@ -84,56 +103,164 @@ def _full_entries(block: CompiledBlock):
     return vids, rows, cols, vals
 
 
-def _build_cone_program(
-    problem: SdpProblem, objective_cap: Optional[float] = None, margin: bool = False
-) -> Tuple[ConeProgram, float]:
-    """Translate an LMI-form problem into the solver's internal data.
+class SymmetryError(SolverError):
+    """A declared symmetry does not map the program onto itself."""
 
-    Returns (program, sign); the solver maximizes sign * (original objective).
-    With ``margin`` the program is instead the margin program
-    max { t : every block - t*I is PSD }, t being the variable after the
-    problem's own.
+
+def _merged(terms: dict, label: list) -> dict:
+    """A linear form over moment variables, rewritten over their orbits."""
+    out: dict = {}
+    for vid, coef in terms.items():
+        _combine(out, label[vid], coef)
+    return out
+
+
+def _form_key(terms: dict) -> tuple:
+    return tuple(sorted((v, round(c, 12)) for v, c in terms.items()))
+
+
+def _variable_permutation(problem: SdpProblem, perm: dict, keys: set) -> np.ndarray:
+    """Variable permutation sigma induced by the symbol map ``perm``.
+
+    Each block's row words are mapped and reduced, giving a row permutation
+    rho; sigma sends the variable at (i, j) to the one at (rho i, rho j).
+    Raises SymmetryError unless sigma is a bijection that maps every block's
+    entry pattern, the constraint set (``keys``) and the objective onto
+    themselves.
     """
     n = problem.num_vars
-    c = np.zeros(n)
-    for vid, coef in problem.objective.items():
-        c[vid] += coef
+    if problem.index is None:
+        raise SymmetryError("symmetries need the problem's word index")
+    rw = problem.index.rw
+    sigma = np.full(n, -1, dtype=np.int64)
+    src, dst, multi = [], [], []
+    for blk in problem.blocks:
+        s = blk.size
+        where = {w: i for i, w in enumerate(blk.row_words)}
+        rho = np.array([
+            where.get(reduce_word(tuple(perm.get(a, a) for a in w), rw), -1)
+            for w in blk.row_words
+        ], dtype=np.int64)
+        if (rho < 0).any() or len(set(rho.tolist())) != s:
+            raise SymmetryError(f"{blk.label}: row words do not map onto themselves")
+        pos = blk.rows * s + blk.cols
+        ri, rj = rho[blk.rows], rho[blk.cols]
+        img = np.minimum(ri, rj) * s + np.maximum(ri, rj)
+        terms = np.bincount(pos, minlength=s * s)
+        if not np.array_equal(terms[img], terms[pos]):
+            raise SymmetryError(f"{blk.label}: entry pattern does not map onto itself")
+        one = terms[pos] == 1
+        var_at = np.full(s * s, -1, dtype=np.int64)
+        coef_at = np.zeros(s * s)
+        var_at[pos[one]] = blk.var_ids[one]
+        coef_at[pos[one]] = blk.coefs[one]
+        if not np.allclose(coef_at[img[one]], blk.coefs[one], rtol=1e-12, atol=1e-12):
+            raise SymmetryError(f"{blk.label}: entry coefficients change")
+        src.append(blk.var_ids[one])
+        dst.append(var_at[img[one]])
+        sigma[src[-1]] = dst[-1]
+        if not one.all():
+            multi.append((blk, pos, img))
+    free = sigma < 0  # in no single-term entry: held fixed, then checked
+    sigma[free] = np.nonzero(free)[0]
+    if any(not np.array_equal(sigma[a], b) for a, b in zip(src, dst)):
+        raise SymmetryError("entries of one variable map to different variables")
+    if np.unique(sigma).size != n:
+        raise SymmetryError("the induced variable map is not a bijection")
+
+    def image(terms: dict) -> dict:
+        return {int(sigma[v]): c for v, c in terms.items()}
+
+    for blk, pos, img in multi:
+        forms: dict = {}
+        for p, v, cf in zip(pos.tolist(), blk.var_ids.tolist(), blk.coefs.tolist()):
+            forms.setdefault(p, {})[v] = cf
+        for p, q in set(zip(pos.tolist(), img.tolist())):
+            if _form_key(image(forms[p])) != _form_key(forms[q]):
+                raise SymmetryError(
+                    f"{blk.label}: entry forms do not map onto themselves")
+    for con in problem.constraints:
+        if LinearConstraint(image(con.terms), con.rhs, con.relation).key() not in keys:
+            raise SymmetryError(
+                f"constraint {con.terms} maps outside the constraint set")
+    if _form_key(image(problem.objective)) != _form_key(problem.objective):
+        raise SymmetryError("the objective changes")
+    return sigma
+
+
+def _orbit_labels(problem: SdpProblem) -> np.ndarray:
+    """Orbit label of every variable under the group of ``problem.symmetries``.
+
+    Labels are 0..m-1, numbered by each orbit's least variable; without
+    symmetries every variable is its own orbit.
+    """
+    n = problem.num_vars
+    parent = list(range(n))
+
+    def root(a):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        return a
+
+    if problem.symmetries:
+        keys = {con.key() for con in problem.constraints}
+        for perm in problem.symmetries:
+            for a, b in enumerate(_variable_permutation(problem, perm, keys).tolist()):
+                ra, rb = root(a), root(b)
+                if ra != rb:
+                    parent[max(ra, rb)] = min(ra, rb)
+    return np.unique([root(a) for a in range(n)], return_inverse=True)[1]
+
+
+def _build_cone_program(
+    problem: SdpProblem, objective_cap: Optional[float] = None, margin: bool = False
+) -> Tuple[ConeProgram, float, np.ndarray]:
+    """Translate an LMI-form problem into the solver's internal data.
+
+    Returns (program, sign, label); the solver maximizes sign * (original
+    objective) over one variable z[o] per orbit o, and y = z[label].  With
+    ``margin`` the program is instead the margin program
+    max { t : every block - t*I is PSD }, t being the variable after the
+    orbits.
+    """
+    n = problem.num_vars
+    label = _orbit_labels(problem)
+    lab = label.tolist()
+    m = int(label.max()) + 1
     sign = 1.0 if problem.sense == "max" else -1.0
+    c = np.zeros(m)
+    for vid, coef in problem.objective.items():
+        c[lab[vid]] += coef
 
     blocks = []
     covered = np.zeros(n, dtype=bool)
     for blk in problem.blocks:
         vids, rows, cols, vals = _full_entries(blk)
         covered[vids] = True
-        blocks.append(
-            BlockData(blk.size, np.zeros((blk.size, blk.size)), vids, rows, cols, vals)
-        )
+        blocks.append(BlockData(blk.size, np.zeros((blk.size, blk.size)),
+                                label[vids], rows, cols, vals))
+    seen = set()
     for con in problem.ge_constraints:
-        items = sorted(con.terms.items())
-        vids = np.array([v for v, _ in items], dtype=np.int64)
-        vals = np.array([cf for _, cf in items], dtype=float)
-        covered[vids] = True
+        covered[list(con.terms)] = True
+        merged = LinearConstraint(_merged(con.terms, lab), con.rhs, Relation.GE)
+        if merged.key() in seen or (not merged.terms and con.rhs <= 0):
+            continue  # an orbit image of an earlier inequality, or 0 >= rhs
+        seen.add(merged.key())
+        items = sorted(merged.terms.items())
         z = np.zeros(len(items), dtype=np.int64)
-        blocks.append(BlockData(1, np.array([[-con.rhs]]), vids, z, z, vals))
+        blocks.append(BlockData(1, np.array([[-con.rhs]]),
+                                np.array([v for v, _ in items], dtype=np.int64), z, z,
+                                np.array([cf for _, cf in items], dtype=float)))
     if objective_cap is not None:
         # Optional numerical aid: bound the objective form from above.
         vids = np.nonzero(c)[0]
-        blocks.append(
-            BlockData(
-                1,
-                np.array([[objective_cap]]),
-                vids,
-                np.zeros(len(vids), dtype=np.int64),
-                np.zeros(len(vids), dtype=np.int64),
-                -c[vids],
-            )
-        )
+        z = np.zeros(len(vids), dtype=np.int64)
+        blocks.append(BlockData(1, np.array([[objective_cap]]), vids, z, z, -c[vids]))
 
     referenced = np.zeros(n, dtype=bool)
-    referenced[np.nonzero(c)[0]] = True
+    referenced[list(problem.objective)] = True
     for con in problem.constraints:
-        for vid in con.terms:
-            referenced[vid] = True
+        referenced[list(con.terms)] = True
     bad = np.nonzero(referenced & ~covered)[0]
     if bad.size:
         raise SolverError(
@@ -145,24 +272,27 @@ def _build_cone_program(
     if margin:
         for blk in blocks:
             sz = blk.size
-            blk.vids = np.concatenate([blk.vids, np.full(sz, n, dtype=np.int64)])
+            blk.vids = np.concatenate([blk.vids, np.full(sz, m, dtype=np.int64)])
             blk.rows = np.concatenate([blk.rows, np.arange(sz)])
             blk.cols = np.concatenate([blk.cols, np.arange(sz)])
             blk.vals = np.concatenate([blk.vals, -np.ones(sz)])
         objective = np.append(objective, 1.0)
     nv = len(objective)
 
-    eqs = problem.eq_constraints
+    eqs, seen = [], set()
+    for con in problem.eq_constraints:
+        merged = LinearConstraint(_merged(con.terms, lab), con.rhs)
+        if (merged.terms or merged.rhs) and merged.key() not in seen:
+            seen.add(merged.key())
+            eqs.append(merged)
     if eqs:
         A = np.zeros((len(eqs), nv))
-        d = np.zeros(len(eqs))
+        d = np.array([con.rhs for con in eqs])
         for i, con in enumerate(eqs):
-            for vid, coef in con.terms.items():
-                A[i, vid] = coef
-            d[i] = con.rhs
+            A[i, list(con.terms)] = list(con.terms.values())
     else:
         A, d = None, None
-    return ConeProgram(nv, objective, blocks, A, d).finalize(), sign
+    return ConeProgram(nv, objective, blocks, A, d).finalize(), sign, label
 
 
 def solve(
@@ -178,7 +308,7 @@ def solve(
     """
     if not (0 < tol <= 1e-2):
         raise ValueError("tol must lie in (0, 1e-2]")
-    prog, sign = _build_cone_program(problem, objective_cap)
+    prog, sign, label = _build_cone_program(problem, objective_cap)
     res = solve_ipm(prog, tol=tol)
     status = {
         "optimal": SolveStatus.OPTIMAL,
@@ -186,7 +316,7 @@ def solve(
         "unbounded": SolveStatus.UNBOUNDED,
         "numerical_limit": SolveStatus.NUMERICAL_LIMIT,
     }[res.status]
-    y = res.y
+    y = res.y[label]
     mi = problem.moment_block_index()
     mom = problem.blocks[mi].materialize(y) if status != SolveStatus.INFEASIBLE else None
     return SdpSolution(
@@ -197,6 +327,7 @@ def solve(
         moment_degrees=problem.blocks[mi].row_degrees,
         iterations=res.iterations,
         qr_fallbacks=res.qr_fallbacks,
+        num_orbits=prog.nvars,
         residuals={
             "lmi": res.err_lmi,
             "adjoint": res.err_adj,
@@ -222,7 +353,7 @@ def feasibility(
     """
     if problem.objective:
         raise ValueError("feasibility expects a problem without objective")
-    prog, _ = _build_cone_program(problem, margin=True)
+    prog, _, _ = _build_cone_program(problem, margin=True)
     res = solve_ipm(prog, tol=DEFAULT_TOL)
     if res.status == "unbounded":
         return True, math.inf
@@ -234,7 +365,7 @@ def feasibility(
         res.err_lmi, res.err_adj, res.err_eq
     ) > 1e-4:
         raise SolverError("margin program did not reach acceptable accuracy")
-    margin = float(res.y[problem.num_vars])
+    margin = float(res.y[prog.nvars - 1])  # t follows the orbit variables
     return margin >= -eps_feas, margin
 
 

@@ -1,4 +1,5 @@
-"""Simple undirected graphs, the two graph products, and clique enumeration."""
+"""Simple undirected graphs, the two graph products, clique enumeration and
+automorphism generators."""
 
 from __future__ import annotations
 
@@ -183,6 +184,107 @@ def all_cliques(g: Graph, size_cap: Optional[int] = None,
     extend([], set(range(g.n)))
     out.sort(key=lambda c: (len(c), sorted(c)))
     return CliqueList(out, f"all<={size_cap}")
+
+
+def _refine(adj: list, colours: list) -> tuple:
+    """Equitable refinement of a vertex colouring (colour refinement).
+
+    Colours are ranks 0..k-1, and their order is the cell order.  Each round
+    splits the cells by the multiset of neighbour colours and ranks the new
+    cells by (old colour, multiset), so the result and the returned invariant
+    (the sorted signatures of the last round) follow the structure, never the
+    vertex labels.
+    """
+    k = len(set(colours))
+    while True:
+        sig = [(colours[v], tuple(sorted(colours[u] for u in adj[v])))
+               for v in range(len(adj))]
+        distinct = sorted(set(sig))
+        rank = {s: i for i, s in enumerate(distinct)}
+        colours = [rank[s] for s in sig]
+        if len(distinct) == k:
+            return colours, tuple(distinct)
+        k = len(distinct)
+
+
+def _individualize(adj: list, colours: list, v: int) -> tuple:
+    """Refined colouring with v split off in front of the rest of its cell."""
+    split = [2 * c + (u != v) for u, c in enumerate(colours)]
+    rank = {c: i for i, c in enumerate(sorted(set(split)))}
+    return _refine(adj, [rank[c] for c in split])
+
+
+def _target_cell(colours: list) -> list:
+    """Vertices of the first cell with more than one vertex, or []."""
+    size = {}
+    for c in colours:
+        size[c] = size.get(c, 0) + 1
+    big = [c for c in sorted(size) if size[c] > 1]
+    return [v for v, c in enumerate(colours) if c == big[0]] if big else []
+
+
+def _orbit(v: int, gens: list) -> set:
+    seen, stack = {v}, [v]
+    while stack:
+        u = stack.pop()
+        for p in gens:
+            if p[u] not in seen:
+                seen.add(p[u])
+                stack.append(p[u])
+    return seen
+
+
+def automorphism_generators(g: Graph) -> list:
+    """Generators of the automorphism group of ``g``, as tuples p with p[v]
+    the image of vertex v; the identity is left out.
+
+    Search by individualization and refinement.  The base path individualizes
+    the first vertex b_d of the first non-singleton cell of each refined
+    colouring until it is discrete.  Then, from the deepest level up, every
+    vertex t of b_d's cell outside the orbit of b_d under the generators found
+    so far (which all fix b_0..b_{d-1}) is tried as b_d's image: a
+    depth-first search below t, pruned by the refinement invariants of the
+    base path, looks for a leaf whose vertex order maps the base leaf onto it
+    by an automorphism (checked against the edge set).  The generators are
+    Schreier-Sims transversal elements of the stabilizer chain, so the group
+    order is the product of the final orbit lengths.
+    """
+    adj = [sorted(a) for a in g.adjacency()]
+    colours, inv = _refine(adj, [0] * g.n)
+    levels, invariants = [], [inv]  # levels[d] = (colouring at depth d, b_d)
+    while cell := _target_cell(colours):
+        levels.append((colours, cell[0]))
+        colours, inv = _individualize(adj, colours, cell[0])
+        invariants.append(inv)
+    base_leaf = sorted(range(g.n), key=colours.__getitem__)
+
+    def search(colours, inv, depth):
+        if inv != invariants[depth]:
+            return None
+        if depth == len(levels):
+            p = [0] * g.n
+            for u, v in zip(base_leaf, sorted(range(g.n), key=colours.__getitem__)):
+                p[u] = v
+            if all(g.has_edge(p[a], p[b]) for a, b in g.edges):
+                return tuple(p)
+            return None
+        for v in _target_cell(colours):
+            found = search(*_individualize(adj, colours, v), depth + 1)
+            if found is not None:
+                return found
+        return None
+
+    gens = []
+    for depth in reversed(range(len(levels))):
+        colours, b = levels[depth]
+        orbit = _orbit(b, gens)
+        for t in _target_cell(colours):
+            if t not in orbit:
+                found = search(*_individualize(adj, colours, t), depth + 1)
+                if found is not None:
+                    gens.append(found)
+                    orbit = _orbit(b, gens)
+    return gens
 
 
 def greedy_stable_set(g: Graph) -> list:

@@ -308,6 +308,10 @@ class SdpProblem:
     description: str = ""
     r: int = 0
     metadata: dict = field(default_factory=dict)
+    # Symbol maps (Symbol -> Symbol, symbols left out stay fixed) that map the
+    # program onto itself; the solver checks them and merges the variable
+    # orbits of the group they generate.
+    symmetries: list = field(default_factory=list)
 
     @property
     def eq_constraints(self):
@@ -353,12 +357,14 @@ def assemble(
     description: str = "",
     r: int = 0,
     metadata: Optional[dict] = None,
+    symmetries: Sequence[dict] = (),
 ) -> SdpProblem:
     """Compile symbolic blocks and constraints into a solver-ready problem.
 
     Identically-zero rows/columns (index words reduced to zero) are dropped,
     duplicate constraints removed, and per-variable sparse coefficient arrays
-    built for every block.
+    built for every block.  ``symmetries`` are stored as given; the solver
+    checks them.
     """
     if not blocks:
         raise ValueError("an SDP needs at least one PSD block")
@@ -422,4 +428,5 @@ def assemble(
         description=description,
         r=r,
         metadata=meta,
+        symmetries=list(symmetries),
     )

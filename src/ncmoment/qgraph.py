@@ -16,7 +16,14 @@ from typing import Optional
 
 from . import conic
 from .conic import SdpSolution, SolveStatus
-from .graphs import Graph, all_cliques, cartesian_product, greedy_stable_set, star_product
+from .graphs import (
+    Graph,
+    all_cliques,
+    automorphism_generators,
+    cartesian_product,
+    greedy_stable_set,
+    star_product,
+)
 from .momentize import (
     LinearConstraint,
     Relation,
@@ -74,6 +81,20 @@ def _vertex_rewrites(g: Graph, commutative: bool = False) -> tuple:
     return syms, rw
 
 
+def _symbol_maps(g: Graph, k: int = 1) -> list:
+    """Symbol maps of the automorphisms of g, acting on the vertex index of
+    every vertex(i, c), c < k, together with the transposition (0 1) and
+    the k-cycle of the colour (or index) coordinate c."""
+    ident_v, ident_c = tuple(range(g.n)), tuple(range(k))
+    perms = [(p, ident_c) for p in automorphism_generators(g)]
+    if k >= 2:
+        perms.append((ident_v, (1, 0) + ident_c[2:]))
+    if k >= 3:
+        perms.append((ident_v, ident_c[1:] + (0,)))
+    return [{vertex(i, c): vertex(p[i], q[c]) for i in range(g.n) for c in range(k)}
+            for p, q in perms]
+
+
 def _mode(commutative: bool) -> EquivalenceMode:
     # Sorted commutative monomials are already canonical, so the plain mode
     # is exact there; the noncommutative layer merges tracial classes.
@@ -94,7 +115,7 @@ def build_stab_problem(g: Graph, r: int, commutative: bool = False) -> SdpProble
     return assemble(
         objective, "max", [block], cons, index,
         description=f"stab hierarchy level {r}", r=r,
-        metadata={"commutative": commutative},
+        metadata={"commutative": commutative}, symmetries=_symbol_maps(g),
     )
 
 
@@ -120,7 +141,7 @@ def build_col_problem(
     return assemble(
         {0: 1.0}, "min", [block], cons, index,
         description=f"col hierarchy level {r} ({strengthening.value})", r=r,
-        metadata={"commutative": commutative},
+        metadata={"commutative": commutative}, symmetries=_symbol_maps(g),
     )
 
 
@@ -251,7 +272,8 @@ def lasserre_col(g: Graph, r: int, tol: float = 1e-8) -> GraphBoundResult:
 # ---------------------------------------------------------------------------
 
 
-def _labeled_system(groups: list, zero: set, description: str, r: int) -> SdpProblem:
+def _labeled_system(groups: list, zero: set, description: str, r: int,
+                    symmetries: list) -> SdpProblem:
     """Moment system over projectors in groups that each sum to one.
 
     Members of a group are mutually orthogonal; ``zero`` lists the further
@@ -275,7 +297,8 @@ def _labeled_system(groups: list, zero: set, description: str, r: int) -> SdpPro
         gens.append(h)
     cons = ideal_constraints(gens, 2 * r, rw, mode, index, syms)
     cons.append(LinearConstraint({0: 1.0}, 1.0, Relation.EQ))
-    return assemble({}, "min", [block], cons, index, description=description, r=r)
+    return assemble({}, "min", [block], cons, index, description=description, r=r,
+                    symmetries=symmetries)
 
 
 def col_system_feasible(g: Graph, k: int, r: int):
@@ -284,7 +307,8 @@ def col_system_feasible(g: Graph, k: int, r: int):
     groups = [[vertex(i, c) for c in range(k)] for i in range(g.n)]
     zero = {(vertex(i, c), vertex(j, c)) for (i, j) in g.edges for c in range(k)}
     return conic.feasibility(
-        _labeled_system(groups, zero, f"coloring system k={k} level {r}", r)
+        _labeled_system(groups, zero, f"coloring system k={k} level {r}", r,
+                        _symbol_maps(g, k))
     )
 
 
@@ -299,7 +323,8 @@ def stab_system_feasible(g: Graph, k: int, r: int):
                 zero.update((vertex(i, c), vertex(i, cp)) for i in range(g.n))
                 zero.update((vertex(i, c), vertex(j, cp)) for (i, j) in g.edges)
     return conic.feasibility(
-        _labeled_system(groups, zero, f"stability system k={k} level {r}", r)
+        _labeled_system(groups, zero, f"stability system k={k} level {r}", r,
+                        _symbol_maps(g, k))
     )
 
 

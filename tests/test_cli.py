@@ -59,7 +59,11 @@ def test_graph_bound_xi_col_level2(c5_file, tmp_path):
     rc = main(["graph-bound", "--param", "xi-col", "--level", "2",
                "--input", c5_file, "--out", out])
     assert rc == 0
-    assert abs(read_report(out)["value"] - 2.5) < 1e-3
+    rep = read_report(out)
+    assert abs(rep["value"] - 2.5) < 1e-3
+    # D5 merges the 21 moment variables of C5 at level 2 into 5 orbits
+    assert rep["solver"]["problem"]["num_vars"] == 21
+    assert rep["solver"]["problem"]["num_orbits"] == 5
 
 
 def test_graph_bound_dimacs_input(tmp_path):
@@ -87,9 +91,11 @@ def test_corr_bound_level_one(classical_corr_file, tmp_path):
     rep = read_report(out)
     assert rc == 0
     assert abs(rep["value"] - 1.0) < 1e-4
-    # CHSH level 1 in the Collins-Gisin alphabet: 5 symbols, 9 generators
+    # CHSH level 1 in the Collins-Gisin alphabet: 5 symbols, 9 generators;
+    # no symmetry is attached, so every variable is its own orbit
     assert rep["solver"]["problem"] == {
-        "num_vars": 20, "num_eq": 1, "block_sizes": [6] + [1] * 9}
+        "num_vars": 20, "num_orbits": 20, "num_eq": 1,
+        "block_sizes": [6] + [1] * 9}
     # Schur solves that took the QR fallback, reported next to iterations
     assert 0 <= rep["solver"]["qr_fallbacks"] <= rep["solver"]["iterations"]
 

@@ -1,21 +1,24 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from ncmoment import conic, graphs, qgraph, witness
-from ncmoment.conic import SolveStatus
+from ncmoment.conic import SolveStatus, SymmetryError
 from ncmoment.momentize import (
     LinearConstraint,
     Relation,
     SymbolicBlock,
     VariableIndex,
     assemble,
+    localizing_block,
     moment_block,
 )
 from ncmoment.ncwords import (
     EquivalenceMode,
     IDENTITY,
+    NcPolynomial,
     RewriteSystem,
     enumerate_basis,
     vertex,
@@ -238,3 +241,113 @@ def test_solution_moment_matrix_psd():
     M = res.solution.moment_matrix
     assert np.abs(M - M.T).max() < 1e-12
     assert np.linalg.eigvalsh(M)[0] >= -10 * conic.DEFAULT_TOL
+
+
+# ---------------------------------------------------------------------------
+# Orbit merging under the symmetries attached by the graph builders
+# ---------------------------------------------------------------------------
+
+S = qgraph.Strengthening
+REDUCED_PROGRAMS = [
+    (f"{name} C{n} r2", build, n, 2)
+    for n in (5, 7)
+    for name, build in [
+        ("xi-stab", lambda g, r: qgraph.build_stab_problem(g, r)),
+        ("xi-col", lambda g, r: qgraph.build_col_problem(g, r)),
+        ("las-stab", lambda g, r: qgraph.build_stab_problem(g, r, commutative=True)),
+        ("theta-plus", lambda g, r: qgraph.build_col_problem(g, r, S.THETA_PLUS)),
+    ]
+] + [("xi-sdp C5 r1", lambda g, r: qgraph.build_col_problem(g, r, S.XI_SDP), 5, 1)]
+
+
+@pytest.mark.parametrize("name,build,n,r", REDUCED_PROGRAMS,
+                         ids=[p[0] for p in REDUCED_PROGRAMS])
+def test_orbit_merging_keeps_the_solution(name, build, n, r):
+    prob = build(graphs.cycle(n), r)
+    assert prob.symmetries
+    merged = conic.solve(prob)
+    full = conic.solve(dataclasses.replace(prob, symmetries=[]))
+    assert abs(merged.objective - full.objective) <= 1e-7
+    assert conic.flatness(merged, r).ranks == conic.flatness(full, r).ranks
+    assert full.num_orbits == prob.num_vars
+    assert merged.num_orbits < prob.num_vars
+    # the lifted moment vector is full width and constant on every orbit
+    label = conic._orbit_labels(prob)
+    assert merged.y.shape == (prob.num_vars,)
+    assert label.max() + 1 == merged.num_orbits
+    for o in range(merged.num_orbits):
+        assert np.ptp(merged.y[label == o]) == 0.0
+
+
+def test_orbit_counts_and_reduced_data():
+    # D9 on the level-2 stability program of C9: 328 variables, 29 orbits
+    assert conic._orbit_labels(
+        qgraph.build_stab_problem(graphs.cycle(9), 2)).max() + 1 == 29
+    # theta-plus on C7: the 14 pair inequalities merge into one per orbit
+    # of non-adjacent pairs (distance 2 and distance 3)
+    prob = qgraph.build_col_problem(graphs.cycle(7), 2, S.THETA_PLUS)
+    prog, _, label = conic._build_cone_program(prob)
+    assert len(prob.ge_constraints) == 14
+    assert [b.size for b in prog.blocks].count(1) == 2
+    assert prog.nvars == label.max() + 1 == 13
+    assert prog.A.shape == (1, 13)  # the 7 rows L(x_i) = 1 merge into one
+
+
+def test_non_automorphism_raises():
+    g = graphs.path(4)
+    prob = qgraph.build_stab_problem(g, 2)
+    swap = {vertex(0): vertex(1), vertex(1): vertex(0)}  # 1-2 is an edge, 0-2 not
+    with pytest.raises(SymmetryError):
+        conic.solve(dataclasses.replace(prob, symmetries=[swap]))
+
+
+def test_symmetry_breaking_one_constraint_raises():
+    prob = qgraph.build_col_problem(graphs.cycle(5), 2, S.THETA_PLUS)
+    cons = list(prob.constraints)
+    dropped = next(c for c in cons if c.relation == Relation.GE)
+    cons.remove(dropped)
+    with pytest.raises(SymmetryError, match="constraint"):
+        conic.solve(dataclasses.replace(prob, constraints=cons))
+    # the same program without the declared symmetry solves
+    sol = conic.solve(dataclasses.replace(prob, constraints=cons, symmetries=[]))
+    assert sol.status == SolveStatus.OPTIMAL
+
+
+def test_symmetry_changing_the_objective_raises():
+    prob = qgraph.build_stab_problem(graphs.cycle(5), 2)
+    one = {prob.index.var_of((vertex(0),)): 1.0}
+    with pytest.raises(SymmetryError, match="objective"):
+        conic.solve(dataclasses.replace(prob, objective=one))
+
+
+def two_projector_problem(generator_words):
+    """max L(x0 + x1) over orthogonal projectors x0, x1 at level 1, with the
+    1x1 localizing block L(g), g = 1 - (sum of the generator words), and the
+    swap x0 <-> x1 declared as a symmetry."""
+    x0, x1 = vertex(0), vertex(1)
+    rw = RewriteSystem(zero_pairs=frozenset([(x0, x1), (x1, x0)]),
+                       idempotents=frozenset([x0, x1]))
+    index = VariableIndex([x0, x1], 2, rw, TRC)
+    rows = enumerate_basis([x0, x1], 1, rw, EquivalenceMode.PLAIN)
+    g = NcPolynomial.one()
+    for w in generator_words:
+        g = g - NcPolynomial.from_word(w)
+    blocks = [moment_block(rows, rw, TRC, index),
+              localizing_block(g, 1, rw, TRC, index, [x0, x1])]
+    objective = {index.var_of((x0,)): 1.0, index.var_of((x1,)): 1.0}
+    return assemble(objective, "max", blocks,
+                    [LinearConstraint({0: 1.0}, 1.0, Relation.EQ)], index,
+                    symmetries=[{x0: x1, x1: x0}])
+
+
+def test_symmetry_checks_localizing_forms():
+    # L(1 - x0 - x1) is swap-invariant, and merging keeps the value 1
+    prob = two_projector_problem([(vertex(0),), (vertex(1),)])
+    merged = conic.solve(prob)
+    full = conic.solve(dataclasses.replace(prob, symmetries=[]))
+    assert (merged.num_orbits, full.num_orbits) == (2, 3)
+    assert abs(merged.objective - full.objective) <= 1e-7
+    assert abs(merged.objective - 1.0) <= 1e-6
+    # L(1 - x0) is not
+    with pytest.raises(SymmetryError, match="entry forms"):
+        conic.solve(two_projector_problem([(vertex(0),)]))

@@ -1,4 +1,7 @@
 import itertools
+import math
+import random
+import time
 
 import pytest
 
@@ -7,6 +10,7 @@ from ncmoment.graphs import (
     Graph,
     GraphFormatError,
     all_cliques,
+    automorphism_generators,
     cartesian_product,
     complement,
     complete,
@@ -186,3 +190,92 @@ def test_dimacs_errors_positioned():
 def test_edge_bounds_checked():
     with pytest.raises(GraphFormatError, match="out of range"):
         Graph.from_edges(3, [(0, 7)])
+
+
+def group_order(gens, n, cap=10_000):
+    """Order of the permutation group generated by ``gens``, by closure;
+    stops once it passes ``cap``."""
+    ident = tuple(range(n))
+    seen, stack = {ident}, [ident]
+    while stack and len(seen) <= cap:
+        p = stack.pop()
+        for q in gens:
+            r = tuple(q[v] for v in p)
+            if r not in seen:
+                seen.add(r)
+                stack.append(r)
+    return len(seen)
+
+
+def brute_automorphism_count(g):
+    return sum(all(g.has_edge(p[a], p[b]) for a, b in g.edges)
+               for p in itertools.permutations(range(g.n)))
+
+
+def relabeled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[a], perm[b]) for a, b in g.edges])
+
+
+def petersen():
+    return Graph.from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                            + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                            + [(i, i + 5) for i in range(5)])
+
+
+# The smallest asymmetric graphs have six vertices; this is one of them.
+ASYMMETRIC = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 4), (4, 5)])
+# C6 beside two triangles: 2-regular, so colour refinement alone cannot tell
+# a hexagon vertex from a triangle vertex.  |Aut| = 12 * (6 * 6 * 2).
+HEXAGON_AND_TRIANGLES = Graph.from_edges(
+    12, [(i, (i + 1) % 6) for i in range(6)]
+    + [(6, 7), (7, 8), (6, 8), (9, 10), (10, 11), (9, 11)])
+
+GROUP_ORDERS = [
+    (relabeled(cycle(5), 1), 10),
+    (relabeled(cycle(7), 2), 14),
+    (relabeled(cycle(9), 3), 18),
+    (petersen(), 120),
+    (complete(5), 120),
+    (ASYMMETRIC, 1),
+    (HEXAGON_AND_TRIANGLES, 864),
+    (cartesian_product(cycle(7), 3), 84),
+    (star_product(3, cycle(7)), 84),
+]
+
+
+@pytest.mark.parametrize("g,order", GROUP_ORDERS)
+def test_automorphism_group_orders(g, order):
+    gens = automorphism_generators(g)
+    for p in gens:
+        assert sorted(p) == list(range(g.n))
+        assert {(min(p[a], p[b]), max(p[a], p[b])) for a, b in g.edges} == g.edges
+    assert group_order(gens, g.n) == order
+
+
+def test_automorphism_search_matches_brute_force():
+    rng = random.Random(0)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        density = rng.uniform(0.2, 0.8)
+        g = Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                 if rng.random() < density])
+        assert group_order(automorphism_generators(g), n) == \
+            brute_automorphism_count(g)
+
+
+def test_automorphism_search_is_fast_on_benchmark_graphs():
+    # The cycles and every product graph that the theta, gamma and lambda
+    # scans of the graph benchmark build on C5 and C7.
+    graphs = [relabeled(cycle(n), n) for n in (5, 7, 9)]
+    graphs += [cartesian_product(relabeled(cycle(n), n), k)
+               for n in (5, 7) for k in (1, 2, 3)]
+    graphs += [star_product(k, relabeled(cycle(7), 7)) for k in (2, 3)]
+    for g in graphs:
+        best = math.inf
+        for _ in range(3):
+            t0 = time.perf_counter()
+            automorphism_generators(g)
+            best = min(best, time.perf_counter() - t0)
+        assert best < 0.05, f"{g}: {best:.3f} s"

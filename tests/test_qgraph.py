@@ -1,10 +1,11 @@
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from ncmoment import qgraph
+from ncmoment import conic, corrlab, entdim, qgraph
 from ncmoment.graphs import Graph, complete, cycle, empty, greedy_stable_set, path
 from ncmoment.qgraph import Strengthening
 
@@ -222,3 +223,36 @@ def test_bracket_error_surfaces():
     assert qgraph._first_passing(range(5, 0, -1), lambda k: k <= 2, "down") == 2
     with pytest.raises(ValueError):
         qgraph.Strengthening("bogus")
+
+
+@pytest.mark.parametrize("system", ["col_system_feasible", "stab_system_feasible"])
+@pytest.mark.parametrize("k", [2, 3])
+def test_margins_unchanged_by_orbit_merging(monkeypatch, system, k):
+    g = cycle(5)
+    merged_ok, merged = getattr(qgraph, system)(g, k, 1)
+    feasibility = conic.feasibility
+    monkeypatch.setattr(conic, "feasibility", lambda prob, **kw: feasibility(
+        dataclasses.replace(prob, symmetries=[]), **kw))
+    full_ok, full = getattr(qgraph, system)(g, k, 1)
+    assert merged_ok == full_ok
+    assert math.copysign(1.0, merged) == math.copysign(1.0, full)
+    assert abs(merged - full) <= 1e-6
+
+
+def test_building_does_no_symmetry_work(monkeypatch):
+    # Symmetries are attached as symbol maps; their variable permutations are
+    # read only when a program is solved, so level-3 builds stay as cheap as
+    # the word layer.
+    calls = []
+    permutation = conic._variable_permutation
+
+    def counting(*args):
+        calls.append(args)
+        return permutation(*args)
+
+    monkeypatch.setattr(conic, "_variable_permutation", counting)
+    assert qgraph.build_col_problem(cycle(7), 3).symmetries
+    entdim.build_xi_problem(corrlab.realize(corrlab.tsirelson_chsh()), 2)
+    assert calls == []
+    qgraph.xi_col(cycle(5), 1)
+    assert len(calls) == 2  # the two generators of D5
