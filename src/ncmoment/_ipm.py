@@ -553,12 +553,14 @@ def solve_ipm(prog: ConeProgram, tol: float = 1e-8) -> IpmResult:
     )
     res.iterations = it
     res.qr_fallbacks = qr_fallbacks
-    res.dobj = _dual_objective(prog, res.X, res.pobj)
+    res.dobj = _dual_objective(prog, res.X, res.pobj, y0)
     return res
 
 
-def _dual_objective(prog: ConeProgram, X: list, pobj: float):
-    """Dual bound sum_b <C_b, X_b> + d'w with w from least squares."""
+def _dual_objective(prog: ConeProgram, X: list, pobj: float, y0: np.ndarray):
+    """Dual bound sum_b <C_b, X_b> + d'w, with w the least-squares solution
+    of A'w = adj (objective plus block adjoints).  As the minimum-norm
+    solution of A y = d, ``y0`` lies in A's row space, so d'w = y0'adj."""
     if not X:
         return pobj
     Xs = [np.stack([X[bi] for bi in g.members]) for g in prog.groups]
@@ -567,8 +569,7 @@ def _dual_objective(prog: ConeProgram, X: list, pobj: float):
         adj = prog.objective.copy()
         for g, Xg in zip(prog.groups, Xs):
             adj += g.adjoint(Xg)
-        w, *_ = np.linalg.lstsq(prog.A.T, adj, rcond=None)
-        val += float(prog.d @ w)
+        val += float(y0 @ adj)
     return val
 
 

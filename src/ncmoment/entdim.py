@@ -141,12 +141,13 @@ class Correlation:
         return Correlation(sc, np.array(obj["P"], dtype=float))
 
 
+# Highest level of the hierarchy that build_xi_problem accepts.
+R_CAP = 3
+
+
 @dataclass
 class EntdimConfig:
-    tol: float = 1e-8
-    eps_feas: float = 1e-6
     basis_cap: int = 20_000
-    r_cap: int = 3
     objective_cap: Optional[float] = None
 
 
@@ -226,17 +227,16 @@ class EntDimResult:
 def build_xi_problem(
     P: Correlation, r: int, config: Optional[EntdimConfig] = None
 ) -> SdpProblem:
-    """Level-r program of ``P``; raises ValueError above ``config.r_cap``."""
+    """Level-r program of ``P``; raises ValueError above ``R_CAP``."""
     config = config or EntdimConfig()
-    if r > config.r_cap:
-        raise ValueError(f"level {r} exceeds the configured cap {config.r_cap}")
+    if r > R_CAP:
+        raise ValueError(f"level {r} exceeds the cap {R_CAP}")
     sc = P.scenario
     sets = build_entdim_sets(sc, r)
     rw, syms = sets.rewrites, sets.symbols
     mode = EquivalenceMode.TRACIAL_SYMMETRIC
-    index = VariableIndex(syms, 2 * r, rw, mode, cap=config.basis_cap)
-    rows = enumerate_basis(syms, r, rw, EquivalenceMode.PLAIN,
-                           cap=config.basis_cap)
+    index = VariableIndex(2 * r, rw, mode, cap=config.basis_cap)
+    rows = enumerate_basis(syms, r, rw, cap=config.basis_cap)
     blocks = [moment_block(rows, rw, mode, index)]
     for g in sets.generators:
         blocks.append(localizing_block(g, r, rw, mode, index, syms))
@@ -251,11 +251,8 @@ def build_xi_problem(
         for s, t, a, b in np.ndindex(sc.nS, sc.nT, sc.nA, sc.nB):
             poly = (_outcome(alice, s, a, sc.nA) * _outcome(bob, t, b, sc.nB)
                     * zpoly)
-            terms: dict = {}
-            for w, c in poly.terms.items():
-                vid = index.var_of(w)
-                terms[vid] = terms.get(vid, 0.0) + c
-            cons.append(LinearConstraint(terms, float(P.table[a, b, s, t]),
+            cons.append(LinearConstraint(index.form(poly.terms.items()),
+                                         float(P.table[a, b, s, t]),
                                          Relation.EQ))
     else:
         dropped_data = sc.gamma_size  # degree-3 data exceeds the truncation
@@ -273,17 +270,13 @@ def solve_xi_problem(
     """Solve a program from :func:`build_xi_problem` and certify its value."""
     config = config or EntdimConfig()
     r = problem.r
-    sol = conic.solve(problem, tol=config.tol,
-                      objective_cap=config.objective_cap)
+    sol = conic.solve(problem, objective_cap=config.objective_cap)
     if sol.status == SolveStatus.INFEASIBLE:
         import dataclasses
 
         margin = -math.inf
         try:
-            _, margin = conic.feasibility(
-                dataclasses.replace(problem, objective={}),
-                eps_feas=config.eps_feas,
-            )
+            _, margin = conic.feasibility(dataclasses.replace(problem, objective={}))
         except conic.SolverError:
             pass
         raise InfeasibleCorrelationError(r, margin)

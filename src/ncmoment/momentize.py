@@ -3,8 +3,10 @@ and their assembly into a concrete block-diagonal SDP.
 
 The SDP is stored in linear-matrix-inequality form over the moment variables
 L(w): each block is a symmetric matrix whose entries are linear forms in the
-variables, together with linear equality/inequality constraints.  Variables
-are indexed by canonical reduced words of degree at most 2r.
+variables, together with linear equality/inequality constraints.  A variable
+is one class of reduced words of degree at most 2r, named by its least
+member.  The word layer canonicalizes each class where the program meets it;
+the moment block meets every class and numbers them (see ``VariableIndex``).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .ncwords import (
+    BasisSizeError,
     EquivalenceMode,
     IDENTITY,
     NcPolynomial,
@@ -35,15 +38,19 @@ class InternalConsistencyError(RuntimeError):
 
 
 class VariableIndex:
-    """Bijection between canonical reduced words (degree <= 2r) and variable ids.
+    """Numbering of the word classes that a program meets, degree <= 2r.
 
-    Id 0 is reserved for the identity word, i.e. the moment L(1).  Words whose
-    equivalence class collapses to zero under the rewrite system have no id.
+    A moment variable is one class of reduced words (merged under ``mode``)
+    of degree at most 2r.  Id 0 is the identity word, i.e. the moment L(1);
+    every other class gets the next id when the program first meets it.  The
+    builders assemble the moment block first, and :func:`moment_block`
+    registers its classes in (degree, lex) order, so the ids follow that
+    order.  Words whose class collapses to zero under the rewrite system have
+    no id.
     """
 
     def __init__(
         self,
-        symbols: Iterable[Symbol],
         two_r: int,
         rw: RewriteSystem,
         mode: EquivalenceMode = EquivalenceMode.TRACIAL_SYMMETRIC,
@@ -52,25 +59,45 @@ class VariableIndex:
         self.rw = rw
         self.mode = mode
         self.two_r = two_r
-        self.words = enumerate_basis(symbols, two_r, rw, mode, cap=cap)
-        self.id_of = {w: k for k, w in enumerate(self.words)}
-        assert self.words[0] == IDENTITY
+        self.cap = cap
+        self.words = [IDENTITY]
+        self.id_of = {IDENTITY: 0}
 
     def __len__(self) -> int:
         return len(self.words)
 
+    def _register(self, w: Word) -> int:
+        """Id of the canonical word ``w``, numbering it when it is new."""
+        vid = self.id_of.get(w)
+        if vid is not None:
+            return vid
+        if len(w) > self.two_r:
+            raise InternalConsistencyError(
+                f"word {word_str(w)} (degree {len(w)}) exceeds the "
+                f"degree-{self.two_r} variable index"
+            )
+        if len(self.words) >= self.cap:
+            raise BasisSizeError(f"variable index exceeds cap of {self.cap} words")
+        vid = len(self.words)
+        self.words.append(w)
+        self.id_of[w] = vid
+        return vid
+
     def var_of(self, word: Word) -> Optional[int]:
         """Variable id of the class of ``word``; None when the class is zero."""
         w = canonical_reduced(word, self.rw, self.mode)
-        if w is None:
-            return None
-        try:
-            return self.id_of[w]
-        except KeyError:
-            raise InternalConsistencyError(
-                f"word {word_str(w)} (degree {len(w)}) missing from the "
-                f"degree-{self.two_r} variable index"
-            ) from None
+        return None if w is None else self._register(w)
+
+    def form(self, terms: Iterable) -> dict:
+        """Linear form {id: coefficient} of (word, coefficient) pairs.
+
+        Coefficients of one class add up; zero classes and terms that cancel
+        are dropped.
+        """
+        out: dict = {}
+        for w, c in terms:
+            _combine(out, self.var_of(w), c)
+        return out
 
 
 class Relation(Enum):
@@ -136,14 +163,22 @@ def moment_block(
     mode: EquivalenceMode,
     index: VariableIndex,
 ) -> SymbolicBlock:
-    """Moment matrix with entry (u, v) = L(u* v)."""
-    entries = {}
+    """Moment matrix with entry (u, v) = L(u* v).
+
+    Every reduced word of degree <= 2r is u* v for two row words, so this
+    block meets every class of the index; it numbers the new ones in
+    (degree, lex) order before it maps the entries to ids.
+    """
+    canon = {}
     for i, u in enumerate(basis_r):
         ustar = involution(u)
         for j in range(i, len(basis_r)):
-            vid = index.var_of(ustar + basis_r[j])
-            if vid is not None:
-                entries[(i, j)] = [(vid, 1.0)]
+            w = canonical_reduced(ustar + basis_r[j], index.rw, index.mode)
+            if w is not None:
+                canon[(i, j)] = w
+    for w in sorted(set(canon.values()), key=lambda w: (len(w), w)):
+        index._register(w)
+    entries = {ij: [(index.id_of[w], 1.0)] for ij, w in canon.items()}
     if not entries or entries.get((0, 0)) != [(0, 1.0)]:
         raise InternalConsistencyError("moment block (1,1) entry must be L(1)")
     return SymbolicBlock("moment", list(basis_r), entries)
@@ -167,14 +202,12 @@ def localizing_block(
     if not g.is_symmetric(rw):
         raise ValueError(f"generator {g} is not symmetric after reduction")
     d = r - (g.deg + 1) // 2
-    rows = enumerate_basis(symbols, max(d, 0), rw, EquivalenceMode.PLAIN)
+    rows = enumerate_basis(symbols, max(d, 0), rw)
     entries = {}
     for i, u in enumerate(rows):
         ustar = involution(u)
         for j in range(i, len(rows)):
-            form: dict = {}
-            for w, c in g.terms.items():
-                _combine(form, index.var_of(ustar + w + rows[j]), c)
+            form = index.form((ustar + w + rows[j], c) for w, c in g.terms.items())
             if form:
                 entries[(i, j)] = sorted(form.items())
     return SymbolicBlock(label or f"loc[{g}]", rows, entries)
@@ -203,11 +236,8 @@ def ideal_constraints(
         budget = two_r - h.deg
         if budget < 0:
             continue
-        multipliers = enumerate_basis(symbols, budget, rw, EquivalenceMode.PLAIN)
-        for p in multipliers:
-            terms: dict = {}
-            for w, c in h.terms.items():
-                _combine(terms, index.var_of(p + w), c)
+        for p in enumerate_basis(symbols, budget, rw):
+            terms = index.form((p + w, c) for w, c in h.terms.items())
             if not terms:
                 continue
             con = LinearConstraint(terms, 0.0, Relation.EQ)
@@ -234,7 +264,7 @@ def state_commutator_constraints(
     budget = 2 * r - 3
     if budget < 0:
         return []
-    words = enumerate_basis(symbols, budget, rw, EquivalenceMode.PLAIN)
+    words = enumerate_basis(symbols, budget, rw)
     by_deg: dict = {}
     for w in words:
         by_deg.setdefault(len(w), []).append(w)

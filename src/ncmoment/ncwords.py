@@ -243,51 +243,37 @@ def enumerate_basis(
     symbols: Iterable[Symbol],
     max_degree: int,
     rw: RewriteSystem = EMPTY_REWRITES,
-    mode: EquivalenceMode = EquivalenceMode.PLAIN,
     cap: int = 200_000,
 ) -> list:
-    """All reduced, canonical, pairwise-distinct words of degree <= max_degree.
+    """All reduced, pairwise-distinct words of degree <= max_degree.
 
     The list is sorted by (degree, symbol-lex); the identity word comes first.
-    In PLAIN mode the result is the full reduced word basis (used to index
-    moment matrices); in the merged modes each equivalence class contributes
-    its least representative (used to index moment variables).
+    These are the row bases of moment and localizing matrices and the
+    multipliers of ideal constraints; the moment variables, one per class of
+    such words, are numbered by :class:`ncmoment.momentize.VariableIndex`.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     syms = sorted(set(symbols))
-    # BFS over plain-reduced words: every reduced word's prefix is reduced,
-    # so extending by single symbols is complete.  Class representatives are
-    # collected separately because a representative's prefix need not be one
-    # (cyclic shifts can drop the degree of a prefix's class).
-    plain_seen = {IDENTITY}
-    classes = {IDENTITY}
-    per_degree = {0: [IDENTITY]}
+    # BFS: every reduced word's prefix is reduced, so extending by single
+    # symbols is complete.
+    seen = {IDENTITY}
+    out = [IDENTITY]
     frontier = [IDENTITY]
     for d in range(1, max_degree + 1):
         nxt = []
-        fresh = []
         for w in frontier:
             for s in syms:
                 r = reduce_word(w + (s,), rw)
-                if r is None or len(r) != d or r in plain_seen:
+                if r is None or len(r) != d or r in seen:
                     continue  # shorter normal forms were already enumerated
-                plain_seen.add(r)
+                seen.add(r)
                 nxt.append(r)
-                if mode != EquivalenceMode.PLAIN:
-                    r = canonical_reduced(r, rw, mode)
-                    if r is None or r in classes:
-                        continue
-                classes.add(r)
-                fresh.append(r)
-                if len(classes) > cap:
+                if len(seen) > cap:
                     raise BasisSizeError(f"word basis exceeds cap of {cap} words")
-        for r in fresh:
-            per_degree.setdefault(len(r), []).append(r)
+        nxt.sort()
+        out.extend(nxt)
         frontier = nxt
-    out = []
-    for d in sorted(per_degree):
-        out.extend(sorted(per_degree[d]))
     return out
 
 

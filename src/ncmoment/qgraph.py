@@ -104,8 +104,8 @@ def _mode(commutative: bool) -> EquivalenceMode:
 def build_stab_problem(g: Graph, r: int, commutative: bool = False) -> SdpProblem:
     syms, rw = _vertex_rewrites(g, commutative)
     mode = _mode(commutative)
-    index = VariableIndex(syms, 2 * r, rw, mode)
-    rows = enumerate_basis(syms, r, rw, EquivalenceMode.PLAIN)
+    index = VariableIndex(2 * r, rw, mode)
+    rows = enumerate_basis(syms, r, rw)
     block = moment_block(rows, rw, mode, index)
     objective = {}
     for i in range(g.n):
@@ -127,8 +127,8 @@ def build_col_problem(
 ) -> SdpProblem:
     syms, rw = _vertex_rewrites(g, commutative)
     mode = _mode(commutative)
-    index = VariableIndex(syms, 2 * r, rw, mode)
-    rows = enumerate_basis(syms, r, rw, EquivalenceMode.PLAIN)
+    index = VariableIndex(2 * r, rw, mode)
+    rows = enumerate_basis(syms, r, rw)
     block = moment_block(rows, rw, mode, index)
     cons = [
         LinearConstraint({index.var_of((vertex(i),)): 1.0}, 1.0, Relation.EQ)
@@ -159,20 +159,6 @@ def _nonnegative_pair_constraints(g: Graph, index: VariableIndex) -> list:
     return out
 
 
-def _poly_form(poly: NcPolynomial, index: VariableIndex) -> dict:
-    terms: dict = {}
-    for w, c in poly.terms.items():
-        vid = index.var_of(w)
-        if vid is None:
-            continue
-        c2 = terms.get(vid, 0.0) + c
-        if c2 == 0:
-            terms.pop(vid, None)
-        else:
-            terms[vid] = c2
-    return terms
-
-
 def _clique_constraints(g: Graph, index: VariableIndex) -> list:
     """Clique inequalities L(x_i g_C) >= 0 and L(g_C g_C') >= 0.
 
@@ -191,19 +177,19 @@ def _clique_constraints(g: Graph, index: VariableIndex) -> list:
     out = []
     for h in gpolys:
         for i in range(g.n):
-            form = _poly_form(NcPolynomial.from_word((vertex(i),)) * h, index)
+            form = index.form((NcPolynomial.from_word((vertex(i),)) * h).terms.items())
             if form:
                 out.append(LinearConstraint(form, 0.0, Relation.GE))
     for a in range(len(gpolys)):
         for b in range(a + 1, len(gpolys)):
-            form = _poly_form(gpolys[a] * gpolys[b], index)
+            form = index.form((gpolys[a] * gpolys[b]).terms.items())
             if form:
                 out.append(LinearConstraint(form, 0.0, Relation.GE))
     return out
 
 
-def _solved(problem: SdpProblem, tol: float) -> SdpSolution:
-    sol = conic.solve(problem, tol=tol)
+def _solved(problem: SdpProblem) -> SdpSolution:
+    sol = conic.solve(problem)
     if sol.status not in (SolveStatus.OPTIMAL, SolveStatus.NUMERICAL_LIMIT):
         raise conic.SolverError(
             f"{problem.description}: solver returned {sol.status.value}"
@@ -217,9 +203,9 @@ def _solved(problem: SdpProblem, tol: float) -> SdpSolution:
     return sol
 
 
-def xi_stab(g: Graph, r: int, tol: float = 1e-8) -> GraphBoundResult:
+def xi_stab(g: Graph, r: int) -> GraphBoundResult:
     """Tracial stability-side bound; order 1 is the theta number."""
-    sol = _solved(build_stab_problem(g, r), tol)
+    sol = _solved(build_stab_problem(g, r))
     rep = conic.flatness(sol, r)
     return GraphBoundResult(
         "xi-stab", g, r, sol.objective, sol, rep,
@@ -231,10 +217,9 @@ def xi_col(
     g: Graph,
     r: int,
     strengthening: Strengthening = Strengthening.NONE,
-    tol: float = 1e-8,
 ) -> GraphBoundResult:
     """Tracial coloring-side bound; order 1 is theta of the complement."""
-    sol = _solved(build_col_problem(g, r, strengthening), tol)
+    sol = _solved(build_col_problem(g, r, strengthening))
     rep = conic.flatness(sol, r)
     name = {
         Strengthening.NONE: "xi-col",
@@ -247,21 +232,21 @@ def xi_col(
     )
 
 
-def theta(g: Graph, tol: float = 1e-8) -> GraphBoundResult:
-    res = xi_stab(g, 1, tol)
+def theta(g: Graph) -> GraphBoundResult:
+    res = xi_stab(g, 1)
     res.parameter = "theta"
     return res
 
 
-def lasserre_stab(g: Graph, r: int, tol: float = 1e-8) -> GraphBoundResult:
-    sol = _solved(build_stab_problem(g, r, commutative=True), tol)
+def lasserre_stab(g: Graph, r: int) -> GraphBoundResult:
+    sol = _solved(build_stab_problem(g, r, commutative=True))
     rep = conic.flatness(sol, r)
     return GraphBoundResult("las-stab", g, r, sol.objective, sol, rep,
                             anchor="commutative relaxation of the stability number")
 
 
-def lasserre_col(g: Graph, r: int, tol: float = 1e-8) -> GraphBoundResult:
-    sol = _solved(build_col_problem(g, r, commutative=True), tol)
+def lasserre_col(g: Graph, r: int) -> GraphBoundResult:
+    sol = _solved(build_col_problem(g, r, commutative=True))
     rep = conic.flatness(sol, r)
     return GraphBoundResult("las-col", g, r, sol.objective, sol, rep,
                             anchor="commutative relaxation of the chromatic side")
@@ -286,8 +271,8 @@ def _labeled_system(groups: list, zero: set, description: str, r: int,
     zero.update([(b, a) for (a, b) in zero])
     rw = RewriteSystem(zero_pairs=frozenset(zero), idempotents=frozenset(syms))
     mode = EquivalenceMode.TRACIAL_SYMMETRIC
-    index = VariableIndex(syms, 2 * r, rw, mode)
-    rows = enumerate_basis(syms, r, rw, EquivalenceMode.PLAIN)
+    index = VariableIndex(2 * r, rw, mode)
+    rows = enumerate_basis(syms, r, rw)
     block = moment_block(rows, rw, mode, index)
     gens = []
     for group in groups:

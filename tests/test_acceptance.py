@@ -239,7 +239,7 @@ def test_criterion_09_flatness_machinery():
     fam = {vertex(0): e1, vertex(1): e2, vertex(2): e1, vertex(3): e2,
            vertex(4): np.zeros((2, 2))}
     L = witness.trace_functional([(1.0, fam)], normalized=True)
-    rows = enumerate_basis(syms, 3, rw, EquivalenceMode.PLAIN)
+    rows = enumerate_basis(syms, 3, rw)
     M = witness.moment_matrix_from_functional(rows, L)
     degs = np.array([len(w) for w in rows])
     rep_graph = conic.flatness_from_matrix(M, degs, 3)
@@ -260,8 +260,7 @@ def test_criterion_09_flatness_machinery():
                 asg[bob(s, a)] = np.array([[1.0 if h[s] == a else 0.0]])
         atoms.append((1.0 / 3.0, asg))
     L2 = witness.trace_functional(atoms)
-    rows2 = enumerate_basis(sets.symbols, 3, sets.rewrites,
-                            EquivalenceMode.PLAIN)
+    rows2 = enumerate_basis(sets.symbols, 3, sets.rewrites)
     M2 = witness.moment_matrix_from_functional(rows2, L2)
     degs2 = np.array([len(w) for w in rows2])
     rep_ent = conic.flatness_from_matrix(M2, degs2, 3)

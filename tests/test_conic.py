@@ -35,7 +35,7 @@ def theta_oracle_odd_cycle(n):
 def single_var_problem(constraints, sense="min", objective={0: 1.0}):
     x = vertex(0)
     rw = RewriteSystem(idempotents=frozenset([x]))
-    index = VariableIndex([x], 2, rw, TRC)
+    index = VariableIndex(2, rw, TRC)
     blk = moment_block([IDENTITY], rw, TRC, index)
     return assemble(objective, sense, [blk], constraints, index)
 
@@ -172,7 +172,7 @@ def test_numerical_rank_gram_oracle():
         for i in ss:
             fam[vertex(i)] = np.outer(q[:, k], q[:, k])
     L = witness.trace_functional([(1.0, fam)], normalized=True)
-    rows = enumerate_basis(syms, 2, rw, EquivalenceMode.PLAIN)
+    rows = enumerate_basis(syms, 2, rw)
     M = witness.moment_matrix_from_functional(rows, L)
     # independent Gram construction: vectors vec(w(X)) in the trace metric
     vecs = []
@@ -196,7 +196,7 @@ def test_flatness_projector_evaluation_c5():
     fam = {vertex(0): e1, vertex(1): e2, vertex(2): e1, vertex(3): e2,
            vertex(4): np.zeros((2, 2))}
     L = witness.trace_functional([(1.0, fam)], normalized=True)
-    rows = enumerate_basis(syms, 3, rw, EquivalenceMode.PLAIN)
+    rows = enumerate_basis(syms, 3, rw)
     M = witness.moment_matrix_from_functional(rows, L)
     degs = np.array([len(w) for w in rows])
     rep = conic.flatness_from_matrix(M, degs, 3)
@@ -218,7 +218,7 @@ def test_flatness_scalar_coloring_flat_all_deltas():
                for i in range(5)}
         atoms.append((1.0, fam))
     L = witness.trace_functional(atoms, normalized=True)
-    rows = enumerate_basis(syms, 3, rw, EquivalenceMode.PLAIN)
+    rows = enumerate_basis(syms, 3, rw)
     M = witness.moment_matrix_from_functional(rows, L)
     degs = np.array([len(w) for w in rows])
     rep = conic.flatness_from_matrix(M, degs, 3)
@@ -327,8 +327,8 @@ def two_projector_problem(generator_words):
     x0, x1 = vertex(0), vertex(1)
     rw = RewriteSystem(zero_pairs=frozenset([(x0, x1), (x1, x0)]),
                        idempotents=frozenset([x0, x1]))
-    index = VariableIndex([x0, x1], 2, rw, TRC)
-    rows = enumerate_basis([x0, x1], 1, rw, EquivalenceMode.PLAIN)
+    index = VariableIndex(2, rw, TRC)
+    rows = enumerate_basis([x0, x1], 1, rw)
     g = NcPolynomial.one()
     for w in generator_words:
         g = g - NcPolynomial.from_word(w)

@@ -136,8 +136,8 @@ def _full_alphabet_problem(P, r):
         for sym in question:
             h = h - NcPolynomial.from_word((sym,))
         sum_rules.append(h)
-    index = VariableIndex(syms, 2 * r, rw, trc)
-    rows = enumerate_basis(syms, r, rw, EquivalenceMode.PLAIN)
+    index = VariableIndex(2 * r, rw, trc)
+    rows = enumerate_basis(syms, r, rw)
     blocks = [moment_block(rows, rw, trc, index)]
     blocks += [localizing_block(NcPolynomial.from_word((s,)), r, rw, trc,
                                 index, syms) for s in syms]
@@ -164,14 +164,14 @@ def test_collins_gisin_matches_full_alphabet_chsh(label, r):
     real = (corrlab.tsirelson_chsh() if label == "tsirelson"
             else corrlab.random_realization(CHSH, d=2, seed=0))
     P = corrlab.realize(real)
-    ref = conic.solve(_full_alphabet_problem(P, r), tol=EntdimConfig().tol)
+    ref = conic.solve(_full_alphabet_problem(P, r), tol=conic.DEFAULT_TOL)
     assert abs(xi_q(P, r).value - ref.objective) < 1e-6
 
 
 def test_collins_gisin_matches_full_alphabet_three_answers():
     sc = Scenario(3, 2, 2, 1)
     P = corrlab.realize(corrlab.random_realization(sc, d=2, seed=0))
-    ref = conic.solve(_full_alphabet_problem(P, 1), tol=EntdimConfig().tol)
+    ref = conic.solve(_full_alphabet_problem(P, 1), tol=conic.DEFAULT_TOL)
     assert abs(xi_q(P, 1).value - ref.objective) < 1e-6
 
 

@@ -201,3 +201,28 @@ def test_theta_c5_uses_cholesky_path(qr_calls):
     # The converged last iteration stops before its Schur solve, so every
     # other iteration factors once; fewer QRs than that means Cholesky ran.
     assert len(qr_calls) < res.solution.iterations - 1
+
+
+def test_dual_objective_matches_least_squares_on_rank_deficient_A():
+    # d'w with w = lstsq(A', adj) equals y0'adj for the minimum-norm y0.
+    rng = np.random.default_rng(11)
+    nvars = 7
+    blocks = [_random_block(rng, size, nvars) for size in (4, 4, 2)]
+    a = rng.standard_normal((2, nvars))
+    A = np.vstack([a, a[0] + a[1], 2.0 * a[0]])  # rank 2
+    d = A @ rng.standard_normal(nvars)
+    prog = ConeProgram(nvars, rng.standard_normal(nvars), blocks, A,
+                       d).finalize()
+    y0, _ = _ipm._eliminate_equalities(A, d, nvars)
+    X = []
+    for blk in blocks:
+        M = rng.standard_normal((blk.size, blk.size))
+        X.append(M @ M.T)
+
+    Xs = [np.stack([X[bi] for bi in g.members]) for g in prog.groups]
+    adj = prog.objective + sum(g.adjoint(Xg) for g, Xg in zip(prog.groups, Xs))
+    w, *_ = np.linalg.lstsq(A.T, adj, rcond=None)
+    ref = sum(float(np.vdot(Xg, g.const)) for g, Xg in zip(prog.groups, Xs))
+    ref += float(d @ w)
+    got = _ipm._dual_objective(prog, X, 0.0, y0)
+    assert abs(got - ref) <= 1e-10 * (1.0 + abs(ref))

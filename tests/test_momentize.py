@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ncmoment import witness
-from ncmoment.entdim import Scenario, build_entdim_sets
+from ncmoment import corrlab, qgraph, witness
+from ncmoment.entdim import Scenario, build_entdim_sets, build_xi_problem
 from ncmoment.momentize import (
     InternalConsistencyError,
     LinearConstraint,
@@ -22,12 +24,13 @@ from ncmoment.ncwords import (
     RewriteSystem,
     alice,
     bob,
+    canonical_reduced,
     enumerate_basis,
     state_symbol,
     vertex,
 )
 from ncmoment.qgraph import _vertex_rewrites
-from ncmoment.graphs import cycle
+from ncmoment.graphs import Graph, cartesian_product, cycle
 
 TRC = EquivalenceMode.TRACIAL_SYMMETRIC
 PLAIN = EquivalenceMode.PLAIN
@@ -36,7 +39,7 @@ PLAIN = EquivalenceMode.PLAIN
 def test_moment_block_identity_only():
     x = vertex(0)
     rw = RewriteSystem(idempotents=frozenset([x]))
-    index = VariableIndex([x], 2, rw, TRC)
+    index = VariableIndex(2, rw, TRC)
     blk = moment_block([IDENTITY], rw, TRC, index)
     assert blk.size == 1
     assert blk.entries[(0, 0)] == [(0, 1.0)]
@@ -45,7 +48,7 @@ def test_moment_block_identity_only():
 def test_moment_block_idempotent_merges_diagonal():
     x = vertex(0)
     rw = RewriteSystem(idempotents=frozenset([x]))
-    index = VariableIndex([x], 2, rw, TRC)
+    index = VariableIndex(2, rw, TRC)
     blk = moment_block([IDENTITY, (x,)], rw, TRC, index)
     vx = index.var_of((x,))
     assert blk.entries[(0, 1)] == [(vx, 1.0)]
@@ -55,8 +58,8 @@ def test_moment_block_idempotent_merges_diagonal():
 def test_moment_block_c5_edges_vanish():
     g = cycle(5)
     syms, rw = _vertex_rewrites(g)
-    index = VariableIndex(syms, 2, rw, TRC)
-    rows = enumerate_basis(syms, 1, rw, PLAIN)
+    index = VariableIndex(2, rw, TRC)
+    rows = enumerate_basis(syms, 1, rw)
     blk = moment_block(rows, rw, TRC, index)
     assert blk.size == 6
     for (i, j) in g.edges:
@@ -66,7 +69,7 @@ def test_moment_block_c5_edges_vanish():
 def test_localizing_block_state_symbol_order_one():
     sc = Scenario(2, 2, 2, 2)
     sets = build_entdim_sets(sc, 1)
-    index = VariableIndex(sets.symbols, 2, sets.rewrites, TRC)
+    index = VariableIndex(2, sets.rewrites, TRC)
     z = state_symbol()
     blk = localizing_block(NcPolynomial.from_word((z,)), 1, sets.rewrites, TRC,
                            index, sets.symbols)
@@ -77,7 +80,7 @@ def test_localizing_block_state_symbol_order_one():
 def test_localizing_block_povm_not_idempotent():
     sc = Scenario(2, 2, 2, 2)
     sets = build_entdim_sets(sc, 2)
-    index = VariableIndex(sets.symbols, 4, sets.rewrites, TRC)
+    index = VariableIndex(4, sets.rewrites, TRC)
     x = alice(0, 0)
     blk = localizing_block(NcPolynomial.from_word((x,)), 2, sets.rewrites, TRC,
                            index, sets.symbols)
@@ -92,7 +95,7 @@ def test_localizing_block_povm_not_idempotent():
 def test_localizing_block_clique_polynomial():
     g = cycle(5)
     syms, rw = _vertex_rewrites(g)
-    index = VariableIndex(syms, 4, rw, TRC)
+    index = VariableIndex(4, rw, TRC)
     clique = [0, 1]
     gc = NcPolynomial.one()
     for i in clique:
@@ -107,7 +110,7 @@ def test_localizing_block_clique_polynomial():
 def test_localizing_block_requires_symmetric_generator():
     g = cycle(5)
     syms, rw = _vertex_rewrites(g)
-    index = VariableIndex(syms, 4, rw, TRC)
+    index = VariableIndex(4, rw, TRC)
     nonsym = NcPolynomial.from_word((vertex(0), vertex(2)))
     with pytest.raises(ValueError, match="symmetric"):
         localizing_block(nonsym, 2, rw, TRC, index, syms)
@@ -118,7 +121,7 @@ def test_ideal_constraints_sum_rule():
     syms = xs + ys + [z]
     rw = RewriteSystem(idempotents=frozenset([z]),
                        swap_patterns=frozenset((y, x) for y in ys for x in xs))
-    index = VariableIndex(syms, 2, rw, TRC)
+    index = VariableIndex(2, rw, TRC)
     h = (NcPolynomial.one() - NcPolynomial.from_word((xs[0],))
          - NcPolynomial.from_word((xs[1],)))  # 1 - x_0^0 - x_0^1
     cons = ideal_constraints([h], 2, rw, TRC, index, syms)
@@ -134,7 +137,7 @@ def test_ideal_constraints_rewrite_members_vacuous():
     # z - z^2 is enforced by rewriting, so its expansions cancel to nothing.
     sc = Scenario(2, 2, 1, 1)
     sets = build_entdim_sets(sc, 2)
-    index = VariableIndex(sets.symbols, 4, sets.rewrites, TRC)
+    index = VariableIndex(4, sets.rewrites, TRC)
     z = state_symbol()
     zz = NcPolynomial.from_word((z,)) - NcPolynomial.from_word((z, z))
     assert ideal_constraints([zz], 4, sets.rewrites, TRC, index,
@@ -144,7 +147,7 @@ def test_ideal_constraints_rewrite_members_vacuous():
 def test_ideal_constraints_edge_monomials_vacuous():
     g = cycle(5)
     syms, rw = _vertex_rewrites(g)
-    index = VariableIndex(syms, 4, rw, TRC)
+    index = VariableIndex(4, rw, TRC)
     h = NcPolynomial.from_word((vertex(0), vertex(1)))
     assert ideal_constraints([h], 4, rw, TRC, index, syms) == []
 
@@ -152,7 +155,7 @@ def test_ideal_constraints_edge_monomials_vacuous():
 def test_state_commutators_empty_at_level_two():
     sc = Scenario(2, 2, 2, 2)
     sets = build_entdim_sets(sc, 2)
-    index = VariableIndex(sets.symbols, 4, sets.rewrites, TRC)
+    index = VariableIndex(4, sets.rewrites, TRC)
     cons = state_commutator_constraints(2, sets.symbols, state_symbol(),
                                         sets.rewrites, index)
     assert cons == []
@@ -163,11 +166,11 @@ def test_state_commutators_vacuous_until_level_four():
     # palindromes, so the truncation budget admits nothing before 2r = 8.
     sc = Scenario(2, 2, 1, 1)
     sets3 = build_entdim_sets(sc, 3)
-    index3 = VariableIndex(sets3.symbols, 6, sets3.rewrites, TRC)
+    index3 = VariableIndex(6, sets3.rewrites, TRC)
     assert state_commutator_constraints(3, sets3.symbols, state_symbol(),
                                         sets3.rewrites, index3) == []
     sets4 = build_entdim_sets(sc, 4)
-    index4 = VariableIndex(sets4.symbols, 8, sets4.rewrites, TRC)
+    index4 = VariableIndex(8, sets4.rewrites, TRC)
     cons = state_commutator_constraints(4, sets4.symbols, state_symbol(),
                                         sets4.rewrites, index4)
     assert len(cons) > 0
@@ -180,7 +183,8 @@ def test_graph_variable_count_identity():
     # degree <= 2 canonical class count: 1 + |V| + number of non-edges
     g = cycle(5)
     syms, rw = _vertex_rewrites(g)
-    index = VariableIndex(syms, 2, rw, TRC)
+    index = VariableIndex(2, rw, TRC)
+    moment_block(enumerate_basis(syms, 1, rw), rw, TRC, index)
     non_edges = g.n * (g.n - 1) // 2 - g.num_edges
     assert len(index) == 1 + g.n + non_edges
 
@@ -237,7 +241,7 @@ def test_trace_evaluation_satisfies_entdim_assembly():
 def test_assemble_validation():
     x = vertex(0)
     rw = RewriteSystem(idempotents=frozenset([x]))
-    index = VariableIndex([x], 2, rw, TRC)
+    index = VariableIndex(2, rw, TRC)
     with pytest.raises(ValueError, match="block"):
         assemble({0: 1.0}, "min", [], [], index)
     blk = moment_block([IDENTITY, (x,)], rw, TRC, index)
@@ -250,7 +254,7 @@ def test_assemble_validation():
 def test_assemble_dedupes_constraints():
     x = vertex(0)
     rw = RewriteSystem(idempotents=frozenset([x]))
-    index = VariableIndex([x], 2, rw, TRC)
+    index = VariableIndex(2, rw, TRC)
     blk = moment_block([IDENTITY, (x,)], rw, TRC, index)
     c1 = LinearConstraint({0: 1.0}, 1.0, Relation.EQ)
     c2 = LinearConstraint({0: -1.0}, -1.0, Relation.EQ)  # same after sign flip
@@ -261,7 +265,7 @@ def test_assemble_dedupes_constraints():
 def test_assemble_trims_zero_rows():
     x = vertex(0)
     rw = RewriteSystem(idempotents=frozenset([x]))
-    index = VariableIndex([x], 2, rw, TRC)
+    index = VariableIndex(2, rw, TRC)
     blk = SymbolicBlock("moment", [IDENTITY, (x,)], {(0, 0): [(0, 1.0)]})
     prob = assemble({0: 1.0}, "min", [blk], [], index)
     assert prob.blocks[0].size == 1
@@ -269,6 +273,96 @@ def test_assemble_trims_zero_rows():
 
 def test_unindexed_word_raises():
     x, y = vertex(0), vertex(1)
-    index = VariableIndex([x, y], 2, RewriteSystem(), TRC)
+    index = VariableIndex(2, RewriteSystem(), TRC)
     with pytest.raises(InternalConsistencyError):
         index.var_of((x, y, x))  # degree 3 exceeds the index truncation
+    assert len(index) == 1
+    # The truncation applies to the class: x x y reduces to x y.
+    index = VariableIndex(2, RewriteSystem(idempotents=frozenset([x])), TRC)
+    assert index.var_of((x, x, y)) == index.var_of((y, x)) == 1
+
+
+def _classes_up_to(symbols, two_r, rw, mode):
+    """Reference numbering: the classes of all plain reduced words of degree
+    <= 2r, sorted by (degree, word), computed word by word."""
+    classes = {canonical_reduced(w, rw, mode)
+               for w in enumerate_basis(symbols, two_r, rw)}
+    classes.discard(None)
+    return sorted(classes, key=lambda w: (len(w), w))
+
+
+def _labeled(monkeypatch, system, g, k, r):
+    monkeypatch.setattr(qgraph.conic, "feasibility", lambda problem: problem)
+    return system(g, k, r)
+
+
+_CHSH = Scenario(2, 2, 2, 2)
+_STRENGTHEN = qgraph.Strengthening
+# name -> (builder taking monkeypatch, symbols of the program)
+_BUILDERS = {
+    **{f"{kind} C{n} r{r}": (
+        lambda mp, f=f, n=n, r=r: f(cycle(n), r), [vertex(i) for i in range(n)])
+       for kind, f in (("stab", qgraph.build_stab_problem),
+                       ("col", qgraph.build_col_problem))
+       for n in (5, 7, 9) for r in (1, 2)},
+    "col C7 r3": (lambda mp: qgraph.build_col_problem(cycle(7), 3),
+                  [vertex(i) for i in range(7)]),
+    "las-stab C5 r2": (
+        lambda mp: qgraph.build_stab_problem(cycle(5), 2, commutative=True),
+        [vertex(i) for i in range(5)]),
+    "theta-plus C7 r2": (
+        lambda mp: qgraph.build_col_problem(cycle(7), 2, _STRENGTHEN.THETA_PLUS),
+        [vertex(i) for i in range(7)]),
+    "xi-sdp C5 r2": (
+        lambda mp: qgraph.build_col_problem(cycle(5), 2, _STRENGTHEN.XI_SDP),
+        [vertex(i) for i in range(5)]),
+    "coloring system C5 k3 r2": (
+        lambda mp: _labeled(mp, qgraph.col_system_feasible, cycle(5), 3, 2),
+        [vertex(i, c) for i in range(5) for c in range(3)]),
+    "stability system C5 k2 r2": (
+        lambda mp: _labeled(mp, qgraph.stab_system_feasible, cycle(5), 2, 2),
+        [vertex(i, c) for i in range(5) for c in range(2)]),
+    "stab C7xK3 r1": (
+        lambda mp: qgraph.build_stab_problem(cartesian_product(cycle(7), 3), 1),
+        [vertex(i) for i in range(21)]),
+    **{f"entdim CHSH r{r}": (
+        lambda mp, r=r: build_xi_problem(
+            corrlab.realize(corrlab.tsirelson_chsh()), r),
+        build_entdim_sets(_CHSH, r).symbols) for r in (1, 2, 3)},
+    "entdim (2,2,1,1) r3": (
+        lambda mp: build_xi_problem(corrlab.realize(corrlab.random_realization(
+            Scenario(2, 2, 1, 1), 2, 3)), 3),
+        build_entdim_sets(Scenario(2, 2, 1, 1), 3).symbols),
+    "entdim (3,2,2,1) r2": (
+        lambda mp: build_xi_problem(corrlab.realize(corrlab.random_realization(
+            Scenario(3, 2, 2, 1), 2, 4)), 2),
+        build_entdim_sets(Scenario(3, 2, 2, 1), 2).symbols),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BUILDERS))
+def test_index_numbers_every_class_in_degree_lex_order(name, monkeypatch):
+    build, symbols = _BUILDERS[name]
+    problem = build(monkeypatch)
+    index = problem.index
+    assert index.words == _classes_up_to(symbols, 2 * problem.r, index.rw,
+                                         index.mode)
+    assert problem.num_vars == len(index.words)
+
+
+@st.composite
+def _small_graphs(draw):
+    n = draw(st.integers(1, 6))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph.from_edges(n, edges)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(_small_graphs(), st.integers(1, 2), st.booleans())
+def test_moment_block_registers_every_class(g, r, commutative):
+    syms, rw = _vertex_rewrites(g, commutative)
+    mode = PLAIN if commutative else TRC
+    index = VariableIndex(2 * r, rw, mode)
+    moment_block(enumerate_basis(syms, r, rw), rw, mode, index)
+    assert index.words == _classes_up_to(syms, 2 * r, rw, mode)

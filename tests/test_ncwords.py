@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncmoment.entdim import Scenario, build_entdim_sets
+from ncmoment.momentize import VariableIndex, moment_block
 from ncmoment.ncwords import (
     EquivalenceMode,
     IDENTITY,
@@ -135,7 +136,9 @@ def test_enumerate_basis_c5_degree_two_tracial():
             can = canonical_reduced(w, rw, TRC)
             if can is not None:
                 expected.add(can)
-    basis = enumerate_basis(syms, 2, rw, TRC)
+    index = VariableIndex(2, rw, TRC)
+    moment_block(enumerate_basis(syms, 1, rw), rw, TRC, index)
+    basis = index.words
     assert set(basis) == expected
     assert len(basis) == 11  # identity + 5 vertices + 5 non-edge pairs
 

@@ -25,7 +25,7 @@ GOLDEN_TOY = b"1\n1\n1\n1\n1 1 1 1 1\n"
 def toy_problem(objective):
     x = vertex(0)
     rw = RewriteSystem(idempotents=frozenset([x]))
-    index = VariableIndex([x], 2, rw, TRC)
+    index = VariableIndex(2, rw, TRC)
     blk = moment_block([IDENTITY], rw, TRC, index)
     return assemble(objective, "min", [blk],
                     [LinearConstraint({0: 1.0}, 1.0, Relation.EQ)], index)
