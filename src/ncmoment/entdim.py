@@ -237,12 +237,12 @@ def build_xi_problem(
     mode = EquivalenceMode.TRACIAL_SYMMETRIC
     index = VariableIndex(2 * r, rw, mode, cap=config.basis_cap)
     rows = enumerate_basis(syms, r, rw, cap=config.basis_cap)
-    blocks = [moment_block(rows, rw, mode, index)]
+    blocks = [moment_block(rows, index)]
     for g in sets.generators:
-        blocks.append(localizing_block(g, r, rw, mode, index, syms))
+        blocks.append(localizing_block(g, r, index, syms))
     z = state_symbol()
     zpoly = NcPolynomial.from_word((z,))
-    cons = state_commutator_constraints(r, syms, z, rw, index)
+    cons = state_commutator_constraints(r, syms, z, index)
     cons.append(LinearConstraint({index.var_of((z,)): 1.0}, 1.0, Relation.EQ))
     dropped_data = 0
     if 2 * r >= 3:

@@ -28,7 +28,6 @@ from .ncwords import (
     canonical_reduced,
     enumerate_basis,
     involution,
-    reduce_word,
     word_str,
 )
 
@@ -157,12 +156,7 @@ class SymbolicBlock:
                 yield i, j, vid, c
 
 
-def moment_block(
-    basis_r: Sequence[Word],
-    rw: RewriteSystem,
-    mode: EquivalenceMode,
-    index: VariableIndex,
-) -> SymbolicBlock:
+def moment_block(basis_r: Sequence[Word], index: VariableIndex) -> SymbolicBlock:
     """Moment matrix with entry (u, v) = L(u* v).
 
     Every reduced word of degree <= 2r is u* v for two row words, so this
@@ -187,8 +181,6 @@ def moment_block(
 def localizing_block(
     g: NcPolynomial,
     r: int,
-    rw: RewriteSystem,
-    mode: EquivalenceMode,
     index: VariableIndex,
     symbols: Iterable[Symbol],
     label: Optional[str] = None,
@@ -196,8 +188,10 @@ def localizing_block(
     """Localizing matrix for a symmetric generator g.
 
     Rows and columns are indexed by words of degree at most r - ceil(deg(g)/2);
-    entry (u, v) is the linear form of L(u* g v).
+    entry (u, v) is the linear form of L(u* g v).  Words are reduced with the
+    index's rewrite system.
     """
+    rw = index.rw
     g = g.reduced(rw)
     if not g.is_symmetric(rw):
         raise ValueError(f"generator {g} is not symmetric after reduction")
@@ -216,8 +210,6 @@ def localizing_block(
 def ideal_constraints(
     generators: Iterable[NcPolynomial],
     two_r: int,
-    rw: RewriteSystem,
-    mode: EquivalenceMode,
     index: VariableIndex,
     symbols: Iterable[Symbol],
 ) -> list:
@@ -225,8 +217,9 @@ def ideal_constraints(
 
     Right multipliers are implied by traciality, so one-sided products
     suffice.  Duplicates (after canonicalization of the full linear form)
-    are removed.
+    are removed.  Words are reduced with the index's rewrite system.
     """
+    rw = index.rw
     gens = [g.reduced(rw) for g in generators]
     out = []
     seen = set()
@@ -252,19 +245,19 @@ def state_commutator_constraints(
     r: int,
     symbols: Iterable[Symbol],
     z: Symbol,
-    rw: RewriteSystem,
     index: VariableIndex,
 ) -> list:
     """Equalities L(p z u z v z) = L(p z v z u z) for all word triples in budget.
 
     Pairs whose two sides canonicalize identically are skipped and the list is
-    duplicate-free.  The multiplier p ranges over reduced words so that the
-    full truncated ideal of the block-swap relations is covered.
+    duplicate-free.  The multiplier p ranges over words reduced with the
+    index's rewrite system, so that the full truncated ideal of the
+    block-swap relations is covered.
     """
     budget = 2 * r - 3
     if budget < 0:
         return []
-    words = enumerate_basis(symbols, budget, rw)
+    words = enumerate_basis(symbols, budget, index.rw)
     by_deg: dict = {}
     for w in words:
         by_deg.setdefault(len(w), []).append(w)

@@ -100,8 +100,20 @@ class RewriteSystem:
     idempotents: frozenset = frozenset()
     swap_patterns: frozenset = frozenset()
     commutative: bool = False
+    # Derived from the rules above: ``fires`` holds the adjacent pairs (a, b)
+    # that some rule rewrites; ``zero_either`` and ``fires_either`` hold the
+    # zero pairs and the ``fires`` pairs together with their reversals.
+    fires: frozenset = field(init=False, repr=False, compare=False)
+    zero_either: frozenset = field(init=False, repr=False, compare=False)
+    fires_either: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        fires = (self.zero_pairs | self.swap_patterns
+                 | {(s, s) for s in self.idempotents})
+        object.__setattr__(self, "fires", fires)
+        object.__setattr__(self, "zero_either",
+                           self.zero_pairs | {(b, a) for a, b in self.zero_pairs})
+        object.__setattr__(self, "fires_either", fires | {(b, a) for a, b in fires})
         if self.commutative and self.swap_patterns:
             raise RewriteError("commutative systems take no explicit swap rules")
         self._check_swaps_acyclic()
@@ -150,26 +162,26 @@ def reduce_word(word: Word, rw: RewriteSystem) -> Optional[Word]:
     so the scan terminates; confluence on the supported rule classes is
     exercised exhaustively in the test suite.
     """
+    if not rw.commutative and rw.fires.isdisjoint(zip(word, word[1:])):
+        return tuple(word)
     w = list(word)
     if rw.commutative:
         w.sort()
     zero = rw.zero_pairs
-    idem = rw.idempotents
-    swaps = rw.swap_patterns
+    fires = rw.fires
     i = 0
     while i < len(w) - 1:
         a, b = w[i], w[i + 1]
+        if (a, b) not in fires:
+            i += 1
+            continue
         if (a, b) in zero:
             return None
-        if a == b and a in idem:
+        if a == b:  # idempotent: swap rules never pair a symbol with itself
             del w[i + 1]
-            i = max(i - 1, 0)
-            continue
-        if (a, b) in swaps:
+        else:
             w[i], w[i + 1] = b, a
-            i = max(i - 1, 0)
-            continue
-        i += 1
+        i = max(i - 1, 0)
     if rw.commutative:
         # Sorting makes equal symbols adjacent, but zero pairs may straddle
         # other symbols; in the commutative case any co-occurrence counts.
@@ -216,13 +228,51 @@ def canonical_reduced(
     scan cannot see (the pattern wraps around the end of the word), so the
     minimization and the reduction are iterated to a fixpoint.  Returns
     ``None`` when the class collapses to zero.
+
+    A round of that loop reduces every candidate of the class of the reduced
+    word ``w``.  A rule can fire in a candidate only on one of its adjacent
+    pairs, and those are the pairs (w[k-1], w[k]) of ``w`` read cyclically
+    (the wrap pair (w[-1], w[0]) included), in either direction; in the
+    symmetric mode only the non-wrap pairs, reversed.  Three exits read these
+    pairs and return what the loop would return from ``w``, without
+    reducing a candidate:
+
+    (a) zero -- a cyclic pair is a zero pair in either direction.  Some
+        rotation or reversed rotation starts with it, its reduction stops
+        at position 0, and the loop returns ``None``.
+    (b) clean -- no cyclic pair, in either direction, is a zero pair, an
+        idempotent square or a swap pattern.  Every candidate is then
+        reduced and of one length, so the loop returns their least member.
+    (c) idempotent wrap -- without swap rules, and once (a) has not fired,
+        the only pair a rule can fire on is the wrap pair, with
+        w[-1] == w[0] idempotent.  Merging it maps the candidates other
+        than ``w`` and its reversal onto all the (shorter) candidates of
+        w[:-1].  The cyclic pairs of w[:-1] are those of ``w`` less
+        (w[0], w[0]), so from ``w`` and from w[:-1] alike the loop returns
+        the least candidate of w[:-1].
+
+    Otherwise one round of the loop runs and the exits are tried again on
+    its result.  Commutative systems and words shorter than 2 need no round:
+    every candidate reduces to ``w`` itself.
     """
     w = reduce_word(word, rw)
-    if w is None:
-        return None
-    if mode == EquivalenceMode.PLAIN:
+    if w is None or mode == EquivalenceMode.PLAIN or rw.commutative:
         return w
+    tracial = mode == EquivalenceMode.TRACIAL_SYMMETRIC
     while True:
+        if len(w) < 2:
+            return w
+        if tracial:
+            pairs = list(zip(w[-1:] + w[:-1], w))
+            if not rw.zero_either.isdisjoint(pairs):
+                return None
+            if rw.fires_either.isdisjoint(pairs):
+                return min(_class_candidates(w, mode))
+            if not rw.swap_patterns and w[-1] == w[0] and w[0] in rw.idempotents:
+                w = w[:-1]
+                continue
+        elif rw.fires.isdisjoint(zip(w[1:], w)):
+            return min(w, involution(w))
         best = None
         for cand in _class_candidates(w, mode):
             red = reduce_word(cand, rw)

@@ -106,7 +106,7 @@ def build_stab_problem(g: Graph, r: int, commutative: bool = False) -> SdpProble
     mode = _mode(commutative)
     index = VariableIndex(2 * r, rw, mode)
     rows = enumerate_basis(syms, r, rw)
-    block = moment_block(rows, rw, mode, index)
+    block = moment_block(rows, index)
     objective = {}
     for i in range(g.n):
         vid = index.var_of((vertex(i),))
@@ -129,7 +129,7 @@ def build_col_problem(
     mode = _mode(commutative)
     index = VariableIndex(2 * r, rw, mode)
     rows = enumerate_basis(syms, r, rw)
-    block = moment_block(rows, rw, mode, index)
+    block = moment_block(rows, index)
     cons = [
         LinearConstraint({index.var_of((vertex(i),)): 1.0}, 1.0, Relation.EQ)
         for i in range(g.n)
@@ -273,14 +273,14 @@ def _labeled_system(groups: list, zero: set, description: str, r: int,
     mode = EquivalenceMode.TRACIAL_SYMMETRIC
     index = VariableIndex(2 * r, rw, mode)
     rows = enumerate_basis(syms, r, rw)
-    block = moment_block(rows, rw, mode, index)
+    block = moment_block(rows, index)
     gens = []
     for group in groups:
         h = NcPolynomial.one()
         for s in group:
             h = h - NcPolynomial.from_word((s,))
         gens.append(h)
-    cons = ideal_constraints(gens, 2 * r, rw, mode, index, syms)
+    cons = ideal_constraints(gens, 2 * r, index, syms)
     cons.append(LinearConstraint({0: 1.0}, 1.0, Relation.EQ))
     return assemble({}, "min", [block], cons, index, description=description, r=r,
                     symmetries=symmetries)

@@ -36,7 +36,7 @@ def single_var_problem(constraints, sense="min", objective={0: 1.0}):
     x = vertex(0)
     rw = RewriteSystem(idempotents=frozenset([x]))
     index = VariableIndex(2, rw, TRC)
-    blk = moment_block([IDENTITY], rw, TRC, index)
+    blk = moment_block([IDENTITY], index)
     return assemble(objective, sense, [blk], constraints, index)
 
 
@@ -332,8 +332,8 @@ def two_projector_problem(generator_words):
     g = NcPolynomial.one()
     for w in generator_words:
         g = g - NcPolynomial.from_word(w)
-    blocks = [moment_block(rows, rw, TRC, index),
-              localizing_block(g, 1, rw, TRC, index, [x0, x1])]
+    blocks = [moment_block(rows, index),
+              localizing_block(g, 1, index, [x0, x1])]
     objective = {index.var_of((x0,)): 1.0, index.var_of((x1,)): 1.0}
     return assemble(objective, "max", blocks,
                     [LinearConstraint({0: 1.0}, 1.0, Relation.EQ)], index,

@@ -138,11 +138,11 @@ def _full_alphabet_problem(P, r):
         sum_rules.append(h)
     index = VariableIndex(2 * r, rw, trc)
     rows = enumerate_basis(syms, r, rw)
-    blocks = [moment_block(rows, rw, trc, index)]
-    blocks += [localizing_block(NcPolynomial.from_word((s,)), r, rw, trc,
-                                index, syms) for s in syms]
-    cons = ideal_constraints(sum_rules, 2 * r, rw, trc, index, syms)
-    cons += state_commutator_constraints(r, syms, z, rw, index)
+    blocks = [moment_block(rows, index)]
+    blocks += [localizing_block(NcPolynomial.from_word((s,)), r, index, syms)
+               for s in syms]
+    cons = ideal_constraints(sum_rules, 2 * r, index, syms)
+    cons += state_commutator_constraints(r, syms, z, index)
     cons.append(LinearConstraint({index.var_of((z,)): 1.0}, 1.0))
     if 2 * r >= 3:
         for a, b, s, t in np.ndindex(P.table.shape):

@@ -40,7 +40,7 @@ def test_moment_block_identity_only():
     x = vertex(0)
     rw = RewriteSystem(idempotents=frozenset([x]))
     index = VariableIndex(2, rw, TRC)
-    blk = moment_block([IDENTITY], rw, TRC, index)
+    blk = moment_block([IDENTITY], index)
     assert blk.size == 1
     assert blk.entries[(0, 0)] == [(0, 1.0)]
 
@@ -49,7 +49,7 @@ def test_moment_block_idempotent_merges_diagonal():
     x = vertex(0)
     rw = RewriteSystem(idempotents=frozenset([x]))
     index = VariableIndex(2, rw, TRC)
-    blk = moment_block([IDENTITY, (x,)], rw, TRC, index)
+    blk = moment_block([IDENTITY, (x,)], index)
     vx = index.var_of((x,))
     assert blk.entries[(0, 1)] == [(vx, 1.0)]
     assert blk.entries[(1, 1)] == [(vx, 1.0)]  # x^2 reduces to x
@@ -60,7 +60,7 @@ def test_moment_block_c5_edges_vanish():
     syms, rw = _vertex_rewrites(g)
     index = VariableIndex(2, rw, TRC)
     rows = enumerate_basis(syms, 1, rw)
-    blk = moment_block(rows, rw, TRC, index)
+    blk = moment_block(rows, index)
     assert blk.size == 6
     for (i, j) in g.edges:
         assert (min(i, j) + 1, max(i, j) + 1) not in blk.entries
@@ -71,8 +71,7 @@ def test_localizing_block_state_symbol_order_one():
     sets = build_entdim_sets(sc, 1)
     index = VariableIndex(2, sets.rewrites, TRC)
     z = state_symbol()
-    blk = localizing_block(NcPolynomial.from_word((z,)), 1, sets.rewrites, TRC,
-                           index, sets.symbols)
+    blk = localizing_block(NcPolynomial.from_word((z,)), 1, index, sets.symbols)
     assert blk.size == 1
     assert blk.entries[(0, 0)] == [(index.var_of((z,)), 1.0)]
 
@@ -82,8 +81,7 @@ def test_localizing_block_povm_not_idempotent():
     sets = build_entdim_sets(sc, 2)
     index = VariableIndex(4, sets.rewrites, TRC)
     x = alice(0, 0)
-    blk = localizing_block(NcPolynomial.from_word((x,)), 2, sets.rewrites, TRC,
-                           index, sets.symbols)
+    blk = localizing_block(NcPolynomial.from_word((x,)), 2, index, sets.symbols)
     # rows indexed by words of degree <= 1; entry (1, x) is L(x*x), distinct
     # from L(x) since measurement symbols are not projectors
     i_x = blk.row_words.index((x,))
@@ -100,7 +98,7 @@ def test_localizing_block_clique_polynomial():
     gc = NcPolynomial.one()
     for i in clique:
         gc = gc - NcPolynomial.from_word((vertex(i),))
-    blk = localizing_block(gc, 2, rw, TRC, index, syms)
+    blk = localizing_block(gc, 2, index, syms)
     form = dict(blk.entries[(0, 0)])
     assert form[0] == 1.0
     for i in clique:
@@ -113,7 +111,7 @@ def test_localizing_block_requires_symmetric_generator():
     index = VariableIndex(4, rw, TRC)
     nonsym = NcPolynomial.from_word((vertex(0), vertex(2)))
     with pytest.raises(ValueError, match="symmetric"):
-        localizing_block(nonsym, 2, rw, TRC, index, syms)
+        localizing_block(nonsym, 2, index, syms)
 
 
 def test_ideal_constraints_sum_rule():
@@ -124,7 +122,7 @@ def test_ideal_constraints_sum_rule():
     index = VariableIndex(2, rw, TRC)
     h = (NcPolynomial.one() - NcPolynomial.from_word((xs[0],))
          - NcPolynomial.from_word((xs[1],)))  # 1 - x_0^0 - x_0^1
-    cons = ideal_constraints([h], 2, rw, TRC, index, syms)
+    cons = ideal_constraints([h], 2, index, syms)
     base = [c for c in cons if 0 in c.terms and len(c.terms) == 3]
     assert base, "expected the multiplier-one expansion"
     terms = base[0].terms
@@ -140,8 +138,7 @@ def test_ideal_constraints_rewrite_members_vacuous():
     index = VariableIndex(4, sets.rewrites, TRC)
     z = state_symbol()
     zz = NcPolynomial.from_word((z,)) - NcPolynomial.from_word((z, z))
-    assert ideal_constraints([zz], 4, sets.rewrites, TRC, index,
-                             sets.symbols) == []
+    assert ideal_constraints([zz], 4, index, sets.symbols) == []
 
 
 def test_ideal_constraints_edge_monomials_vacuous():
@@ -149,15 +146,14 @@ def test_ideal_constraints_edge_monomials_vacuous():
     syms, rw = _vertex_rewrites(g)
     index = VariableIndex(4, rw, TRC)
     h = NcPolynomial.from_word((vertex(0), vertex(1)))
-    assert ideal_constraints([h], 4, rw, TRC, index, syms) == []
+    assert ideal_constraints([h], 4, index, syms) == []
 
 
 def test_state_commutators_empty_at_level_two():
     sc = Scenario(2, 2, 2, 2)
     sets = build_entdim_sets(sc, 2)
     index = VariableIndex(4, sets.rewrites, TRC)
-    cons = state_commutator_constraints(2, sets.symbols, state_symbol(),
-                                        sets.rewrites, index)
+    cons = state_commutator_constraints(2, sets.symbols, state_symbol(), index)
     assert cons == []
 
 
@@ -168,11 +164,10 @@ def test_state_commutators_vacuous_until_level_four():
     sets3 = build_entdim_sets(sc, 3)
     index3 = VariableIndex(6, sets3.rewrites, TRC)
     assert state_commutator_constraints(3, sets3.symbols, state_symbol(),
-                                        sets3.rewrites, index3) == []
+                                        index3) == []
     sets4 = build_entdim_sets(sc, 4)
     index4 = VariableIndex(8, sets4.rewrites, TRC)
-    cons = state_commutator_constraints(4, sets4.symbols, state_symbol(),
-                                        sets4.rewrites, index4)
+    cons = state_commutator_constraints(4, sets4.symbols, state_symbol(), index4)
     assert len(cons) > 0
     for con in cons:
         assert con.relation == Relation.EQ
@@ -184,7 +179,7 @@ def test_graph_variable_count_identity():
     g = cycle(5)
     syms, rw = _vertex_rewrites(g)
     index = VariableIndex(2, rw, TRC)
-    moment_block(enumerate_basis(syms, 1, rw), rw, TRC, index)
+    moment_block(enumerate_basis(syms, 1, rw), index)
     non_edges = g.n * (g.n - 1) // 2 - g.num_edges
     assert len(index) == 1 + g.n + non_edges
 
@@ -244,7 +239,7 @@ def test_assemble_validation():
     index = VariableIndex(2, rw, TRC)
     with pytest.raises(ValueError, match="block"):
         assemble({0: 1.0}, "min", [], [], index)
-    blk = moment_block([IDENTITY, (x,)], rw, TRC, index)
+    blk = moment_block([IDENTITY, (x,)], index)
     with pytest.raises(ValueError, match="sense"):
         assemble({0: 1.0}, "argmin", [blk], [], index)
     with pytest.raises(ValueError, match="unindexed"):
@@ -255,7 +250,7 @@ def test_assemble_dedupes_constraints():
     x = vertex(0)
     rw = RewriteSystem(idempotents=frozenset([x]))
     index = VariableIndex(2, rw, TRC)
-    blk = moment_block([IDENTITY, (x,)], rw, TRC, index)
+    blk = moment_block([IDENTITY, (x,)], index)
     c1 = LinearConstraint({0: 1.0}, 1.0, Relation.EQ)
     c2 = LinearConstraint({0: -1.0}, -1.0, Relation.EQ)  # same after sign flip
     prob = assemble({0: 1.0}, "min", [blk], [c1, c2, c1], index)
@@ -364,5 +359,5 @@ def test_moment_block_registers_every_class(g, r, commutative):
     syms, rw = _vertex_rewrites(g, commutative)
     mode = PLAIN if commutative else TRC
     index = VariableIndex(2 * r, rw, mode)
-    moment_block(enumerate_basis(syms, r, rw), rw, mode, index)
+    moment_block(enumerate_basis(syms, r, rw), index)
     assert index.words == _classes_up_to(syms, 2 * r, rw, mode)

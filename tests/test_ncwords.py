@@ -1,11 +1,15 @@
 import itertools
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncmoment.entdim import Scenario, build_entdim_sets
+from ncmoment import corrlab, momentize, qgraph
+from ncmoment.entdim import Scenario, build_entdim_sets, build_xi_problem
+from ncmoment.graphs import cycle
 from ncmoment.momentize import VariableIndex, moment_block
 from ncmoment.ncwords import (
     EquivalenceMode,
@@ -137,7 +141,7 @@ def test_enumerate_basis_c5_degree_two_tracial():
             if can is not None:
                 expected.add(can)
     index = VariableIndex(2, rw, TRC)
-    moment_block(enumerate_basis(syms, 1, rw), rw, TRC, index)
+    moment_block(enumerate_basis(syms, 1, rw), index)
     basis = index.words
     assert set(basis) == expected
     assert len(basis) == 11  # identity + 5 vertices + 5 non-edge pairs
@@ -251,9 +255,9 @@ PROPERTY = settings(max_examples=200, derandomize=True, database=None,
 
 
 @st.composite
-def rewrite_words(draw):
-    name = draw(st.sampled_from(sorted(REWRITE_CASES)))
-    rw, syms = REWRITE_CASES[name]
+def rewrite_words(draw, cases=REWRITE_CASES):
+    name = draw(st.sampled_from(sorted(cases)))
+    rw, syms = cases[name]
     return rw, tuple(draw(st.lists(st.sampled_from(syms), max_size=8)))
 
 
@@ -275,6 +279,124 @@ def test_reduce_word_is_confluent(case, rng):
         assert reduce_word(expected, rw) == expected
     for _ in range(3):
         assert _reduce_random_order(w, rw, rng) == expected
+
+
+def _orbit(word, mode):
+    """The word's class under ``mode`` before rewriting: the word, its
+    reversal and, in the tracial mode, every rotation of both."""
+    if mode == PLAIN:
+        return [word]
+    rev = word[::-1]
+    out = [word, rev]
+    if mode == TRC:
+        out += [v[k:] + v[:k] for v in (word, rev) for k in range(1, len(word))]
+    return out
+
+
+def _reference_canonical_reduced(word, rw, mode):
+    """canonical_reduced as a plain fixpoint loop: reduce every member of the
+    class, keep the least by (degree, lex), repeat until it is stable."""
+    w = reduce_word(word, rw)
+    if w is None:
+        return None
+    if mode == PLAIN:
+        return w
+    while True:
+        best = None
+        for cand in _orbit(w, mode):
+            red = reduce_word(cand, rw)
+            if red is None:
+                return None
+            if best is None or (len(red), red) < (len(best), best):
+                best = red
+        if best == w:
+            return w
+        w = best
+
+
+def _coloring_rewrites():
+    """Rewrite system of the C5 coloring system with k = 3 colours."""
+    with mock.patch.object(qgraph.conic, "feasibility", lambda problem: problem):
+        return qgraph.col_system_feasible(cycle(5), 3, 1).index.rw
+
+
+_C7_SYMS, _C7_RW = qgraph._vertex_rewrites(cycle(7))
+_CHSH3 = build_entdim_sets(Scenario(2, 2, 2, 2), 3)
+CANONICAL_CASES = {
+    **REWRITE_CASES,
+    "c7": (_C7_RW, _C7_SYMS),
+    "c7 commutative": (qgraph._vertex_rewrites(cycle(7), True)[1], _C7_SYMS),
+    "chsh r3": (_CHSH3.rewrites, _CHSH3.symbols),
+    "coloring c5 k3": (_coloring_rewrites(),
+                       [vertex(i, c) for i in range(5) for c in range(3)]),
+}
+
+
+@PROPERTY
+@given(rewrite_words(CANONICAL_CASES), st.sampled_from([PLAIN, SYM, TRC]))
+def test_canonical_reduced_matches_reference(case, mode):
+    rw, w = case
+    if not rw.commutative:
+        assert reduce_word(w, rw) == _reduce_random_order(w, rw, random.Random(0))
+    assert canonical_reduced(w, rw, mode) == _reference_canonical_reduced(w, rw, mode)
+
+
+@pytest.mark.parametrize("name", ["c7", "chsh"])
+def test_canonical_reduced_matches_reference_degree_five(name):
+    rw, syms = CANONICAL_CASES[name]
+    count = 0
+    for d in range(6):
+        for w in itertools.product(syms, repeat=d):
+            for mode in (SYM, TRC):
+                assert (canonical_reduced(w, rw, mode)
+                        == _reference_canonical_reduced(w, rw, mode)), w
+            count += 1
+    assert count == sum(len(syms) ** d for d in range(6))
+
+
+@PROPERTY
+@given(rewrite_words(CANONICAL_CASES), st.sampled_from([SYM, TRC]))
+def test_canonical_reduced_is_a_class_invariant(case, mode):
+    # Reduced members only: with swap rules, the loop started from an
+    # unreduced member can settle on another member of the same class.
+    rw, w = case
+    reps = {canonical_reduced(m, rw, mode) for m in _orbit(w, mode)
+            if reduce_word(m, rw) == m}
+    assert len(reps) <= 1
+
+
+def _coloring_system(monkeypatch, g, k, r):
+    monkeypatch.setattr(qgraph.conic, "feasibility", lambda problem: problem)
+    return qgraph.col_system_feasible(g, k, r)
+
+
+_BUILDS = {
+    "col C7 r3": lambda mp: qgraph.build_col_problem(cycle(7), 3),
+    "entdim (2,2,1,1) r3": lambda mp: build_xi_problem(corrlab.realize(
+        corrlab.random_realization(Scenario(2, 2, 1, 1), 2, 3)), 3),
+    "coloring system C5 k3 r2": lambda mp: _coloring_system(mp, cycle(5), 3, 2),
+    "entdim CHSH r3": lambda mp: build_xi_problem(
+        corrlab.realize(corrlab.tsirelson_chsh()), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BUILDS))
+def test_build_matches_reference_canonicalization(name, monkeypatch):
+    build = _BUILDS[name]
+    new = build(monkeypatch)
+    monkeypatch.setattr(momentize, "canonical_reduced",
+                        _reference_canonical_reduced)
+    ref = build(monkeypatch)
+    assert new.num_vars == ref.num_vars
+    assert new.index.words == ref.index.words
+    assert len(new.blocks) == len(ref.blocks)
+    for a, b in zip(new.blocks, ref.blocks):
+        assert (a.label, a.size, a.row_words) == (b.label, b.size, b.row_words)
+        for attr in ("row_degrees", "var_ids", "rows", "cols", "coefs"):
+            np.testing.assert_array_equal(getattr(a, attr), getattr(b, attr))
+    assert ([(c.terms, c.rhs, c.relation) for c in new.constraints]
+            == [(c.terms, c.rhs, c.relation) for c in ref.constraints])
+    assert new.objective == ref.objective
 
 
 def test_polynomial_algebra():

@@ -26,7 +26,7 @@ def toy_problem(objective):
     x = vertex(0)
     rw = RewriteSystem(idempotents=frozenset([x]))
     index = VariableIndex(2, rw, TRC)
-    blk = moment_block([IDENTITY], rw, TRC, index)
+    blk = moment_block([IDENTITY], index)
     return assemble(objective, "min", [blk],
                     [LinearConstraint({0: 1.0}, 1.0, Relation.EQ)], index)
 
