@@ -395,9 +395,11 @@ def solve_ipm(prog: ConeProgram, tol: float = 1e-8) -> IpmResult:
         quality = max(relgap, err_lmi, err_adj)
 
         def snapshot():
-            return IpmResult("numerical_limit", y.copy(), prog.unstack(X),
-                             prog.unstack(S), pobj, dobj, it, mu, err_lmi,
-                             err_adj, err_eq)
+            # Stack copies (_chol_repaired writes into X and S); unstacked
+            # into blocks once, on return.
+            return IpmResult("numerical_limit", y.copy(),
+                             [Xg.copy() for Xg in X], [Sg.copy() for Sg in S],
+                             pobj, dobj, it, mu, err_lmi, err_adj, err_eq)
 
         if best is None or quality < best_quality:
             best = snapshot()
@@ -553,21 +555,20 @@ def solve_ipm(prog: ConeProgram, tol: float = 1e-8) -> IpmResult:
     )
     res.iterations = it
     res.qr_fallbacks = qr_fallbacks
-    res.dobj = _dual_objective(prog, res.X, res.pobj, y0)
+    res.dobj = _dual_objective(prog, res.X, y0)
+    res.X, res.S = prog.unstack(res.X), prog.unstack(res.S)
     return res
 
 
-def _dual_objective(prog: ConeProgram, X: list, pobj: float, y0: np.ndarray):
-    """Dual bound sum_b <C_b, X_b> + d'w, with w the least-squares solution
-    of A'w = adj (objective plus block adjoints).  As the minimum-norm
-    solution of A y = d, ``y0`` lies in A's row space, so d'w = y0'adj."""
-    if not X:
-        return pobj
-    Xs = [np.stack([X[bi] for bi in g.members]) for g in prog.groups]
-    val = sum(float(np.vdot(Xg, g.const)) for g, Xg in zip(prog.groups, Xs))
+def _dual_objective(prog: ConeProgram, X: list, y0: np.ndarray):
+    """Dual bound sum_b <C_b, X_b> + d'w for X given as one stack per size
+    group, with w the least-squares solution of A'w = adj (objective plus
+    block adjoints).  As the minimum-norm solution of A y = d, ``y0`` lies in
+    A's row space, so d'w = y0'adj."""
+    val = sum(float(np.vdot(Xg, g.const)) for g, Xg in zip(prog.groups, X))
     if prog.A is not None and prog.A.shape[0] > 0:
         adj = prog.objective.copy()
-        for g, Xg in zip(prog.groups, Xs):
+        for g, Xg in zip(prog.groups, X):
             adj += g.adjoint(Xg)
         val += float(y0 @ adj)
     return val

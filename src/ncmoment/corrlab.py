@@ -10,9 +10,12 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
+from ._ipm import BlockData, ConeProgram, solve_ipm
 from .entdim import Correlation, CorrelationError, Scenario
+
+# Largest entry of |P - sum_k w_k P_k| accepted for a CLASSICAL verdict.
+WEIGHTS_TOL = 1e-8
 
 
 class ValidationError(ValueError):
@@ -355,7 +358,10 @@ def gram_to_realization(factors: np.ndarray) -> Realization:
 
 
 # ---------------------------------------------------------------------------
-# Classical membership by linear programming
+# Classical membership: one LP on the interior-point solver, max <c,P> - theta
+# over -1 <= c <= 1, theta >= <c,P_k> for every deterministic strategy k.  Its
+# dual is min ||P - sum_k w_k P_k||_1 over the simplex: the strategy blocks'
+# duals are convex weights.  Neither verdict reads the solver's objective.
 # ---------------------------------------------------------------------------
 
 
@@ -382,54 +388,69 @@ def _all_strategies(scenario: Scenario):
             yield g, h
 
 
-def _best_strategy(scenario: Scenario, c: np.ndarray):
-    """Deterministic strategy maximizing <c, P_strategy>.
-
-    Enumerates the second party's strategies and optimizes the first party's
-    answers separately per question.
-    """
+def _best_responses(scenario: Scenario, c: np.ndarray) -> list:
+    """((g, h), <c, P_(g,h)>) for every second-party strategy h and the
+    first party's best reply g, optimized separately per question; the
+    largest value is the exact maximum over all deterministic strategies."""
     ct = c.reshape(scenario.nA, scenario.nB, scenario.nS, scenario.nT)
-    best_val, best = -np.inf, None
+    out = []
     for h in itertools.product(range(scenario.nB), repeat=scenario.nT):
         sel = np.array([ct[:, h[t], :, t] for t in range(scenario.nT)])
         per_sa = sel.sum(axis=0)  # (nA, nS)
-        g = per_sa.argmax(axis=0)
-        val = per_sa.max(axis=0).sum()
-        if val > best_val:
-            best_val, best = val, (tuple(int(x) for x in g), h)
-    return best, float(best_val)
+        g = tuple(int(x) for x in per_sa.argmax(axis=0))
+        out.append(((g, h), float(per_sa.max(axis=0).sum())))
+    return out
 
 
-def _margin_lp(P: np.ndarray, columns: list):
-    """max <c,P> - theta  s.t.  <c,P_k> <= theta, -1 <= c <= 1."""
+def _margin_lp(P: np.ndarray, columns: np.ndarray):
+    """max <c,P> - theta  s.t.  theta - <c,P_k> >= 0,  1 -+ c_i >= 0.
+
+    Every constraint is a 1x1 block over the variables (c, theta).  Returns
+    the functional clipped to [-1, 1] and the duals of the strategy blocks.
+    """
     dim = P.size
-    nk = len(columns)
-    c_obj = np.concatenate([-P, [1.0]])
-    A_ub = np.zeros((nk, dim + 1))
-    for k, col in enumerate(columns):
-        A_ub[k, :dim] = col
-        A_ub[k, dim] = -1.0
-    bounds = [(-1.0, 1.0)] * dim + [(None, None)]
-    res = linprog(c_obj, A_ub=A_ub, b_ub=np.zeros(nk), bounds=bounds,
-                  method="highs")
-    if not res.success:
-        raise RuntimeError(f"margin LP failed: {res.message}")
-    return -res.fun, res.x[:dim]
+    blocks = []
+    for col in columns:
+        nz = np.flatnonzero(col)
+        z = np.zeros(len(nz) + 1, dtype=int)
+        blocks.append(BlockData(1, np.zeros((1, 1)), np.append(nz, dim), z, z,
+                                np.append(-col[nz], 1.0)))
+    z = np.zeros(1, dtype=int)
+    blocks += [BlockData(1, np.ones((1, 1)), np.array([i]), z, z,
+                         np.array([sign]))
+               for i in range(dim) for sign in (-1.0, 1.0)]
+    prog = ConeProgram(dim + 1, np.append(P, -1.0), blocks, None,
+                       None).finalize()
+    res = solve_ipm(prog)
+    w = np.array([res.X[k][0, 0] for k in range(len(columns))])
+    return np.clip(res.y[:dim], -1.0, 1.0), w
 
 
-def _weights_lp(P: np.ndarray, columns: list):
-    dim = P.size
-    nk = len(columns)
-    A_eq = np.zeros((dim + 1, nk))
-    for k, col in enumerate(columns):
-        A_eq[:dim, k] = col
-    A_eq[dim, :] = 1.0
-    b_eq = np.concatenate([P, [1.0]])
-    res = linprog(np.zeros(nk), A_eq=A_eq, b_eq=b_eq,
-                  bounds=[(0.0, None)] * nk, method="highs")
-    if not res.success:
-        return None
-    return res.x
+def _certificate(P: Correlation, strategies: list, columns: np.ndarray,
+                 c: np.ndarray, w: np.ndarray, best_val: float,
+                 tol: float) -> ClassicalityCertificate:
+    """Certified verdict from a functional and candidate weights.
+
+    ``best_val`` is the exact maximum of <c, P_k> over every strategy.
+    """
+    p_vec = P.table.reshape(-1)
+    margin = float(c @ p_vec) - best_val
+    if margin > tol:
+        return ClassicalityCertificate(
+            Verdict.NONCLASSICAL, functional=c.reshape(P.table.shape),
+            margin=margin,
+        )
+    w = np.clip(w, 0.0, None)
+    w = w / w.sum()
+    resid = float(np.abs(p_vec - w @ columns).max())
+    if not resid <= WEIGHTS_TOL:  # also when the weights are NaN
+        raise RuntimeError(
+            f"classical membership undecided: margin {margin:.3e} <= {tol:.1e} "
+            f"but the weights miss the table by {resid:.3e}"
+        )
+    weights = {strategies[k]: float(wk) for k, wk in enumerate(w) if wk > 1e-12}
+    return ClassicalityCertificate(Verdict.CLASSICAL, weights=weights,
+                                   margin=margin)
 
 
 def classical_membership(
@@ -440,8 +461,12 @@ def classical_membership(
 ) -> ClassicalityCertificate:
     """Decide membership in the polytope of shared-randomness correlations.
 
-    Small scenarios enumerate every deterministic strategy; larger ones use
-    column generation with an exact pricing oracle over the smaller party.
+    Small scenarios put every deterministic strategy into one interior-point
+    LP; larger ones use column generation with an exact pricing oracle over
+    the smaller party.  NONCLASSICAL needs the margin of the LP's clipped
+    functional, recomputed against every strategy, above ``tol``; CLASSICAL
+    needs the clipped, renormalized dual weights to reproduce the table
+    within ``WEIGHTS_TOL``.  Otherwise ``RuntimeError`` is raised.
     """
     sc = P.scenario
     n_strat = sc.nA ** sc.nS * sc.nB ** sc.nT
@@ -454,22 +479,10 @@ def classical_membership(
 
     if n_strat <= direct_cap:
         strategies = list(_all_strategies(sc))
-        columns = [_strategy_vector(sc, g, h) for g, h in strategies]
-        margin, c = _margin_lp(p_vec, columns)
-        if margin > tol:
-            return ClassicalityCertificate(
-                Verdict.NONCLASSICAL,
-                functional=c.reshape(P.table.shape),
-                margin=float(margin),
-            )
-        w = _weights_lp(p_vec, columns)
-        if w is None:
-            raise RuntimeError("weights LP failed on an in-polytope table")
-        weights = {
-            strategies[k]: float(w[k]) for k in range(len(w)) if w[k] > 1e-12
-        }
-        return ClassicalityCertificate(Verdict.CLASSICAL, weights=weights,
-                                       margin=float(margin))
+        columns = np.array([_strategy_vector(sc, g, h) for g, h in strategies])
+        c, w = _margin_lp(p_vec, columns)
+        return _certificate(P, strategies, columns, c, w,
+                            float((columns @ c).max()), tol)
 
     if sc.nB ** sc.nT > direct_cap:
         raise ResourceError(
@@ -485,39 +498,16 @@ def classical_membership(
         strategies.append((g, h))
     strategies = list(dict.fromkeys(strategies))
     for _ in range(10_000):
-        columns = [_strategy_vector(sc, g, h) for g, h in strategies]
-        margin, c = _margin_lp(p_vec, columns)
-        (gh, best_val) = _best_strategy(sc, c)
-        theta = max(float(col @ c) for col in columns)
-        if best_val > theta + 1e-12 and gh not in strategies:
-            strategies.append(gh)
+        columns = np.array([_strategy_vector(sc, g, h) for g, h in strategies])
+        c, w = _margin_lp(p_vec, columns)
+        replies = _best_responses(sc, c)
+        # Every improving best reply enters: each round is a whole IPM solve.
+        theta, known = float((columns @ c).max()), set(strategies)
+        new = [gh for gh, val in replies
+               if val > theta + 1e-12 and gh not in known]
+        if new:
+            strategies += new
             continue
-        if margin > tol:
-            return ClassicalityCertificate(
-                Verdict.NONCLASSICAL,
-                functional=c.reshape(P.table.shape),
-                margin=float(margin),
-            )
-        w = _weights_lp(p_vec, columns)
-        if w is not None:
-            weights = {
-                strategies[k]: float(w[k]) for k in range(len(w)) if w[k] > 1e-12
-            }
-            return ClassicalityCertificate(Verdict.CLASSICAL, weights=weights,
-                                           margin=float(margin))
-        # The restricted hull misses the table: price in the most violated
-        # column against the current infeasibility direction.
-        resid = p_vec - sum(
-            wk * col for wk, col in zip(_project_weights(p_vec, columns), columns)
-        )
-        gh, _ = _best_strategy(sc, resid)
-        if gh in strategies:
-            raise RuntimeError("column generation stalled")
-        strategies.append(gh)
+        best_val = max(val for _, val in replies)
+        return _certificate(P, strategies, columns, c, w, best_val, tol)
     raise RuntimeError("column generation did not converge")
-
-
-def _project_weights(p_vec: np.ndarray, columns: list) -> np.ndarray:
-    A = np.stack(columns, axis=1)
-    w, *_ = np.linalg.lstsq(A, p_vec, rcond=None)
-    return np.clip(w, 0.0, None)

@@ -11,6 +11,7 @@ the moment block meets every class and numbers them (see ``VariableIndex``).
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional, Sequence
@@ -163,16 +164,24 @@ def moment_block(basis_r: Sequence[Word], index: VariableIndex) -> SymbolicBlock
     block meets every class of the index; it numbers the new ones in
     (degree, lex) order before it maps the entries to ids.
     """
-    canon = {}
-    for i, u in enumerate(basis_r):
-        ustar = involution(u)
-        for j in range(i, len(basis_r)):
-            w = canonical_reduced(ustar + basis_r[j], index.rw, index.mode)
-            if w is not None:
-                canon[(i, j)] = w
-    for w in sorted(set(canon.values()), key=lambda w: (len(w), w)):
-        index._register(w)
-    entries = {ij: [(index.id_of[w], 1.0)] for ij, w in canon.items()}
+    # CPython tracks the acyclic words and forms made here; at r = 3 they push
+    # a full collection that frees nothing in here (20 ms, C7, 2-core VM).
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        canon = {}
+        for i, u in enumerate(basis_r):
+            ustar = involution(u)
+            for j in range(i, len(basis_r)):
+                w = canonical_reduced(ustar + basis_r[j], index.rw, index.mode)
+                if w is not None:
+                    canon[(i, j)] = w
+        for w in sorted(set(canon.values()), key=lambda w: (len(w), w)):
+            index._register(w)
+        entries = {ij: [(index.id_of[w], 1.0)] for ij, w in canon.items()}
+    finally:
+        if enabled:
+            gc.enable()
     if not entries or entries.get((0, 0)) != [(0, 1.0)]:
         raise InternalConsistencyError("moment block (1,1) entry must be L(1)")
     return SymbolicBlock("moment", list(basis_r), entries)

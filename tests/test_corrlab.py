@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -24,9 +27,24 @@ from ncmoment.corrlab import (
     synchronous_from_projectors,
     tsirelson_chsh,
 )
-from ncmoment.entdim import Scenario
+from ncmoment.entdim import Correlation, Scenario
 
 CHSH = Scenario(2, 2, 2, 2)
+# direct_cap=4 forces column generation on CHSH (4 strategies per party).
+PATHS = pytest.mark.parametrize("direct_cap", [100_000, 4],
+                                ids=["direct", "colgen"])
+
+
+def _pr_box_at(visibility):
+    """PR box mixed with white noise; a facet point at visibility 1/2."""
+    return Correlation(CHSH, visibility * pr_box().table
+                       + (1.0 - visibility) * 0.25)
+
+
+def _strategy_tables():
+    return [deterministic_correlation(CHSH, g, h).table
+            for g in itertools.product(range(2), repeat=2)
+            for h in itertools.product(range(2), repeat=2)]
 
 
 def test_realize_normalization_random():
@@ -113,6 +131,76 @@ def test_classical_weights_reproduce_table():
     for (g, h), w in cert.weights.items():
         table += w * deterministic_correlation(CHSH, g, h).table
     assert np.abs(table - P.table).max() < 1e-8
+
+
+@PATHS
+def test_pr_box_facet_point_is_classical(direct_cap):
+    P = _pr_box_at(0.5)  # true margin 0
+    cert = classical_membership(P, direct_cap=direct_cap)
+    assert cert.verdict == Verdict.CLASSICAL
+    w = np.array(list(cert.weights.values()))
+    assert w.min() > 0.0 and abs(w.sum() - 1.0) <= 1e-12
+    table = sum(wk * deterministic_correlation(CHSH, g, h).table
+                for (g, h), wk in cert.weights.items())
+    assert np.abs(table - P.table).max() <= 1e-8
+
+
+@PATHS
+def test_pr_box_past_facet_is_nonclassical(direct_cap):
+    P = _pr_box_at(0.5 + 1e-3)
+    cert = classical_membership(P, direct_cap=direct_cap)
+    assert cert.verdict == Verdict.NONCLASSICAL
+    c = cert.functional
+    assert np.abs(c).max() <= 1.0
+    margin = float((c * P.table).sum()) - max(
+        float((c * T).sum()) for T in _strategy_tables())
+    assert abs(margin - cert.margin) <= 1e-12
+
+
+@PATHS
+def test_uncertified_lp_result_raises(direct_cap, monkeypatch):
+    # A zero functional has margin 0, and all weight on one strategy misses
+    # the uniform table: neither verdict is certified.
+    def fake_lp(P, columns):
+        w = np.zeros(len(columns))
+        w[0] = 1.0
+        return np.zeros(P.size), w
+
+    monkeypatch.setattr(corrlab, "_margin_lp", fake_lp)
+    with pytest.raises(RuntimeError, match="undecided"):
+        classical_membership(Correlation(CHSH, np.full((2, 2, 2, 2), 0.25)),
+                             direct_cap=direct_cap)
+
+
+@pytest.mark.parametrize("shift, certified", [(1e-10, True), (1e-6, False)])
+def test_weights_residual_bound(shift, certified, monkeypatch):
+    # Equal weights on all 16 strategies reproduce the uniform table; moving
+    # ``shift`` of weight between two strategies puts the residual near it.
+    def fake_lp(P, columns):
+        w = np.full(len(columns), 1.0 / len(columns))
+        w[0] += shift
+        w[1] -= shift
+        return np.zeros(P.size), w
+
+    monkeypatch.setattr(corrlab, "_margin_lp", fake_lp)
+    P = Correlation(CHSH, np.full((2, 2, 2, 2), 0.25))
+    if certified:
+        assert classical_membership(P).verdict == Verdict.CLASSICAL
+    else:
+        with pytest.raises(RuntimeError, match="undecided"):
+            classical_membership(P)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    src = os.path.dirname(os.path.dirname(corrlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, ncmoment, ncmoment.cli; print(sorted(m for m in "
+            "sys.modules if m == 'scipy.optimize' "
+            "or m.startswith('scipy.optimize.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_column_generation_path_matches_direct():

@@ -224,5 +224,5 @@ def test_dual_objective_matches_least_squares_on_rank_deficient_A():
     w, *_ = np.linalg.lstsq(A.T, adj, rcond=None)
     ref = sum(float(np.vdot(Xg, g.const)) for g, Xg in zip(prog.groups, Xs))
     ref += float(d @ w)
-    got = _ipm._dual_objective(prog, X, 0.0, y0)
+    got = _ipm._dual_objective(prog, Xs, y0)
     assert abs(got - ref) <= 1e-10 * (1.0 + abs(ref))

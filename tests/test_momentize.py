@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -64,6 +66,23 @@ def test_moment_block_c5_edges_vanish():
     assert blk.size == 6
     for (i, j) in g.edges:
         assert (min(i, j) + 1, max(i, j) + 1) not in blk.entries
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_moment_block_restores_collector_state(enabled):
+    syms, rw = _vertex_rewrites(cycle(5))
+    index = VariableIndex(2, rw, TRC)
+    rows = enumerate_basis(syms, 1, rw)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        moment_block(rows, index)
+        assert gc.isenabled() == enabled
+        with pytest.raises(TypeError):  # raised inside the paused loop
+            moment_block([IDENTITY, 5], VariableIndex(2, rw, TRC))
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_localizing_block_state_symbol_order_one():
