@@ -14,25 +14,28 @@ Nesterov-Todd direction with a Mehrotra predictor-corrector step.
 
 Size groups.  ``ConeProgram.finalize`` groups the blocks by size; X, S and
 every per-iteration kernel work on one stacked (k, n, n) array per group:
-one sparse owner map gives S(y) and the adjoint, and the Cholesky factors,
-the NT-scaling SVD, the step lengths and the neighbourhood guard are one
-stacked LAPACK call each.  An iteration's call count thus grows with the
-number of distinct block sizes, not with the number of blocks; 1x1 blocks
-(inequalities) are simply the size-1 group.  Step lengths are read in the
-NT-scaled space, where both iterates sit at the same diagonal point.
+one coordinate-form owner map gives S(y) and the adjoint (each one
+``np.bincount``), and the Cholesky factors, the NT-scaling SVD, the step
+lengths and the neighbourhood guard are one stacked LAPACK call each.  An
+iteration's call count thus grows with the number of distinct block sizes,
+not with the number of blocks; 1x1 blocks (inequalities) are simply the
+size-1 group.  Step lengths are read in the NT-scaled space, where both
+iterates sit at the same diagonal point.
 
 Schur complement.  With the NT factor r of each block, the reduced Schur
 matrix is H = J'J, where J stacks the rows svec(r' G_a r) of every block
 (upper triangle, off-diagonal entries weighted by sqrt 2, so a block of size
-n gives n(n+1)/2 rows) and G_a = sum_k N[k, a] E_k.  H is formed and
-Cholesky-factored in place; the factor is used when it exists and LAPACK's
-condition estimate reaches ``RCOND_MIN``.  Otherwise the step comes from a
-column-pivoted QR of J, which gives a zero step along directions outside the
-row space.  The guard 1e-6 bounds the relative error of a Cholesky step by
-about eps/rcond ~ 2e-10 before refinement; near-singular H, as on degenerate
-faces and late in infeasible solves, goes to the rank-revealing QR, which
-gives dead directions a zero step instead of amplified roundoff.  Both paths
-refine the solve twice against J'J.
+n gives n(n+1)/2 rows) and G_a = sum_k N[k, a] E_k.  H is Cholesky-factored
+and the factor is used when it exists and the exact reciprocal 1-norm
+condition number of H reaches ``RCOND_MIN``.  Otherwise the step comes from
+a QR of J followed by an SVD of its R factor, which gives a zero step along
+directions outside the numerical row space.  The guard 1e-6 bounds the
+relative error of a Cholesky step by about eps/rcond ~ 2e-10 before
+refinement; near-singular H, as on degenerate faces and late in infeasible
+solves, goes to the rank-revealing fallback, which gives dead directions a
+zero step instead of amplified roundoff.  Once a solve takes the fallback it
+keeps it for its remaining iterations.  Both paths refine the solve twice
+against J'J.  The module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -41,11 +44,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
-from scipy.linalg import lapack
 
-# Smallest reciprocal condition estimate of H = J'J for the Cholesky path.
+# Smallest reciprocal 1-norm condition number of H = J'J for the Cholesky path.
 RCOND_MIN = 1e-6
 # Iteration limit; a solve that reaches it ends with status numerical_limit.
 MAX_ITER = 120
@@ -71,22 +71,32 @@ class BlockData:
 class SizeGroup:
     """The blocks of one size, stacked into (k, size, size) arrays.
 
-    ``members`` are their indices in ``ConeProgram.blocks``, ascending; the
-    owner map ``occ`` sends y to every entry of the stack at once.
+    ``members`` are their indices in ``ConeProgram.blocks``, ascending.  The
+    owner map is kept as coordinate triples sorted by ``entry``, the flat
+    index into the stack: variable ``vids[i]`` enters that entry with
+    coefficient ``vals[i]``.
     """
 
     size: int
     members: np.ndarray
     const: np.ndarray  # (k, size, size)
-    occ: sp.csr_matrix  # (k*size*size x nvars)
-    occT: sp.csr_matrix  # its transpose, for the adjoint
+    entry: np.ndarray
+    vids: np.ndarray
+    vals: np.ndarray
+    nvars: int
+
+    def linear(self, y: np.ndarray) -> np.ndarray:
+        """The stack of sum_k y_k E_k^(b), without the constant part."""
+        return np.bincount(self.entry, self.vals * y[self.vids],
+                           self.const.size).reshape(self.const.shape)
 
     def lmi_value(self, y: np.ndarray) -> np.ndarray:
-        return self.const + (self.occ @ y).reshape(self.const.shape)
+        return self.const + self.linear(y)
 
     def adjoint(self, M: np.ndarray) -> np.ndarray:
         """Vector of sum_b <E_k^(b), M_b> over k (M need not be symmetric)."""
-        return self.occT @ M.reshape(-1)
+        return np.bincount(self.vids, self.vals * M.reshape(-1)[self.entry],
+                           self.nvars)
 
 
 def _size_group(blocks: list, members: list, nvars: int) -> SizeGroup:
@@ -94,13 +104,12 @@ def _size_group(blocks: list, members: list, nvars: int) -> SizeGroup:
     part = [blocks[bi] for bi in members]
     entry = np.concatenate([j * n * n + blk.rows * n + blk.cols
                             for j, blk in enumerate(part)])
-    occ = sp.csr_matrix(
-        (np.concatenate([blk.vals for blk in part]),
-         (entry, np.concatenate([blk.vids for blk in part]))),
-        shape=(len(part) * n * n, nvars),
-    )
+    order = np.argsort(entry, kind="stable")
+    vids = np.concatenate([blk.vids for blk in part])[order]
+    vals = np.concatenate([blk.vals for blk in part])[order]
     const = np.stack([blk.const for blk in part]).astype(float)
-    return SizeGroup(n, np.array(members), const, occ, occ.T.tocsr())
+    return SizeGroup(n, np.array(members), const, entry[order], vids, vals,
+                     nvars)
 
 
 @dataclass
@@ -143,7 +152,7 @@ class IpmResult:
     err_adj: float
     err_eq: float
     certificate: Optional[dict] = None
-    qr_fallbacks: int = 0  # Schur solves that took the pivoted-QR path
+    qr_fallbacks: int = 0  # Schur solves that took the QR-then-SVD fallback
 
 
 class InconsistentEqualities(RuntimeError):
@@ -166,7 +175,7 @@ def _sym(M: np.ndarray) -> np.ndarray:
 def _repair_psd(M: np.ndarray, mu: float) -> np.ndarray:
     """Shift a marginally indefinite symmetric matrix back into the cone."""
     M = 0.5 * (M + M.T)
-    lam = sla.eigvalsh(M, check_finite=False)[0]
+    lam = np.linalg.eigvalsh(M)[0]
     shift = max(0.0, -lam) + 1e-12 * (1.0 + abs(mu))
     return M + shift * np.eye(M.shape[0])
 
@@ -235,8 +244,15 @@ def _reduced_coefficients(group: SizeGroup, N: np.ndarray) -> np.ndarray:
     Constant over the iteration; the scaled Gram rows are then plain
     congruences r_b' G[b, :, :, a] r_b.
     """
-    n = group.size
-    return np.asarray(group.occ @ N).reshape(len(group.members), n, n, -1)
+    n, k = group.size, len(group.members)
+    G = np.zeros((k * n * n, N.shape[1]))
+    if len(group.entry):
+        e = group.entry
+        starts = np.flatnonzero(np.r_[True, e[1:] != e[:-1]])
+        terms = N[group.vids]
+        terms *= group.vals[:, None]
+        G[e[starts]] = np.add.reduceat(terms, starts, axis=0)
+    return G.reshape(k, n, n, -1)
 
 
 def _gram_rows_scaled(G: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -256,56 +272,65 @@ def _gram_rows_scaled(G: np.ndarray, r: np.ndarray) -> np.ndarray:
     return rows.reshape(-1, nt)
 
 
-def _schur_solver(J: np.ndarray):
-    """Solver for H dt = g with H = J'J, refined twice against J'J, and
-    whether it took the QR fallback.
+def _cholesky_base(H: np.ndarray):
+    """Solve with H through its Cholesky factor L, or None.
 
-    Cholesky of H when it is well conditioned (rcond >= RCOND_MIN), else a
-    column-pivoted QR of J restricted to its numerical row space; directions
-    outside it get a zero step, not roundoff divided by a tiny pivot.
+    None when H is not numerically positive definite or its reciprocal
+    1-norm condition number 1/(||H||_1 ||H^-1||_1), computed exactly from
+    H^-1 = Li' Li with Li = L^-1, is below ``RCOND_MIN``.
     """
-    nt = J.shape[1]
-    H = (J.T @ J).T  # symmetric; the transpose is Fortran-ordered for LAPACK
-    anorm = float(np.abs(H).sum(axis=0).max(initial=0.0))
-    c, info = lapack.dpotrf(H, lower=0, clean=0, overwrite_a=1)
-    del H  # c is the factor, written over H's buffer
-    if info == 0:
-        rcond, info = lapack.dpocon(c, anorm)
-    use_qr = not (info == 0 and rcond >= RCOND_MIN)
-    if not use_qr:
-        live = np.arange(nt)
+    try:
+        Li = np.linalg.inv(np.linalg.cholesky(H))
+    except np.linalg.LinAlgError:
+        return None
+    hnorm = np.abs(H).sum(axis=0).max(initial=0.0)
+    inorm = np.abs(Li.T @ Li).sum(axis=0).max(initial=0.0)
+    if not hnorm * inorm <= 1.0 / RCOND_MIN:  # also catches NaN
+        return None
+    return lambda g: Li.T @ (Li @ g)
 
-        def base(g):
-            return lapack.dpotrs(c, g)[0]
+
+def _row_space_base(J: np.ndarray):
+    """Minimum-norm solve with J'J on the numerical row space of J.
+
+    From R of a QR of J and the SVD R = U diag(s) V', J'J = V diag(s^2) V';
+    the step is V diag(s^-2) V' g over the singular values above the
+    standard rank tolerance max(m, n) eps max(s_1, 1), so directions outside
+    the row space get a zero step, not roundoff divided by a tiny pivot.
+    Returns the solve and the projector onto that row space.
+    """
+    _, sv, Vt = np.linalg.svd(np.linalg.qr(J, mode="r"), full_matrices=False)
+    tol = max(J.shape) * np.finfo(float).eps * max(sv.max(initial=0.0), 1.0)
+    V = Vt[: int((sv > tol).sum())].T
+    w = sv[: V.shape[1]] ** -2.0
+    return (lambda g: V @ (w * (V.T @ g))), (lambda g: V @ (V.T @ g))
+
+
+def _schur_solver(J: np.ndarray, fallback: bool = False):
+    """Solver for H dt = g with H = J'J, refined twice against J'J, and
+    whether it took the rank-revealing fallback.
+
+    Cholesky of H when it is well conditioned (rcond >= RCOND_MIN), else
+    ``_row_space_base``.  With ``fallback`` the Cholesky attempt is skipped.
+    """
+    chol = None if fallback else _cholesky_base(J.T @ J)
+    if chol is not None:
+        base, live = chol, (lambda res: res)
     else:
-        del c  # free the buffer before the QR
-        Rtop, piv = sla.qr(J, mode="r", pivoting=True, check_finite=False)
-        Rtop = Rtop[: min(nt, Rtop.shape[0])]
-        rdiag = np.abs(np.diag(Rtop))
-        top = rdiag.max(initial=0.0)
-        rank = int((rdiag > max(top, 1.0) * 1e-14).sum())
-        R11 = Rtop[:rank, :rank]
-        live = piv[:rank]
-
-        def base(g):
-            u = sla.solve_triangular(R11.T, g, lower=True, check_finite=False)
-            return sla.solve_triangular(R11, u, lower=False,
-                                        check_finite=False)
+        base, live = _row_space_base(J)
 
     def solve(g):
-        dt = np.zeros(nt)
-        if len(live):
-            dt[live] = base(g[live])
-            for _ in range(2):
-                res = g - J.T @ (J @ dt)
-                if np.abs(res[live]).max(initial=0.0) <= 1e-13 * (
-                    1.0 + np.abs(g).max(initial=0.0)
-                ):
-                    break
-                dt[live] += base(res[live])
+        dt = base(g)
+        for _ in range(2):
+            res = live(g - J.T @ (J @ dt))
+            if np.abs(res).max(initial=0.0) <= 1e-13 * (
+                1.0 + np.abs(g).max(initial=0.0)
+            ):
+                break
+            dt += base(res)
         return dt
 
-    return solve, use_qr
+    return solve, chol is None
 
 
 def _eliminate_equalities(A, d, n, tol_rank=1e-11):
@@ -375,6 +400,7 @@ def solve_ipm(prog: ConeProgram, tol: float = 1e-8) -> IpmResult:
     best_quality = np.inf
     status = "numerical_limit"
     qr_fallbacks = 0
+    fallback = False  # sticky: once taken, later iterations skip Cholesky
     it = 0
     for it in range(1, MAX_ITER + 1):
         R_lmi = [g.lmi_value(y) - S[gi] for gi, g in enumerate(groups)]
@@ -448,12 +474,6 @@ def solve_ipm(prog: ConeProgram, tol: float = 1e-8) -> IpmResult:
         if not ok_scaling:
             break
 
-        # Reduced Schur complement H_t = J'J from the stacked svec rows.
-        solve_reduced, used_qr = _schur_solver(np.vstack([
-            _gram_rows_scaled(pregram[gi], rs[gi]) for gi in range(len(groups))
-        ]))  # (sum size(size+1)/2) x nt
-        qr_fallbacks += used_qr
-
         def directions(sigmu, corr):
             # Scaled-space central equation: lam o (Dx + Ds) = rhs with the
             # symmetrized product; the Lyapunov inverse divides entrywise by
@@ -476,7 +496,7 @@ def solve_ipm(prog: ConeProgram, tol: float = 1e-8) -> IpmResult:
             dS, dX, Dxs, Dss = [], [], [], []
             for gi, g in enumerate(groups):
                 r = rs[gi]
-                dSg = (g.occ @ dy).reshape(g.const.shape) + R_lmi[gi]
+                dSg = g.linear(dy) + R_lmi[gi]
                 Dsg = _T(r) @ dSg @ r
                 Dxg = _sym(core[gi] - Dsg)
                 dX.append(r @ Dxg @ _T(r))
@@ -494,6 +514,12 @@ def solve_ipm(prog: ConeProgram, tol: float = 1e-8) -> IpmResult:
             return min(1.0, *(tau * _max_step(lam, D) for lam, D in zip(lams, Ds)))
 
         try:
+            # Reduced Schur complement H_t = J'J from the stacked svec rows.
+            solve_reduced, fallback = _schur_solver(np.vstack([
+                _gram_rows_scaled(pregram[gi], rs[gi])
+                for gi in range(len(groups))
+            ]), fallback)  # (sum size(size+1)/2) x nt
+            qr_fallbacks += fallback
             # Predictor.
             dy, dS, dX, Dxs, Dss = directions(0.0, None)
             ap, ad = step(Dss), step(Dxs)

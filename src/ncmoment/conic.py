@@ -62,7 +62,7 @@ class SdpSolution:
     moment_matrix: Optional[np.ndarray]
     moment_degrees: Optional[np.ndarray]
     iterations: int = 0
-    qr_fallbacks: int = 0  # Schur solves that took the pivoted-QR path
+    qr_fallbacks: int = 0  # Schur solves that took the QR-then-SVD fallback
     num_orbits: int = 0  # variables the solver saw: one per variable orbit
     residuals: dict = field(default_factory=dict)
     certificate: Optional[dict] = None

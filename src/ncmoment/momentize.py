@@ -199,6 +199,11 @@ def localizing_block(
     Rows and columns are indexed by words of degree at most r - ceil(deg(g)/2);
     entry (u, v) is the linear form of L(u* g v).  Words are reduced with the
     index's rewrite system.
+
+    A row whose forms are all zero, or that repeats an earlier row form for
+    form, is dropped: it makes every point of the program singular (with
+    g = z idempotent, rows 1 and z agree), and M is PSD exactly when the
+    matrix without it is.
     """
     rw = index.rw
     g = g.reduced(rw)
@@ -213,7 +218,18 @@ def localizing_block(
             form = index.form((ustar + w + rows[j], c) for w, c in g.terms.items())
             if form:
                 entries[(i, j)] = sorted(form.items())
-    return SymbolicBlock(label or f"loc[{g}]", rows, entries)
+    keep, seen = [], set()
+    for i in range(len(rows)):
+        row = tuple(tuple(entries.get((min(i, j), max(i, j)), ()))
+                    for j in range(len(rows)))
+        if any(row) and row not in seen:
+            seen.add(row)
+            keep.append(i)
+    new = {old: k for k, old in enumerate(keep)}
+    entries = {(new[i], new[j]): form for (i, j), form in entries.items()
+               if i in new and j in new}
+    return SymbolicBlock(label or f"loc[{g}]", [rows[i] for i in keep],
+                         entries)
 
 
 def ideal_constraints(

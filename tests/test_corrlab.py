@@ -192,15 +192,28 @@ def test_weights_residual_bound(shift, certified, monkeypatch):
 
 
 def test_import_leaves_scipy_optimize_unloaded():
+    # The package needs numpy alone: no scipy.optimize, scipy.linalg or
+    # scipy.sparse module may load, on import or lazily during a solve.  The
+    # subprocess runs theta(C5) (Cholesky path) and CHSH xi_q at level 2 on
+    # the Tsirelson table, which takes the rank-revealing fallback.
     src = os.path.dirname(os.path.dirname(corrlab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
-    code = ("import sys, ncmoment, ncmoment.cli; print(sorted(m for m in "
-            "sys.modules if m == 'scipy.optimize' "
-            "or m.startswith('scipy.optimize.')))")
+    code = (
+        "import sys, ncmoment, ncmoment.cli\n"
+        "from ncmoment import corrlab, entdim, graphs, qgraph\n"
+        "qgraph.theta(graphs.cycle(5))\n"
+        "P = corrlab.realize(corrlab.tsirelson_chsh())\n"
+        "print(entdim.xi_q(P, 2).solution.qr_fallbacks)\n"
+        "print(sorted(m for m in sys.modules if any(\n"
+        "    m == p or m.startswith(p + '.')\n"
+        "    for p in ('scipy.optimize', 'scipy.linalg', 'scipy.sparse'))))\n"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    fallbacks, loaded = out.stdout.strip().splitlines()
+    assert int(fallbacks) > 0
+    assert loaded == "[]"
 
 
 def test_column_generation_path_matches_direct():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ncmoment import conic, corrlab
+from ncmoment import _ipm, conic, corrlab
 from ncmoment.momentize import (
     LinearConstraint,
     VariableIndex,
@@ -83,10 +83,30 @@ def test_problem_shape_level_two():
     prob = build_xi_problem(P, 2)
     sizes = [b.size for b in prob.blocks]
     assert sizes[0] == 26  # 1 + 5 symbols + 20 reduced degree-2 words
-    assert sizes[1:] == [6] * 9  # localizing blocks over degree <= 1 words
+    # Localizing blocks over degree <= 1 words; in the z block rows 1 and z
+    # agree (z^2 = z), so one of them is dropped.
+    assert sizes[1:] == [6] * 8 + [5]
     assert prob.num_vars == 121
     # L(z) = 1 and the 16 expanded data rows, none of them duplicates
     assert prob.metadata["num_eq"] == 17
+
+
+@pytest.mark.parametrize("label", ["tsirelson", "classical"])
+def test_level_two_blocks_have_no_common_null_vector(label):
+    # A common null vector of S_b(y0) and of every reduced coefficient
+    # G_ba = sum_k N[k, a] E_k^(b) is a null vector of S_b(y) at every
+    # feasible y, so the program would have no Slater point.
+    P = (corrlab.realize(corrlab.tsirelson_chsh()) if label == "tsirelson"
+         else corrlab.random_classical(CHSH, 3, seed=2))
+    prog, _, _ = conic._build_cone_program(build_xi_problem(P, 2))
+    y0, N = _ipm._eliminate_equalities(prog.A, prog.d, prog.nvars)
+    for g in prog.groups:
+        S = g.lmi_value(y0)
+        G = np.moveaxis(_ipm._reduced_coefficients(g, N), -1, 1)
+        for b in range(len(g.members)):
+            stack = np.concatenate([S[b][None], G[b]]).reshape(-1, g.size)
+            sv = np.linalg.svd(stack, compute_uv=False)
+            assert sv[-1] > 1e-8 * sv[0], f"block {g.members[b]}"
 
 
 def test_problem_shape_level_three():
@@ -154,7 +174,7 @@ def _full_alphabet_problem(P, r):
 def test_full_alphabet_reference_shape():
     P = corrlab.random_classical(CHSH, 3, seed=2)
     prob = _full_alphabet_problem(P, 2)
-    assert [b.size for b in prob.blocks] == [74] + [10] * 9
+    assert [b.size for b in prob.blocks] == [74] + [10] * 8 + [9]
     assert prob.num_vars == 776
 
 

@@ -1,6 +1,6 @@
 """The interior-point method: size-grouped kernels against per-block
 references, and the reduced Schur solve (svec Gram rows, the Cholesky path
-and the pivoted-QR fallback)."""
+and the QR-then-SVD fallback)."""
 
 import numpy as np
 import pytest
@@ -12,15 +12,15 @@ from ncmoment._ipm import BlockData, ConeProgram, solve_ipm
 
 @pytest.fixture
 def qr_calls(monkeypatch):
-    """Count the pivoted-QR fallbacks taken by the Schur solve."""
+    """Count the rank-revealing fallbacks taken by the Schur solve."""
     calls = []
-    qr = _ipm.sla.qr
+    fallback = _ipm._row_space_base
 
-    def counting_qr(*args, **kwargs):
+    def counting_fallback(*args, **kwargs):
         calls.append(1)
-        return qr(*args, **kwargs)
+        return fallback(*args, **kwargs)
 
-    monkeypatch.setattr(_ipm.sla, "qr", counting_qr)
+    monkeypatch.setattr(_ipm, "_row_space_base", counting_fallback)
     return calls
 
 
@@ -67,6 +67,36 @@ def test_svec_rows_keep_the_gram_matrix():
     assert J.shape == (k * size * (size + 1) // 2, nt)
     ref = full.T @ full
     assert np.abs(J.T @ J - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_owner_map_kernels_match_dense_reference():
+    rng = np.random.default_rng(13)
+    size, nvars, nt, k = 4, 6, 3, 3
+    blocks = [_random_block(rng, size, nvars) for _ in range(k)]
+    # A repeated (entry, variable) pair must add up, as in a sparse sum.
+    blk = blocks[1]
+    for name in ("vids", "rows", "cols", "vals"):
+        arr = getattr(blk, name)
+        setattr(blk, name, np.append(arr, arr[:2]))
+    for blk in blocks:
+        blk.const = rng.standard_normal((size, size))
+    prog = ConeProgram(nvars, np.zeros(nvars), blocks, None, None).finalize()
+    (group,) = prog.groups
+    E = np.zeros((k, nvars, size, size))  # dense E_k^(b), one loop per term
+    for b, blk in enumerate(blocks):
+        for v, i, j, c in zip(blk.vids, blk.rows, blk.cols, blk.vals):
+            E[b, v, i, j] += c
+    y = rng.standard_normal(nvars)
+    M = rng.standard_normal((k, size, size))
+    N = rng.standard_normal((nvars, nt))
+    want_lmi = (np.stack([blk.const for blk in blocks])
+                + np.einsum("bvij,v->bij", E, y))
+    want_adj = np.einsum("bvij,bij->v", E, M)
+    want_G = np.einsum("bvij,va->bija", E, N)
+    assert np.allclose(group.lmi_value(y), want_lmi, rtol=0, atol=1e-12)
+    assert np.allclose(group.adjoint(M), want_adj, rtol=0, atol=1e-12)
+    assert np.allclose(_ipm._reduced_coefficients(group, N), want_G, rtol=0,
+                       atol=1e-12)
 
 
 def _reference_step(M, dM):
@@ -196,11 +226,63 @@ def test_singular_schur_takes_qr_fallback(qr_calls):
     assert abs(split.pobj - merged.pobj) <= 1e-7
 
 
+def test_fallback_is_sticky(monkeypatch):
+    paths = []
+    for name, tag in (("_cholesky_base", "chol"), ("_row_space_base", "qr")):
+        def logged(*args, _f=getattr(_ipm, name), _tag=tag):
+            paths.append(_tag)
+            return _f(*args)
+        monkeypatch.setattr(_ipm, name, logged)
+    res = solve_ipm(_program(duplicate=True))
+    assert res.status == "optimal"
+    first = paths.index("qr")
+    assert paths[first:] == ["qr"] * (len(paths) - first)
+    assert res.qr_fallbacks == len(paths) - first
+
+
 def test_theta_c5_uses_cholesky_path(qr_calls):
     res = qgraph.theta(graphs.cycle(5))
     # The converged last iteration stops before its Schur solve, so every
     # other iteration factors once; fewer QRs than that means Cholesky ran.
     assert len(qr_calls) < res.solution.iterations - 1
+
+
+def test_fallback_step_has_no_null_space_component():
+    rng = np.random.default_rng(7)
+    J = rng.standard_normal((12, 5))
+    J[:, 4] = J[:, 0] - 2.0 * J[:, 2]  # one dependent column
+    null = np.array([1.0, 0.0, -2.0, 0.0, -1.0]) / np.sqrt(6.0)
+    assert np.abs(J @ null).max() <= 1e-12
+    solve, fallback = _ipm._schur_solver(J)
+    assert fallback  # H = J'J is singular, so Cholesky is refused
+    g = rng.standard_normal(5)
+    dt = solve(g)
+    assert abs(dt @ null) <= 1e-10 * np.linalg.norm(dt)
+    # On the row space the step solves J'J dt = g.
+    g_row = g - (g @ null) * null
+    assert np.abs(J.T @ (J @ dt) - g_row).max() <= 1e-9 * np.abs(g).max()
+    # A forced fallback on a regular J solves the system exactly.
+    K = rng.standard_normal((12, 5))
+    solve, fallback = _ipm._schur_solver(K, fallback=True)
+    assert fallback
+    assert np.allclose(K.T @ (K @ solve(g)), g, rtol=0, atol=1e-10)
+
+
+# 3e5 and 1e6 put the reference rcond at 1.7e-6 and 4.9e-7, on either side of
+# RCOND_MIN; a diagonal-ratio estimate of the latter reads 4e-5.
+@pytest.mark.parametrize("cond, seed",
+                         [(1e2, 102), (3e5, 5), (1e6, 6), (1e9, 9)])
+def test_cholesky_rcond_matches_reference(cond, seed):
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+    H = (Q * np.geomspace(1.0, 1.0 / cond, 8)) @ Q.T
+    H = 0.5 * (H + H.T)
+    rcond = 1.0 / np.linalg.cond(H, 1)
+    base = _ipm._cholesky_base(H)
+    assert (base is not None) == (rcond >= _ipm.RCOND_MIN)
+    if base is not None:
+        g = rng.standard_normal(8)
+        assert np.allclose(H @ base(g), g, rtol=0, atol=1e-6)
 
 
 def test_dual_objective_matches_least_squares_on_rank_deficient_A():
