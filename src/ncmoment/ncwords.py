@@ -3,8 +3,9 @@
 This module provides the symbolic layer underneath the moment hierarchies:
 symbols with a fixed total order, words with involution, equivalence-class
 canonicalization (plain / symmetric / tracial-symmetric), and monomial
-rewriting modulo the three supported rule classes (zero patterns, idempotent
-symbols, one-directional swaps).  Everything here is immutable and pure.
+rewriting modulo the three supported rule classes (zero pairs, idempotent
+symbols, and two parties whose symbols commute).  Everything here is
+immutable and pure.
 """
 
 from __future__ import annotations
@@ -92,8 +93,11 @@ class RewriteSystem:
     commutative   -- if set, all symbols commute and words are kept sorted
                      (swap_patterns must then be empty).
 
-    Swap patterns must be acyclic as a "comes later" relation, otherwise
-    rewriting would not terminate; the constructor rejects such sets.
+    The swap patterns must make two parties commute: with L the symbols named
+    second in a pattern and R those named first, the patterns are exactly
+    R x L, and L and R are disjoint.  Rewriting then moves every L symbol left
+    of the R symbols next to it and terminates; the constructor rejects any
+    other swap set.
     """
 
     zero_pairs: frozenset = frozenset()
@@ -102,54 +106,37 @@ class RewriteSystem:
     commutative: bool = False
     # Derived from the rules above: ``fires`` holds the adjacent pairs (a, b)
     # that some rule rewrites; ``zero_either`` and ``fires_either`` hold the
-    # zero pairs and the ``fires`` pairs together with their reversals.
+    # zero pairs and the ``fires`` pairs together with their reversals;
+    # ``swap_left`` is L and ``swap_symbols`` is L | R.
     fires: frozenset = field(init=False, repr=False, compare=False)
     zero_either: frozenset = field(init=False, repr=False, compare=False)
     fires_either: frozenset = field(init=False, repr=False, compare=False)
+    swap_left: frozenset = field(init=False, repr=False, compare=False)
+    swap_symbols: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         fires = (self.zero_pairs | self.swap_patterns
                  | {(s, s) for s in self.idempotents})
+        left = frozenset(b for _, b in self.swap_patterns)
+        right = frozenset(a for a, _ in self.swap_patterns)
         object.__setattr__(self, "fires", fires)
         object.__setattr__(self, "zero_either",
                            self.zero_pairs | {(b, a) for a, b in self.zero_pairs})
         object.__setattr__(self, "fires_either", fires | {(b, a) for a, b in fires})
+        object.__setattr__(self, "swap_left", left)
+        object.__setattr__(self, "swap_symbols", left | right)
         if self.commutative and self.swap_patterns:
             raise RewriteError("commutative systems take no explicit swap rules")
-        self._check_swaps_acyclic()
+        if left & right or len(self.swap_patterns) != len(left) * len(right):
+            raise RewriteError("swap rules must make two disjoint parties commute")
         # Swapping a symbol past another can break or create adjacency of a
         # zero/idempotent pattern, losing confluence; keep the alphabets of
         # the swap rules disjoint from the other two rule classes.
-        swap_syms = {s for pat in self.swap_patterns for s in pat}
         zero_syms = {s for pat in self.zero_pairs for s in pat}
-        if swap_syms & zero_syms:
+        if self.swap_symbols & zero_syms:
             raise RewriteError("swap and zero rules must use disjoint symbols")
-        if swap_syms & set(self.idempotents):
+        if self.swap_symbols & set(self.idempotents):
             raise RewriteError("swap rules cannot involve idempotent symbols")
-
-    def _check_swaps_acyclic(self):
-        # Edge a -> b for pattern (a, b) means "a must end up right of b";
-        # a directed cycle makes the swap set non-terminating.
-        succ = {}
-        for a, b in self.swap_patterns:
-            if (b, a) in self.swap_patterns:
-                raise RewriteError(f"swap rules ({a},{b}) and ({b},{a}) form a cycle")
-            succ.setdefault(a, set()).add(b)
-        color = {}
-
-        def visit(u):
-            color[u] = 1
-            for v in succ.get(u, ()):
-                c = color.get(v, 0)
-                if c == 1:
-                    raise RewriteError("swap rule set contains a cycle")
-                if c == 0:
-                    visit(v)
-            color[u] = 2
-
-        for u in list(succ):
-            if color.get(u, 0) == 0:
-                visit(u)
 
 
 EMPTY_REWRITES = RewriteSystem()
@@ -222,67 +209,74 @@ def canonical(word: Word, mode: EquivalenceMode) -> Word:
 def canonical_reduced(
     word: Word, rw: RewriteSystem, mode: EquivalenceMode
 ) -> Optional[Word]:
-    """Least representative of the class of ``word`` modulo rewriting.
+    """Least reduced member of the class of ``word`` by (degree, lex), or
+    ``None`` when the class is zero.
 
-    Cyclic shifts may expose zero patterns or idempotent pairs that the plain
-    scan cannot see (the pattern wraps around the end of the word), so the
-    minimization and the reduction are iterated to a fixpoint.  Returns
-    ``None`` when the class collapses to zero.
+    The class is closed under rewriting, reversal and, in the tracial mode,
+    cyclic shifts.  In the symmetric mode it holds the reduced word and its
+    reduced reversal.  In the tracial mode, with ``w`` the reduced word, read
+    its pairs (w[k-1], w[k]) cyclically, in both directions:
 
-    A round of that loop reduces every candidate of the class of the reduced
-    word ``w``.  A rule can fire in a candidate only on one of its adjacent
-    pairs, and those are the pairs (w[k-1], w[k]) of ``w`` read cyclically
-    (the wrap pair (w[-1], w[0]) included), in either direction; in the
-    symmetric mode only the non-wrap pairs, reversed.  Three exits read these
-    pairs and return what the loop would return from ``w``, without
-    reducing a candidate:
+    (a) zero -- one is a zero pair: a rotation or reversed rotation starts
+        with it, so the class is zero;
+    (c) idempotent wrap -- w[-1] == w[0] is idempotent: merging the two
+        drops the pair (w[0], w[0]) and keeps every other;
+    (b) clean -- then no pair fires a rule: every rotation of ``w`` and of
+        its reversal is reduced and of one length; return the least.
 
-    (a) zero -- a cyclic pair is a zero pair in either direction.  Some
-        rotation or reversed rotation starts with it, its reduction stops
-        at position 0, and the loop returns ``None``.
-    (b) clean -- no cyclic pair, in either direction, is a zero pair, an
-        idempotent square or a swap pattern.  Every candidate is then
-        reduced and of one length, so the loop returns their least member.
-    (c) idempotent wrap -- without swap rules, and once (a) has not fired,
-        the only pair a rule can fire on is the wrap pair, with
-        w[-1] == w[0] idempotent.  Merging it maps the candidates other
-        than ``w`` and its reversal onto all the (shorter) candidates of
-        w[:-1].  The cyclic pairs of w[:-1] are those of ``w`` less
-        (w[0], w[0]), so from ``w`` and from w[:-1] alike the loop returns
-        the least candidate of w[:-1].
-
-    Otherwise one round of the loop runs and the exits are tried again on
-    its result.  Commutative systems and words shorter than 2 need no round:
-    every candidate reduces to ``w`` itself.
+    Without swap rules (a) to (c) decide every word.  With them ``w`` is a
+    cycle of separators (symbols outside the two parties) and segments, each
+    a pair (X, Y) of an L-word and an R-word, which commute.  A separator
+    commutes with nothing and no rule merges party symbols, so a member of
+    least degree is a cut of this cycle.  A cut inside segment (X, Y) splits
+    X and Y apart: ``X[a:] + Y[b:] + middle + X[:a] + Y[:b]``, over every
+    segment, every a and b, and both orientations.  Without a separator the
+    two parts rotate independently.
     """
     w = reduce_word(word, rw)
     if w is None or mode == EquivalenceMode.PLAIN or rw.commutative:
         return w
-    tracial = mode == EquivalenceMode.TRACIAL_SYMMETRIC
-    while True:
-        if len(w) < 2:
-            return w
-        if tracial:
-            pairs = list(zip(w[-1:] + w[:-1], w))
-            if not rw.zero_either.isdisjoint(pairs):
-                return None
-            if rw.fires_either.isdisjoint(pairs):
-                return min(_class_candidates(w, mode))
-            if not rw.swap_patterns and w[-1] == w[0] and w[0] in rw.idempotents:
-                w = w[:-1]
-                continue
-        elif rw.fires.isdisjoint(zip(w[1:], w)):
-            return min(w, involution(w))
-        best = None
-        for cand in _class_candidates(w, mode):
-            red = reduce_word(cand, rw)
-            if red is None:
-                return None
-            if best is None or (len(red), red) < (len(best), best):
-                best = red
-        if best == w:
-            return w
-        w = best
+    if mode == EquivalenceMode.SYMMETRIC:
+        rev = reduce_word(involution(w), rw)
+        return None if rev is None else min(w, rev)
+    if len(w) < 2:
+        return w
+    if not rw.zero_either.isdisjoint(zip(w[-1:] + w[:-1], w)):
+        return None
+    if w[-1] == w[0] and w[0] in rw.idempotents:
+        w = w[:-1]
+    if rw.fires_either.isdisjoint(zip(w[-1:] + w[:-1], w)):
+        return min(_class_candidates(w, mode))
+    return min(_cuts(w, rw))
+
+
+def _least_rotation(word: Word) -> Word:
+    return min((word[k:] + word[:k] for k in range(len(word))), default=word)
+
+
+def _cuts(w: Word, rw: RewriteSystem) -> Iterator[Word]:
+    """The least-degree tracial class members of a reduced swap-system word
+    (see :func:`canonical_reduced`)."""
+    left = rw.swap_left
+    for v in (w, reduce_word(involution(w), rw)):
+        seps = [i for i, s in enumerate(v) if s not in rw.swap_symbols]
+        if not seps:
+            k = sum(s in left for s in v)
+            yield _least_rotation(v[:k]) + _least_rotation(v[k:])
+            continue
+        v = v[seps[0]:] + v[:seps[0]]
+        ends = [i - seps[0] for i in seps] + [len(v)]
+        units = []
+        for i, j in zip(ends, ends[1:]):
+            seg = v[i + 1:j]
+            units.append((v[i], tuple(s for s in seg if s in left),
+                          tuple(s for s in seg if s not in left)))
+        blocks = [(s,) + x + y for s, x, y in units]
+        for j, (s, x, y) in enumerate(units):
+            middle = sum(blocks[j + 1:] + blocks[:j], ()) + (s,)
+            for a in range(len(x) + 1):
+                for b in range(len(y) + 1):
+                    yield x[a:] + y[b:] + middle + x[:a] + y[:b]
 
 
 class BasisSizeError(RuntimeError):

@@ -113,7 +113,7 @@ def test_problem_shape_level_three():
     P = corrlab.realize(corrlab.tsirelson_chsh())
     prob = build_xi_problem(P, 3)
     assert prob.blocks[0].size == 102
-    assert prob.num_vars == 692
+    assert prob.num_vars == 683
 
 
 def test_single_answer_party_has_no_constant_block():
