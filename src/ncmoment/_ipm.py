@@ -25,17 +25,25 @@ iterates sit at the same diagonal point.
 Schur complement.  With the NT factor r of each block, the reduced Schur
 matrix is H = J'J, where J stacks the rows svec(r' G_a r) of every block
 (upper triangle, off-diagonal entries weighted by sqrt 2, so a block of size
-n gives n(n+1)/2 rows) and G_a = sum_k N[k, a] E_k.  H is Cholesky-factored
-and the factor is used when it exists and the exact reciprocal 1-norm
-condition number of H reaches ``RCOND_MIN``.  Otherwise the step comes from
-a QR of J followed by an SVD of its R factor, which gives a zero step along
-directions outside the numerical row space.  The guard 1e-6 bounds the
-relative error of a Cholesky step by about eps/rcond ~ 2e-10 before
-refinement; near-singular H, as on degenerate faces and late in infeasible
-solves, goes to the rank-revealing fallback, which gives dead directions a
-zero step instead of amplified roundoff.  Once a solve takes the fallback it
-keeps it for its remaining iterations.  Both paths refine the solve twice
-against J'J.  The module needs numpy alone.
+n gives n(n+1)/2 rows) and G_a = sum_k N[k, a] E_k.  Near degenerate optima
+the columns of J differ in scale by many orders of magnitude, and that alone
+drives the condition number of H to 1e23 and beyond.  So H is equilibrated
+first: with d = sqrt(diag H), K = D^-1 H D^-1 (D = diag d) has a unit
+diagonal, and the step is dt = D^-1 K^-1 D^-1 g.  Cholesky's backward error
+on H is then governed by the condition number of K, not of H (van der Sluis,
+Numer. Math. 14, 1969; Higham, Accuracy and Stability of Numerical
+Algorithms, sec. 10.1).  K is Cholesky-factored and the factor is used when
+it exists and the exact reciprocal 1-norm condition number of K reaches
+``RCOND_MIN`` = 1e-12.  Both paths refine the solve twice against J'J.  A
+Cholesky step has a relative error of about eps/rcond, at most 2e-4 at the
+guard, and each refinement step multiplies it by that factor again, so a
+step accepted at the guard ends near 1e-11.  Otherwise, when K is
+numerically singular or worse conditioned than the guard, as on some steps
+of degenerate faces and late in infeasible solves, the step comes from a QR
+of the unscaled J followed by an SVD of its R factor, which gives a zero
+step along directions outside the numerical row space instead of amplified
+roundoff.  Once a solve takes the fallback it keeps it for its remaining
+iterations.  The module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -45,8 +53,10 @@ from typing import Optional
 
 import numpy as np
 
-# Smallest reciprocal 1-norm condition number of H = J'J for the Cholesky path.
-RCOND_MIN = 1e-6
+# Smallest reciprocal 1-norm condition number of the equilibrated Schur
+# matrix K = D^-1 J'J D^-1 for the Cholesky path; two refinement steps at
+# eps/rcond each take an accepted step to a relative error near 1e-11.
+RCOND_MIN = 1e-12
 # Iteration limit; a solve that reaches it ends with status numerical_limit.
 MAX_ITER = 120
 
@@ -310,12 +320,19 @@ def _schur_solver(J: np.ndarray, fallback: bool = False):
     """Solver for H dt = g with H = J'J, refined twice against J'J, and
     whether it took the rank-revealing fallback.
 
-    Cholesky of H when it is well conditioned (rcond >= RCOND_MIN), else
-    ``_row_space_base``.  With ``fallback`` the Cholesky attempt is skipped.
+    Cholesky of the equilibrated K = H / (d d') with d = sqrt(diag H) when K
+    is well conditioned (rcond >= RCOND_MIN), giving dt = K^-1(g / d) / d;
+    else ``_row_space_base`` on the unscaled J.  With ``fallback`` the
+    Cholesky attempt is skipped.
     """
-    chol = None if fallback else _cholesky_base(J.T @ J)
+    chol = None
+    if not fallback:
+        H = J.T @ J
+        d = np.sqrt(np.diag(H))
+        if d.min(initial=1.0) > 0.0:
+            chol = _cholesky_base(H / np.outer(d, d))
     if chol is not None:
-        base, live = chol, (lambda res: res)
+        base, live = (lambda g: chol(g / d) / d), (lambda res: res)
     else:
         base, live = _row_space_base(J)
 

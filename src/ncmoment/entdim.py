@@ -156,7 +156,7 @@ class EntdimSets:
     """Generator data of the level-r program for one scenario."""
 
     symbols: list
-    generators: list  # localizing generators: kept symbols, complements, z
+    generators: list  # localizing generators: kept symbols, complements
     ideal: list  # the defining ideal, enforced by rewriting (reported only)
     rewrites: RewriteSystem
     r: int
@@ -183,9 +183,11 @@ def build_entdim_sets(scenario: Scenario, r: int) -> EntdimSets:
     there are no completeness sums.  The localizing generators are the kept
     symbols, then 1 - sum_a x_s^a per question s and 1 - sum_b y_t^b per
     question t (the eliminated operators; skipped where they are the constant
-    1, that is with one answer), then z.  State idempotence and the
-    cross-party commutators enter the rewrite system; substitution by them
-    changes moments by truncated-ideal members only.
+    1, that is with one answer).  z has no block of its own: as z = z^2 under
+    the rewrite rules, L(u* z v) = L((zu)* (zv)), so its localizing block is
+    the principal submatrix of the moment block on the rows z u.  State
+    idempotence and the cross-party commutators enter the rewrite system;
+    substitution by them changes moments by truncated-ideal members only.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
@@ -207,7 +209,6 @@ def build_entdim_sets(scenario: Scenario, r: int) -> EntdimSets:
     generators += [_outcome(alice, s, sc.nA - 1, sc.nA) for s in range(sc.nS)]
     generators += [_outcome(bob, t, sc.nB - 1, sc.nB) for t in range(sc.nT)]
     generators = [g for g in generators if g.deg > 0]
-    generators.append(zpoly)
     return EntdimSets(xs + ys + [z], generators, ideal, rw, r)
 
 

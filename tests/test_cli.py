@@ -91,11 +91,11 @@ def test_corr_bound_level_one(classical_corr_file, tmp_path):
     rep = read_report(out)
     assert rc == 0
     assert abs(rep["value"] - 1.0) < 1e-4
-    # CHSH level 1 in the Collins-Gisin alphabet: 5 symbols, 9 generators;
+    # CHSH level 1 in the Collins-Gisin alphabet: 5 symbols, 8 generators;
     # no symmetry is attached, so every variable is its own orbit
     assert rep["solver"]["problem"] == {
         "num_vars": 20, "num_orbits": 20, "num_eq": 1,
-        "block_sizes": [6] + [1] * 9}
+        "block_sizes": [6] + [1] * 8}
     # Schur solves that took the QR fallback, reported next to iterations
     assert 0 <= rep["solver"]["qr_fallbacks"] <= rep["solver"]["iterations"]
 

@@ -194,17 +194,27 @@ def test_weights_residual_bound(shift, certified, monkeypatch):
 def test_import_leaves_scipy_optimize_unloaded():
     # The package needs numpy alone: no scipy.optimize, scipy.linalg or
     # scipy.sparse module may load, on import or lazily during a solve.  The
-    # subprocess runs theta(C5) (Cholesky path) and CHSH xi_q at level 2 on
-    # the Tsirelson table, which takes the rank-revealing fallback.
+    # subprocess runs theta(C5) (Cholesky path) and a program whose variable
+    # z is split into two identical columns, max y + z1 + z2 over
+    # [[1, y, z], [y, 1, y], [z, y, 1]] >= 0 and z <= 1/2 with z = z1 + z2:
+    # its Schur matrix is singular, so it takes the rank-revealing fallback.
     src = os.path.dirname(os.path.dirname(corrlab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
     code = (
         "import sys, ncmoment, ncmoment.cli\n"
+        "import numpy as np\n"
         "from ncmoment import corrlab, entdim, graphs, qgraph\n"
+        "from ncmoment._ipm import BlockData, ConeProgram, solve_ipm\n"
         "qgraph.theta(graphs.cycle(5))\n"
-        "P = corrlab.realize(corrlab.tsirelson_chsh())\n"
-        "print(entdim.xi_q(P, 2).solution.qr_fallbacks)\n"
+        "ij = [(0, 1), (1, 0), (1, 2), (2, 1)] + [(0, 2), (2, 0)] * 2\n"
+        "moment = BlockData(3, np.eye(3), np.array([0] * 4 + [1, 1, 2, 2]),\n"
+        "                   np.array([i for i, _ in ij]),\n"
+        "                   np.array([j for _, j in ij]), np.ones(8))\n"
+        "cap = BlockData(1, np.array([[0.5]]), np.array([1, 2]),\n"
+        "                np.zeros(2, int), np.zeros(2, int), -np.ones(2))\n"
+        "prog = ConeProgram(3, np.ones(3), [moment, cap], None, None)\n"
+        "print(solve_ipm(prog.finalize()).qr_fallbacks)\n"
         "print(sorted(m for m in sys.modules if any(\n"
         "    m == p or m.startswith(p + '.')\n"
         "    for p in ('scipy.optimize', 'scipy.linalg', 'scipy.sparse'))))\n"

@@ -18,6 +18,7 @@ from ncmoment.ncwords import (
     alice,
     bob,
     enumerate_basis,
+    reduce_word,
     state_symbol,
 )
 from ncmoment.entdim import (
@@ -71,9 +72,9 @@ def test_correlation_json_roundtrip():
 def test_build_sets_counts_chsh():
     sets = build_entdim_sets(CHSH, 1)
     assert len(sets.symbols) == 5  # x_0^0, x_1^0, y_0^0, y_1^0 and z
-    # 4 kept symbols, 4 complements 1 - x_s^0 and 1 - y_t^0, and z
-    assert len(sets.generators) == 9
-    assert [g.deg for g in sets.generators] == [1] * 9
+    # 4 kept symbols and 4 complements 1 - x_s^0 and 1 - y_t^0; z has none
+    assert len(sets.generators) == 8
+    assert [g.deg for g in sets.generators] == [1] * 8
     # state idempotence + cross-party commutators of the kept symbols
     assert len(sets.ideal) == 1 + 4
 
@@ -83,9 +84,9 @@ def test_problem_shape_level_two():
     prob = build_xi_problem(P, 2)
     sizes = [b.size for b in prob.blocks]
     assert sizes[0] == 26  # 1 + 5 symbols + 20 reduced degree-2 words
-    # Localizing blocks over degree <= 1 words; in the z block rows 1 and z
-    # agree (z^2 = z), so one of them is dropped.
-    assert sizes[1:] == [6] * 8 + [5]
+    # Localizing blocks over degree <= 1 words, one per kept symbol and per
+    # complement; z has no block (see test_z_block_is_a_moment_submatrix).
+    assert sizes[1:] == [6] * 8
     assert prob.num_vars == 121
     # L(z) = 1 and the 16 expanded data rows, none of them duplicates
     assert prob.metadata["num_eq"] == 17
@@ -116,13 +117,34 @@ def test_problem_shape_level_three():
     assert prob.num_vars == 683
 
 
+@pytest.mark.parametrize("r", [2, 3])
+def test_z_block_is_a_moment_submatrix(r):
+    # z = z^2 under the rewrite rules, so L(u* z v) = L((zu)* (zv)): the
+    # localizing block of z repeats the moment block on the rows z u, which
+    # is why build_entdim_sets gives z no generator.
+    sets = build_entdim_sets(CHSH, r)
+    rw, syms = sets.rewrites, sets.symbols
+    index = VariableIndex(2 * r, rw, EquivalenceMode.TRACIAL_SYMMETRIC)
+    rows = enumerate_basis(syms, r, rw)
+    moment = moment_block(rows, index)
+    z = state_symbol()
+    loc = localizing_block(NcPolynomial.from_word((z,)), r, index, syms)
+    assert loc.size > 1
+    at = {w: i for i, w in enumerate(rows)}
+    zrow = [at[reduce_word((z,) + u, rw)] for u in loc.row_words]
+    for i in range(loc.size):
+        for j in range(i, loc.size):
+            p, q = sorted((zrow[i], zrow[j]))
+            assert loc.entries.get((i, j)) == moment.entries.get((p, q))
+
+
 def test_single_answer_party_has_no_constant_block():
     # With one answer, Alice's complement 1 - (empty sum) is the constant 1,
     # whose block would repeat a principal submatrix of the moment block.
     sc = Scenario(1, 2, 1, 2)
     sets = build_entdim_sets(sc, 2)
     assert all(g.deg > 0 for g in sets.generators)
-    assert len(sets.generators) == 2 + 2 + 1  # y_t^0, 1 - y_t^0, z
+    assert len(sets.generators) == 2 + 2  # y_t^0, 1 - y_t^0
     table = np.zeros((1, 2, 1, 2))
     table[0, :, 0, 0] = [0.3, 0.7]
     table[0, :, 0, 1] = [0.6, 0.4]

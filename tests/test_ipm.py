@@ -268,21 +268,47 @@ def test_fallback_step_has_no_null_space_component():
     assert np.allclose(K.T @ (K @ solve(g)), g, rtol=0, atol=1e-10)
 
 
+def test_column_scaling_keeps_the_cholesky_path():
+    # Columns scaled by 1e6 and 1e-6 put the rcond of H = J'J near 4e-25,
+    # but the equilibrated K = D^-1 H D^-1 is as well conditioned as J0'J0,
+    # so the Cholesky path solves it.
+    rng = np.random.default_rng(0)
+    J0 = rng.standard_normal((30, 6))
+    s = np.array([1e6, 1e-6, 1e6, 1e-6, 1.0, 1e6])
+    J = J0 * s
+    assert 1.0 / np.linalg.cond(J.T @ J, 1) < 1e-24
+    solve, fallback = _ipm._schur_solver(J)
+    assert not fallback
+    g = rng.standard_normal(6)
+    # J'J dt = g is J0'J0 (s dt) = g / s: the unscaled solve mapped back.
+    want = np.linalg.solve(J0.T @ J0, g / s) / s
+    assert np.allclose(solve(g), want, rtol=1e-10, atol=0)
+
+
 # 3e5 and 1e6 put the reference rcond at 1.7e-6 and 4.9e-7, on either side of
-# RCOND_MIN; a diagonal-ratio estimate of the latter reads 4e-5.
+# the former guard 1e-6; 3e11 and 1e12 put it at 1.4e-12 and 4.6e-13, on
+# either side of RCOND_MIN.
 @pytest.mark.parametrize("cond, seed",
-                         [(1e2, 102), (3e5, 5), (1e6, 6), (1e9, 9)])
+                         [(1e2, 102), (3e5, 5), (1e6, 6), (1e9, 9),
+                          (3e11, 11), (1e12, 12)])
 def test_cholesky_rcond_matches_reference(cond, seed):
     rng = np.random.default_rng(seed)
     Q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
-    H = (Q * np.geomspace(1.0, 1.0 / cond, 8)) @ Q.T
+    ev = np.geomspace(1.0, 1.0 / cond, 8)
+    H = (Q * ev) @ Q.T
     H = 0.5 * (H + H.T)
     rcond = 1.0 / np.linalg.cond(H, 1)
     base = _ipm._cholesky_base(H)
     assert (base is not None) == (rcond >= _ipm.RCOND_MIN)
-    if base is not None:
-        g = rng.standard_normal(8)
+    g = rng.standard_normal(8)
+    if base is not None and cond <= 1e9:
         assert np.allclose(H @ base(g), g, rtol=0, atol=1e-6)
+    # Near the guard a lone Cholesky solve leaves residuals near 1e-5; the
+    # Schur solve refined against J'J = H matches the exact step.
+    J = np.sqrt(ev)[:, None] * Q.T
+    solve, _ = _ipm._schur_solver(J)
+    want = Q @ ((Q.T @ g) / ev)
+    assert np.abs(solve(g) - want).max() <= 1e-10 * np.abs(want).max()
 
 
 def test_dual_objective_matches_least_squares_on_rank_deficient_A():
