@@ -18,7 +18,6 @@ from . import __version__, conic, corrlab, graphs, qgraph
 from .entdim import (
     Correlation,
     CorrelationError,
-    EntdimConfig,
     InfeasibleCorrelationError,
     Scenario,
     build_xi_problem,
@@ -72,13 +71,17 @@ def _load_graph(path: str) -> graphs.Graph:
     return graphs.from_json(text)
 
 
-def _emit(report: dict, out):
-    payload = json.dumps(report, indent=2, sort_keys=True)
+def _write(payload: str, out):
+    """Write ``payload`` and a newline to the file ``out``, or to stdout."""
     if out:
         with open(out, "w") as fh:
             fh.write(payload + "\n")
     else:
         print(payload)
+
+
+def _emit(report: dict, out):
+    _write(json.dumps(report, indent=2, sort_keys=True), out)
 
 
 def _report_base(args, parameter: str, input_path=None) -> dict:
@@ -180,13 +183,12 @@ def cmd_corr_bound(args) -> int:
     t0 = time.perf_counter()
     with open(args.input) as fh:
         P = Correlation.from_json(fh.read())
-    config = EntdimConfig()
-    problem = build_xi_problem(P, args.level, config)
+    problem = build_xi_problem(P, args.level)
     if args.export_sdpa:
         with open(args.export_sdpa, "wb") as fh:
             fh.write(conic.export_sdpa(problem))
     try:
-        res = solve_xi_problem(problem, config)
+        res = solve_xi_problem(problem)
     except InfeasibleCorrelationError as e:
         report["status"] = "infeasible"
         report["diagnostics"] = {"message": str(e), "margin": e.margin}
@@ -212,15 +214,9 @@ def cmd_gen(args) -> int:
         raise ValueError(f"unknown model {args.model}")
     real = corrlab.random_realization(sc, args.dim, args.seed)
     P = corrlab.realize(real)
-    payload = P.to_json()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload + "\n")
-    else:
-        print(payload)
+    _write(P.to_json(), args.out)
     if args.realization_out:
-        with open(args.realization_out, "w") as fh:
-            fh.write(real.to_json() + "\n")
+        _write(real.to_json(), args.realization_out)
     return 0
 
 
@@ -257,18 +253,13 @@ def cmd_sync(args) -> int:
     if args.random_family:
         nS, nA = (int(x) for x in args.random_family.split(","))
         fam = corrlab.random_projector_family(nS, nA, args.dim, args.seed)
-        payload = _family_to_json(fam, args.dim)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(payload + "\n")
-        else:
-            print(payload)
+        _write(_family_to_json(fam, args.dim), args.out)
         return 0
     if args.gram:
         with open(args.input) as fh:
             P = Correlation.from_json(fh.read())
         gram = corrlab.gram_of_synchronous(P)
-        payload = json.dumps(
+        _write(json.dumps(
             {
                 "nS": gram.nS,
                 "nA": gram.nA,
@@ -276,12 +267,7 @@ def cmd_sync(args) -> int:
                 "min_eigenvalue": gram.min_eigenvalue(),
             },
             sort_keys=True,
-        )
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(payload + "\n")
-        else:
-            print(payload)
+        ), args.out)
         return 0 if gram.min_eigenvalue() >= -1e-9 else 2
     if args.realize:
         with open(args.input) as fh:
@@ -291,12 +277,7 @@ def cmd_sync(args) -> int:
         produced = corrlab.realize(real)
         expected = corrlab.synchronous_from_projectors(fam, d)
         err = float(np.abs(produced.table - expected.table).max())
-        payload = real.to_json()
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(payload + "\n")
-        else:
-            print(payload)
+        _write(real.to_json(), args.out)
         if err > 1e-8:
             print(f"round-trip error {err:.3e} exceeds 1e-8", file=sys.stderr)
             return 2
@@ -363,11 +344,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (CorrelationError, graphs.GraphFormatError, conic.SdpaFormatError,
-            corrlab.ValidationError, ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (conic.SolverError, qgraph.BracketError,
-            corrlab.ResourceError) as e:
+            corrlab.ValidationError, ValueError, OSError, conic.SolverError,
+            qgraph.BracketError, corrlab.ResourceError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -2,7 +2,15 @@
 
 Every solve runs the interior-point method in :mod:`ncmoment._ipm`; SDPA
 files are exchange I/O only.  Inequalities are implemented as 1x1 PSD blocks
-so the core solver only sees a single cone type.  Post-solve utilities
+so the core solver only sees a single cone type.
+
+Acceptance.  This module alone decides which solver outcome is a bound.
+``optimal`` is accepted.  ``numerical_limit`` is accepted only when the
+largest of its lmi, adjoint, equality and gap residuals is at most
+``ACCEPT_TOL``; otherwise :func:`solve` and :func:`feasibility` raise
+SolverError.  Certified ``infeasible`` and ``unbounded`` outcomes are
+returned to the caller: as statuses by :func:`solve`, as the verdicts
+(False, -inf) and (True, inf) by :func:`feasibility`.  Post-solve utilities
 compute numerical ranks of nested principal submatrices of the realized
 moment matrix and the flatness verdicts used for finite-convergence
 certificates.
@@ -41,6 +49,8 @@ from .ncwords import reduce_word
 DEFAULT_TOL = 1e-8
 DEFAULT_EPS_FEAS = 1e-6
 DEFAULT_TAU_RANK = 1e-6
+# Largest residual of a numerical_limit outcome that still counts as a bound.
+ACCEPT_TOL = 1e-5
 
 
 class SolveStatus(Enum):
@@ -213,7 +223,7 @@ def _orbit_labels(problem: SdpProblem) -> np.ndarray:
 
 
 def _build_cone_program(
-    problem: SdpProblem, objective_cap: Optional[float] = None, margin: bool = False
+    problem: SdpProblem, margin: bool = False
 ) -> Tuple[ConeProgram, float, np.ndarray]:
     """Translate an LMI-form problem into the solver's internal data.
 
@@ -251,11 +261,6 @@ def _build_cone_program(
         blocks.append(BlockData(1, np.array([[-con.rhs]]),
                                 np.array([v for v, _ in items], dtype=np.int64), z, z,
                                 np.array([cf for _, cf in items], dtype=float)))
-    if objective_cap is not None:
-        # Optional numerical aid: bound the objective form from above.
-        vids = np.nonzero(c)[0]
-        z = np.zeros(len(vids), dtype=np.int64)
-        blocks.append(BlockData(1, np.array([[objective_cap]]), vids, z, z, -c[vids]))
 
     referenced = np.zeros(n, dtype=bool)
     referenced[list(problem.objective)] = True
@@ -295,27 +300,41 @@ def _build_cone_program(
     return ConeProgram(nv, objective, blocks, A, d).finalize(), sign, label
 
 
-def solve(
-    problem: SdpProblem,
-    tol: float = DEFAULT_TOL,
-    objective_cap: Optional[float] = None,
-) -> SdpSolution:
+def _accepted(res, problem: SdpProblem) -> dict:
+    """Residuals of an IPM result; SolverError if it is no bound.
+
+    A numerical_limit outcome whose largest residual exceeds ``ACCEPT_TOL``
+    is rejected; every other outcome passes.
+    """
+    resid = {
+        "lmi": res.err_lmi,
+        "adjoint": res.err_adj,
+        "equality": res.err_eq,
+        "gap": abs(res.pobj - res.dobj) / (1 + abs(res.pobj) + abs(res.dobj)),
+    }
+    if res.status == "numerical_limit":
+        name = max(resid, key=lambda k: math.inf if math.isnan(resid[k]) else resid[k])
+        if not resid[name] <= ACCEPT_TOL:  # also when it is NaN
+            raise SolverError(
+                f"{problem.description or 'problem'}: solver stopped at "
+                f"numerical_limit after {res.iterations} iterations with "
+                f"{name} residual {resid[name]:.3e} above ACCEPT_TOL "
+                f"{ACCEPT_TOL:.0e}"
+            )
+    return resid
+
+
+def solve(problem: SdpProblem) -> SdpSolution:
     """Solve an assembled moment SDP with the interior-point method.
 
-    ``objective_cap`` adds the LMI objective <= cap as a numerical aid.  The
-    returned objective is the moment-side value; the dual objective is in
-    ``residuals["dual_objective"]``.
+    The returned objective is the moment-side value; the dual objective is in
+    ``residuals["dual_objective"]``.  Raises SolverError on a numerical_limit
+    outcome that the module's acceptance rule rejects.
     """
-    if not (0 < tol <= 1e-2):
-        raise ValueError("tol must lie in (0, 1e-2]")
-    prog, sign, label = _build_cone_program(problem, objective_cap)
-    res = solve_ipm(prog, tol=tol)
-    status = {
-        "optimal": SolveStatus.OPTIMAL,
-        "infeasible": SolveStatus.INFEASIBLE,
-        "unbounded": SolveStatus.UNBOUNDED,
-        "numerical_limit": SolveStatus.NUMERICAL_LIMIT,
-    }[res.status]
+    prog, sign, label = _build_cone_program(problem)
+    res = solve_ipm(prog, tol=DEFAULT_TOL)
+    residuals = _accepted(res, problem)
+    status = SolveStatus(res.status)
     y = res.y[label]
     mi = problem.moment_block_index()
     mom = problem.blocks[mi].materialize(y) if status != SolveStatus.INFEASIBLE else None
@@ -328,49 +347,35 @@ def solve(
         iterations=res.iterations,
         qr_fallbacks=res.qr_fallbacks,
         num_orbits=prog.nvars,
-        residuals={
-            "lmi": res.err_lmi,
-            "adjoint": res.err_adj,
-            "equality": res.err_eq,
-            "gap": abs(res.pobj - res.dobj) / (1 + abs(res.pobj) + abs(res.dobj)),
-            "dual_objective": float(sign * res.dobj),
-        },
+        residuals={**residuals, "dual_objective": float(sign * res.dobj)},
         certificate=res.certificate,
         problem=problem,
     )
 
 
-def feasibility(
-    problem: SdpProblem,
-    eps_feas: float = DEFAULT_EPS_FEAS,
-) -> Tuple[bool, float]:
+def feasibility(problem: SdpProblem) -> Tuple[bool, float]:
     """Decide feasibility via the margin program max { t : blocks >= t*I }.
 
     The input must have no objective.  Feasible iff the optimal margin is
-    >= -eps_feas; the margin is returned alongside.  The equality constraints
-    must pin the normalization (e.g. L(1) = 1), otherwise the margin program
-    is unbounded.
+    >= -DEFAULT_EPS_FEAS; the margin is returned alongside.  The equality
+    constraints must pin the normalization (e.g. L(1) = 1), otherwise the
+    margin program is unbounded.
     """
     if problem.objective:
         raise ValueError("feasibility expects a problem without objective")
     prog, _, _ = _build_cone_program(problem, margin=True)
     res = solve_ipm(prog, tol=DEFAULT_TOL)
+    _accepted(res, problem)
     if res.status == "unbounded":
         return True, math.inf
     if res.status == "infeasible":
         return False, -math.inf
-    if res.status not in ("optimal", "numerical_limit"):
-        raise SolverError(f"margin program ended with status {res.status}")
-    if res.status == "numerical_limit" and max(
-        res.err_lmi, res.err_adj, res.err_eq
-    ) > 1e-4:
-        raise SolverError("margin program did not reach acceptable accuracy")
     margin = float(res.y[prog.nvars - 1])  # t follows the orbit variables
-    return margin >= -eps_feas, margin
+    return margin >= -DEFAULT_EPS_FEAS, margin
 
 
-def numerical_rank(matrix: np.ndarray, tau_rank: float = DEFAULT_TAU_RANK) -> int:
-    """Number of singular values above tau_rank times the largest one."""
+def numerical_rank(matrix: np.ndarray) -> int:
+    """Number of singular values above DEFAULT_TAU_RANK times the largest one."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.size == 0:
         return 0
@@ -378,15 +383,10 @@ def numerical_rank(matrix: np.ndarray, tau_rank: float = DEFAULT_TAU_RANK) -> in
     top = sv.max(initial=0.0)
     if top == 0.0:
         return 0
-    return int((sv > tau_rank * top).sum())
+    return int((sv > DEFAULT_TAU_RANK * top).sum())
 
 
-def flatness_from_matrix(
-    M: np.ndarray,
-    degrees: np.ndarray,
-    r: int,
-    tau_rank: float = DEFAULT_TAU_RANK,
-) -> FlatnessReport:
+def flatness_from_matrix(M: np.ndarray, degrees: np.ndarray, r: int) -> FlatnessReport:
     """Rank profile of the nested principal submatrices M_s, s = 0..r.
 
     ``degrees`` gives the word degree of each row of M (rows must be sorted
@@ -396,26 +396,21 @@ def flatness_from_matrix(
     ranks = []
     for s in range(r + 1):
         k = int((degrees <= s).sum())
-        ranks.append(numerical_rank(M[:k, :k], tau_rank))
+        ranks.append(numerical_rank(M[:k, :k]))
     flat_deltas = [delta for delta in range(1, r + 1) if ranks[r - delta] == ranks[r]]
     entdim_delta = math.ceil(r / 3) + 1
     entdim_flat = (
         r - entdim_delta >= 0 and ranks[r - entdim_delta] == ranks[r]
     )
-    return FlatnessReport(r, ranks, tau_rank, flat_deltas, entdim_delta, entdim_flat)
+    return FlatnessReport(r, ranks, DEFAULT_TAU_RANK, flat_deltas, entdim_delta,
+                          entdim_flat)
 
 
-def flatness(
-    solution: SdpSolution,
-    r: int,
-    tau_rank: float = DEFAULT_TAU_RANK,
-) -> FlatnessReport:
+def flatness(solution: SdpSolution, r: int) -> FlatnessReport:
     """Flatness report of a solved instance's realized moment matrix."""
     if solution.moment_matrix is None:
         raise ValueError("solution carries no realized moment matrix")
-    return flatness_from_matrix(
-        solution.moment_matrix, solution.moment_degrees, r, tau_rank
-    )
+    return flatness_from_matrix(solution.moment_matrix, solution.moment_degrees, r)
 
 
 # --------------------------------------------------------------------------
@@ -680,6 +675,6 @@ def import_sdpa(data: bytes) -> SdpProblem:
     return sdpa_to_problem(parse_sdpa(data))
 
 
-def import_solution_sdpa(data: bytes, tol: float = DEFAULT_TOL) -> SdpSolution:
+def import_solution_sdpa(data: bytes) -> SdpSolution:
     """Parse an SDPA problem file, solve it, and return the solution."""
-    return solve(import_sdpa(data), tol=tol)
+    return solve(import_sdpa(data))

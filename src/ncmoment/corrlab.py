@@ -16,6 +16,8 @@ from .entdim import Correlation, CorrelationError, Scenario
 
 # Largest entry of |P - sum_k w_k P_k| accepted for a CLASSICAL verdict.
 WEIGHTS_TOL = 1e-8
+# Smallest separation margin accepted for a NONCLASSICAL verdict.
+MARGIN_TOL = 1e-9
 
 
 class ValidationError(ValueError):
@@ -427,15 +429,15 @@ def _margin_lp(P: np.ndarray, columns: np.ndarray):
 
 
 def _certificate(P: Correlation, strategies: list, columns: np.ndarray,
-                 c: np.ndarray, w: np.ndarray, best_val: float,
-                 tol: float) -> ClassicalityCertificate:
+                 c: np.ndarray, w: np.ndarray,
+                 best_val: float) -> ClassicalityCertificate:
     """Certified verdict from a functional and candidate weights.
 
     ``best_val`` is the exact maximum of <c, P_k> over every strategy.
     """
     p_vec = P.table.reshape(-1)
     margin = float(c @ p_vec) - best_val
-    if margin > tol:
+    if margin > MARGIN_TOL:
         return ClassicalityCertificate(
             Verdict.NONCLASSICAL, functional=c.reshape(P.table.shape),
             margin=margin,
@@ -445,8 +447,8 @@ def _certificate(P: Correlation, strategies: list, columns: np.ndarray,
     resid = float(np.abs(p_vec - w @ columns).max())
     if not resid <= WEIGHTS_TOL:  # also when the weights are NaN
         raise RuntimeError(
-            f"classical membership undecided: margin {margin:.3e} <= {tol:.1e} "
-            f"but the weights miss the table by {resid:.3e}"
+            f"classical membership undecided: margin {margin:.3e} <= "
+            f"{MARGIN_TOL:.1e} but the weights miss the table by {resid:.3e}"
         )
     weights = {strategies[k]: float(wk) for k, wk in enumerate(w) if wk > 1e-12}
     return ClassicalityCertificate(Verdict.CLASSICAL, weights=weights,
@@ -457,16 +459,16 @@ def classical_membership(
     P: Correlation,
     strategy_cap: int = 10_000_000,
     direct_cap: int = 100_000,
-    tol: float = 1e-9,
 ) -> ClassicalityCertificate:
     """Decide membership in the polytope of shared-randomness correlations.
 
-    Small scenarios put every deterministic strategy into one interior-point
-    LP; larger ones use column generation with an exact pricing oracle over
-    the smaller party.  NONCLASSICAL needs the margin of the LP's clipped
-    functional, recomputed against every strategy, above ``tol``; CLASSICAL
-    needs the clipped, renormalized dual weights to reproduce the table
-    within ``WEIGHTS_TOL``.  Otherwise ``RuntimeError`` is raised.
+    Column generation on an interior-point LP, with an exact pricing oracle
+    over the second party.  Scenarios with at most ``direct_cap`` strategies
+    seed it with all of them, so one round decides; larger ones start from 16
+    random strategies.  NONCLASSICAL needs the margin of the LP's clipped
+    functional, recomputed against every strategy, above ``MARGIN_TOL``;
+    CLASSICAL needs the clipped, renormalized dual weights to reproduce the
+    table within ``WEIGHTS_TOL``.  Otherwise ``RuntimeError`` is raised.
     """
     sc = P.scenario
     n_strat = sc.nA ** sc.nS * sc.nB ** sc.nT
@@ -475,28 +477,24 @@ def classical_membership(
             f"{n_strat} deterministic strategies exceed the cap "
             f"{strategy_cap}; reduce the scenario"
         )
-    p_vec = P.table.reshape(-1)
-
-    if n_strat <= direct_cap:
-        strategies = list(_all_strategies(sc))
-        columns = np.array([_strategy_vector(sc, g, h) for g, h in strategies])
-        c, w = _margin_lp(p_vec, columns)
-        return _certificate(P, strategies, columns, c, w,
-                            float((columns @ c).max()), tol)
-
     if sc.nB ** sc.nT > direct_cap:
         raise ResourceError(
             "column generation needs the second party's strategy count "
             f"within {direct_cap}; reduce the scenario"
         )
-    # Column generation on the margin LP with an exact oracle.
-    rng = np.random.default_rng(0)
-    strategies = []
-    for _ in range(16):
-        g = tuple(int(x) for x in rng.integers(0, sc.nA, sc.nS))
-        h = tuple(int(x) for x in rng.integers(0, sc.nB, sc.nT))
-        strategies.append((g, h))
-    strategies = list(dict.fromkeys(strategies))
+    p_vec = P.table.reshape(-1)
+    if n_strat <= direct_cap:
+        strategies = list(_all_strategies(sc))
+    else:
+        rng = np.random.default_rng(0)
+        strategies = []
+        for _ in range(16):
+            g = tuple(int(x) for x in rng.integers(0, sc.nA, sc.nS))
+            h = tuple(int(x) for x in rng.integers(0, sc.nB, sc.nT))
+            strategies.append((g, h))
+        strategies = list(dict.fromkeys(strategies))
+    # Column generation on the margin LP with an exact oracle; seeded with
+    # every strategy, its first round finds no improving reply.
     for _ in range(10_000):
         columns = np.array([_strategy_vector(sc, g, h) for g, h in strategies])
         c, w = _margin_lp(p_vec, columns)
@@ -509,5 +507,5 @@ def classical_membership(
             strategies += new
             continue
         best_val = max(val for _, val in replies)
-        return _certificate(P, strategies, columns, c, w, best_val, tol)
+        return _certificate(P, strategies, columns, c, w, best_val)
     raise RuntimeError("column generation did not converge")

@@ -4,9 +4,10 @@ correlation, computed through the tracial moment hierarchy.
 The level-r program minimizes L(1) over tracial symmetric functionals on
 words in the measurement symbols and one state symbol, subject to the
 measurement quadratic module, the defining ideal (state idempotence and
-cross-party commutation, both enforced by rewriting), the state block-swap
-relations, and the data constraints pinning the degree-3 moments to the
-correlation table.
+cross-party commutation, both enforced by rewriting), and the data
+constraints pinning the degree-3 moments to the correlation table.  The state
+block-swap relations admit no equality below level 4, above ``R_CAP``, so
+they are not built.
 
 The alphabet is the Collins–Gisin one: the last answer of every question has
 no symbol, and its operator is one minus the other answers' symbols.  So
@@ -16,10 +17,10 @@ the eliminated operators enter as localizing generators and data polynomials.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -33,7 +34,6 @@ from .momentize import (
     assemble,
     localizing_block,
     moment_block,
-    state_commutator_constraints,
 )
 from .ncwords import (
     EquivalenceMode,
@@ -141,14 +141,13 @@ class Correlation:
         return Correlation(sc, np.array(obj["P"], dtype=float))
 
 
-# Highest level of the hierarchy that build_xi_problem accepts.
+# Highest level of the hierarchy that build_xi_problem accepts.  The state
+# block-swap equalities (momentize.state_commutator_constraints) are empty up
+# to this level, so the build leaves them out; raising the cap to 4 or more
+# needs that call back.
 R_CAP = 3
-
-
-@dataclass
-class EntdimConfig:
-    basis_cap: int = 20_000
-    objective_cap: Optional[float] = None
+# Most words in the level-r row basis and in the variable index.
+BASIS_CAP = 20_000
 
 
 @dataclass
@@ -225,26 +224,22 @@ class EntDimResult:
     )
 
 
-def build_xi_problem(
-    P: Correlation, r: int, config: Optional[EntdimConfig] = None
-) -> SdpProblem:
+def build_xi_problem(P: Correlation, r: int) -> SdpProblem:
     """Level-r program of ``P``; raises ValueError above ``R_CAP``."""
-    config = config or EntdimConfig()
     if r > R_CAP:
         raise ValueError(f"level {r} exceeds the cap {R_CAP}")
     sc = P.scenario
     sets = build_entdim_sets(sc, r)
     rw, syms = sets.rewrites, sets.symbols
     mode = EquivalenceMode.TRACIAL_SYMMETRIC
-    index = VariableIndex(2 * r, rw, mode, cap=config.basis_cap)
-    rows = enumerate_basis(syms, r, rw, cap=config.basis_cap)
+    index = VariableIndex(2 * r, rw, mode, cap=BASIS_CAP)
+    rows = enumerate_basis(syms, r, rw, cap=BASIS_CAP)
     blocks = [moment_block(rows, index)]
     for g in sets.generators:
         blocks.append(localizing_block(g, r, index, syms))
     z = state_symbol()
     zpoly = NcPolynomial.from_word((z,))
-    cons = state_commutator_constraints(r, syms, z, index)
-    cons.append(LinearConstraint({index.var_of((z,)): 1.0}, 1.0, Relation.EQ))
+    cons = [LinearConstraint({index.var_of((z,)): 1.0}, 1.0, Relation.EQ)]
     dropped_data = 0
     if 2 * r >= 3:
         # L(E_s^a F_t^b z) = P(a,b|s,t), expanded where E or F is eliminated;
@@ -265,41 +260,32 @@ def build_xi_problem(
     )
 
 
-def solve_xi_problem(
-    problem: SdpProblem, config: Optional[EntdimConfig] = None
-) -> EntDimResult:
+def solve_xi_problem(problem: SdpProblem) -> EntDimResult:
     """Solve a program from :func:`build_xi_problem` and certify its value."""
-    config = config or EntdimConfig()
     r = problem.r
-    sol = conic.solve(problem, objective_cap=config.objective_cap)
+    sol = conic.solve(problem)
     if sol.status == SolveStatus.INFEASIBLE:
-        import dataclasses
-
         margin = -math.inf
         try:
             _, margin = conic.feasibility(dataclasses.replace(problem, objective={}))
         except conic.SolverError:
             pass
         raise InfeasibleCorrelationError(r, margin)
-    if sol.status not in (SolveStatus.OPTIMAL, SolveStatus.NUMERICAL_LIMIT):
-        raise conic.SolverError(f"solver returned {sol.status.value}")
+    if sol.status == SolveStatus.UNBOUNDED:
+        raise conic.SolverError(f"{problem.description}: solver returned "
+                                f"{sol.status.value}")
     rep = conic.flatness(sol, r)
     return EntDimResult(r, sol.objective, sol, rep)
 
 
-def xi_q(
-    P: Correlation, r: int, config: Optional[EntdimConfig] = None
-) -> EntDimResult:
+def xi_q(P: Correlation, r: int) -> EntDimResult:
     """Level-r lower bound on the average entanglement dimension of P."""
-    config = config or EntdimConfig()
-    return solve_xi_problem(build_xi_problem(P, r, config), config)
+    return solve_xi_problem(build_xi_problem(P, r))
 
 
-def monotonicity_audit(
-    P: Correlation, r_max: int, config: Optional[EntdimConfig] = None
-) -> list:
+def monotonicity_audit(P: Correlation, r_max: int) -> list:
     """Values for r = 1..r_max; raises if the sequence fails to be monotone."""
-    values = [xi_q(P, r, config).value for r in range(1, r_max + 1)]
+    values = [xi_q(P, r).value for r in range(1, r_max + 1)]
     for lo, hi in zip(values, values[1:]):
         if hi < lo - 1e-6:
             raise conic.SolverError(

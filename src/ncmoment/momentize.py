@@ -162,21 +162,29 @@ def moment_block(basis_r: Sequence[Word], index: VariableIndex) -> SymbolicBlock
 
     Every reduced word of degree <= 2r is u* v for two row words, so this
     block meets every class of the index; it numbers the new ones in
-    (degree, lex) order before it maps the entries to ids.
+    (degree, lex) order before it maps the entries to ids.  It raises
+    BasisSizeError after the first row whose new classes take the index
+    past its cap, before it canonicalizes the remaining rows.
     """
     # CPython tracks the acyclic words and forms made here; at r = 3 they push
     # a full collection that frees nothing in here (20 ms, C7, 2-core VM).
     enabled = gc.isenabled()
     gc.disable()
     try:
-        canon = {}
+        canon, new, known = {}, set(), index.id_of
+        room = index.cap - len(index)
         for i, u in enumerate(basis_r):
             ustar = involution(u)
             for j in range(i, len(basis_r)):
                 w = canonical_reduced(ustar + basis_r[j], index.rw, index.mode)
                 if w is not None:
                     canon[(i, j)] = w
-        for w in sorted(set(canon.values()), key=lambda w: (len(w), w)):
+                    if w not in known:
+                        new.add(w)
+            if len(new) > room:
+                raise BasisSizeError(
+                    f"variable index exceeds cap of {index.cap} words")
+        for w in sorted(new, key=lambda w: (len(w), w)):
             index._register(w)
         entries = {ij: [(index.id_of[w], 1.0)] for ij, w in canon.items()}
     finally:

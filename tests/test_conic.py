@@ -1,10 +1,11 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from ncmoment import conic, graphs, qgraph, witness
+from ncmoment import _ipm, conic, graphs, qgraph, witness
 from ncmoment.conic import SolveStatus, SymmetryError
 from ncmoment.momentize import (
     LinearConstraint,
@@ -88,18 +89,38 @@ def test_weak_duality_reported():
     assert sol.residuals["dual_objective"] <= sol.objective + 1e-7
 
 
-def test_tolerance_validation():
-    prob = single_var_problem([LinearConstraint({0: 1.0}, 1.0, Relation.EQ)])
-    with pytest.raises(ValueError):
-        conic.solve(prob, tol=0.5)
-    with pytest.raises(ValueError):
-        conic.solve(prob, tol=-1.0)
+def _ipm_result(status, residual):
+    return SimpleNamespace(status=status, iterations=7, err_lmi=residual,
+                           err_adj=0.0, err_eq=0.0, pobj=1.0, dobj=1.0)
 
 
-def test_objective_cap_keeps_optimum():
+@pytest.mark.parametrize("residual,accepted", [
+    (conic.ACCEPT_TOL, True), (2 * conic.ACCEPT_TOL, False), (math.nan, False),
+])
+def test_acceptance_rule(residual, accepted):
     prob = single_var_problem([LinearConstraint({0: 1.0}, 1.0, Relation.EQ)])
-    sol = conic.solve(prob, objective_cap=10.0)
-    assert abs(sol.objective - 1.0) < 1e-7
+    prob.description = "probe"
+    # Converged or certified outcomes pass whatever their residuals.
+    for status in ("optimal", "infeasible", "unbounded"):
+        conic._accepted(_ipm_result(status, residual), prob)
+    res = _ipm_result("numerical_limit", residual)
+    if accepted:
+        assert conic._accepted(res, prob)["gap"] == 0.0
+    else:
+        with pytest.raises(conic.SolverError, match="probe: .* lmi residual"):
+            conic._accepted(res, prob)
+
+
+def test_numerical_limit_is_no_bound(monkeypatch):
+    # Three iterations stop far from the optimum: neither the objective nor
+    # the margin there is a bound, so both entry points raise.
+    monkeypatch.setattr(_ipm, "MAX_ITER", 3)
+    prob = qgraph.build_stab_problem(graphs.cycle(5), 1)
+    with pytest.raises(conic.SolverError,
+                       match=f"{prob.description}: .*numerical_limit"):
+        conic.solve(prob)
+    with pytest.raises(conic.SolverError, match="coloring system k=3 level 1"):
+        qgraph.col_system_feasible(graphs.complete(3), 3, 1)
 
 
 def test_feasibility_simple_margin():
@@ -145,7 +166,7 @@ def test_numerical_rank_identity():
 
 
 def test_numerical_rank_tolerance():
-    assert conic.numerical_rank(np.diag([1.0, 1e-12]), 1e-6) == 1
+    assert conic.numerical_rank(np.diag([1.0, 1e-12])) == 1
 
 
 def test_numerical_rank_zero_matrix():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ncmoment import _ipm, conic, corrlab
+from ncmoment import _ipm, cli, conic, corrlab, entdim
 from ncmoment.momentize import (
     LinearConstraint,
     VariableIndex,
@@ -24,7 +24,6 @@ from ncmoment.ncwords import (
 from ncmoment.entdim import (
     Correlation,
     CorrelationError,
-    EntdimConfig,
     InfeasibleCorrelationError,
     Scenario,
     build_entdim_sets,
@@ -206,14 +205,14 @@ def test_collins_gisin_matches_full_alphabet_chsh(label, r):
     real = (corrlab.tsirelson_chsh() if label == "tsirelson"
             else corrlab.random_realization(CHSH, d=2, seed=0))
     P = corrlab.realize(real)
-    ref = conic.solve(_full_alphabet_problem(P, r), tol=conic.DEFAULT_TOL)
+    ref = conic.solve(_full_alphabet_problem(P, r))
     assert abs(xi_q(P, r).value - ref.objective) < 1e-6
 
 
 def test_collins_gisin_matches_full_alphabet_three_answers():
     sc = Scenario(3, 2, 2, 1)
     P = corrlab.realize(corrlab.random_realization(sc, d=2, seed=0))
-    ref = conic.solve(_full_alphabet_problem(P, 1), tol=conic.DEFAULT_TOL)
+    ref = conic.solve(_full_alphabet_problem(P, 1))
     assert abs(xi_q(P, 1).value - ref.objective) < 1e-6
 
 
@@ -263,21 +262,28 @@ def test_level_cap_enforced():
         xi_q(P, 4)
 
 
-def test_basis_cap_enforced():
+def test_basis_cap_fails_fast(monkeypatch):
+    # (4,4,4,4) at r = 3: the moment block has over 10^8 row pairs and far
+    # more classes than BASIS_CAP.  The build must stop early in the block,
+    # not after canonicalizing every pair.
+    from ncmoment import momentize
     from ncmoment.ncwords import BasisSizeError
 
-    P = corrlab.random_classical(CHSH, 3, seed=6)
-    with pytest.raises(BasisSizeError):
-        build_xi_problem(P, 2, EntdimConfig(basis_cap=50))
+    sc = Scenario(4, 4, 4, 4)
+    P = Correlation(sc, np.full((4, 4, 4, 4), 1 / 16))
+    calls = []
+    real = momentize.canonical_reduced
 
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
 
-def test_infeasibility_surfaced_with_margin():
-    # an objective cap below the floor L(1) >= 1 makes the system infeasible;
-    # the failure must carry the feasibility margin rather than pass silently
-    P = corrlab.random_classical(CHSH, 3, seed=7)
-    with pytest.raises(InfeasibleCorrelationError) as exc:
-        xi_q(P, 1, EntdimConfig(objective_cap=0.5))
-    assert "level-1" in str(exc.value)
+    monkeypatch.setattr(momentize, "canonical_reduced", counted)
+    with pytest.raises(BasisSizeError, match=str(entdim.BASIS_CAP)):
+        build_xi_problem(P, 3)
+    sets = build_entdim_sets(sc, 3)
+    n = len(enumerate_basis(sets.symbols, 3, sets.rewrites, cap=entdim.BASIS_CAP))
+    assert 0 < len(calls) < n * (n + 1) // 2
 
 
 def test_signalling_table_infeasible():
@@ -285,8 +291,27 @@ def test_signalling_table_infeasible():
     # the Collins-Gisin program contradict each other.
     t = np.zeros((2, 2, 2, 2))
     t[0, 0, 0, 0] = t[1, 1, 0, 1] = t[0, 0, 1, 0] = t[0, 0, 1, 1] = 1.0
-    with pytest.raises(InfeasibleCorrelationError):
+    with pytest.raises(InfeasibleCorrelationError) as exc:
         xi_q(Correlation(CHSH, t), 2)
+    assert exc.value.r == 2
+    assert exc.value.margin == -np.inf
+    assert "level-2" in str(exc.value)
+
+
+def test_iteration_cap_gives_no_bound(monkeypatch, tmp_path):
+    # After three iterations the solver stops at numerical_limit far from
+    # the optimum (the value there is about 12.6, the optimum 1); that point
+    # is no lower bound, so the library raises and the CLI exits with 1.
+    monkeypatch.setattr(_ipm, "MAX_ITER", 3)
+    P = corrlab.realize(corrlab.tsirelson_chsh())
+    with pytest.raises(conic.SolverError, match="numerical_limit"):
+        xi_q(P, 1)
+    path = tmp_path / "tsirelson.json"
+    path.write_text(P.to_json())
+    out = tmp_path / "rep.json"
+    assert cli.main(["corr-bound", "--level", "2", "--input", str(path),
+                     "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_upper_bound_from_realization():

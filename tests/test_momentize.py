@@ -179,11 +179,13 @@ def test_state_commutators_empty_at_level_two():
 def test_state_commutators_vacuous_until_level_four():
     # Reversal plus rotation absorbs every element whose sandwiched words are
     # palindromes, so the truncation budget admits nothing before 2r = 8.
+    # entdim.build_xi_problem leaves the call out up to R_CAP = 3 on this.
+    for sc in (Scenario(2, 2, 1, 1), Scenario(2, 2, 2, 2), Scenario(3, 3, 2, 2)):
+        sets3 = build_entdim_sets(sc, 3)
+        index3 = VariableIndex(6, sets3.rewrites, TRC)
+        assert state_commutator_constraints(3, sets3.symbols, state_symbol(),
+                                            index3) == []
     sc = Scenario(2, 2, 1, 1)
-    sets3 = build_entdim_sets(sc, 3)
-    index3 = VariableIndex(6, sets3.rewrites, TRC)
-    assert state_commutator_constraints(3, sets3.symbols, state_symbol(),
-                                        index3) == []
     sets4 = build_entdim_sets(sc, 4)
     index4 = VariableIndex(8, sets4.rewrites, TRC)
     cons = state_commutator_constraints(4, sets4.symbols, state_symbol(), index4)
