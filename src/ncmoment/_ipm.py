@@ -12,6 +12,17 @@ solution y0 and an orthonormal nullspace basis N of A, the iteration runs on
 the unconstrained reduced variables t.  The search direction is the
 Nesterov-Todd direction with a Mehrotra predictor-corrector step.
 
+Row multiplicities.  A block may carry one multiplicity per row
+(``BlockData.mult``): it then stands for a larger block that is
+orthogonally similar to the direct sum of mult copies of each of its parts,
+and it must vanish between rows of different multiplicity.  The solver
+counts every copy: the adjoint and the Schur rows weight each row by its
+multiplicity (the Schur rows by its square root), as do the duality gap, the
+barrier size ``ntot``, the dual objective and the certificates.  Step
+lengths, the neighbourhood guard and the Cholesky repair read eigenvalues,
+which the copies only repeat, so they need no weight.  Blocks without
+multiplicities take the unweighted kernels unchanged.
+
 Size groups.  ``ConeProgram.finalize`` groups the blocks by size; X, S and
 every per-iteration kernel work on one stacked (k, n, n) array per group:
 one coordinate-form owner map gives S(y) and the adjoint (each one
@@ -67,6 +78,8 @@ class BlockData:
 
     ``vids, rows, cols, vals`` enumerate the full (both triangles) nonzero
     pattern of the coefficient matrices E_k restricted to this block.
+    ``mult`` gives each row's multiplicity (None: every row counts once);
+    the block must then vanish between rows of different multiplicity.
     """
 
     size: int
@@ -75,6 +88,7 @@ class BlockData:
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
+    mult: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -84,7 +98,9 @@ class SizeGroup:
     ``members`` are their indices in ``ConeProgram.blocks``, ascending.  The
     owner map is kept as coordinate triples sorted by ``entry``, the flat
     index into the stack: variable ``vids[i]`` enters that entry with
-    coefficient ``vals[i]``.
+    coefficient ``vals[i]``.  ``weight`` holds the row multiplicities, or
+    None when every row counts once; ``wvals`` are ``vals`` times the
+    multiplicity of their row (``vals`` itself when unweighted).
     """
 
     size: int
@@ -94,6 +110,8 @@ class SizeGroup:
     vids: np.ndarray
     vals: np.ndarray
     nvars: int
+    weight: Optional[np.ndarray]  # (k, size)
+    wvals: np.ndarray
 
     def linear(self, y: np.ndarray) -> np.ndarray:
         """The stack of sum_k y_k E_k^(b), without the constant part."""
@@ -104,9 +122,24 @@ class SizeGroup:
         return self.const + self.linear(y)
 
     def adjoint(self, M: np.ndarray) -> np.ndarray:
-        """Vector of sum_b <E_k^(b), M_b> over k (M need not be symmetric)."""
-        return np.bincount(self.vids, self.vals * M.reshape(-1)[self.entry],
+        """Vector of sum_b <E_k^(b), M_b>_w over k (M need not be symmetric)."""
+        return np.bincount(self.vids, self.wvals * M.reshape(-1)[self.entry],
                            self.nvars)
+
+    def inner(self, X: np.ndarray, S: np.ndarray) -> float:
+        """sum_b <X_b, S_b>_w, each row weighted by its multiplicity.
+
+        Exact when S vanishes between rows of different multiplicity, as the
+        slack, the constant and every coefficient matrix do.
+        """
+        if self.weight is None:
+            return float(np.vdot(X, S))
+        return float(np.vdot(X * self.weight[:, :, None], S))
+
+    def trace(self, X: np.ndarray) -> float:
+        """sum_b tr_w X_b, the weighted trace."""
+        diag = np.diagonal(X, axis1=1, axis2=2)
+        return float(diag.sum() if self.weight is None else np.vdot(diag, self.weight))
 
 
 def _size_group(blocks: list, members: list, nvars: int) -> SizeGroup:
@@ -115,11 +148,17 @@ def _size_group(blocks: list, members: list, nvars: int) -> SizeGroup:
     entry = np.concatenate([j * n * n + blk.rows * n + blk.cols
                             for j, blk in enumerate(part)])
     order = np.argsort(entry, kind="stable")
+    entry = entry[order]
     vids = np.concatenate([blk.vids for blk in part])[order]
     vals = np.concatenate([blk.vals for blk in part])[order]
     const = np.stack([blk.const for blk in part]).astype(float)
-    return SizeGroup(n, np.array(members), const, entry[order], vids, vals,
-                     nvars)
+    weight, wvals = None, vals
+    if any(blk.mult is not None for blk in part):
+        weight = np.stack([np.ones(n) if blk.mult is None else blk.mult
+                           for blk in part]).astype(float)
+        wvals = vals * weight.reshape(-1)[entry // n]
+    return SizeGroup(n, np.array(members), const, entry, vids, vals, nvars,
+                     weight, wvals)
 
 
 @dataclass
@@ -252,15 +291,19 @@ def _reduced_coefficients(group: SizeGroup, N: np.ndarray) -> np.ndarray:
     """Stack G with G[b, :, :, a] = sum_k N[k, a] E_k^(b) for the group.
 
     Constant over the iteration; the scaled Gram rows are then plain
-    congruences r_b' G[b, :, :, a] r_b.
+    congruences r_b' G[b, :, :, a] r_b.  A row of multiplicity m is scaled
+    by sqrt m, so the Gram matrix counts every copy of the row.
     """
     n, k = group.size, len(group.members)
     G = np.zeros((k * n * n, N.shape[1]))
     if len(group.entry):
         e = group.entry
         starts = np.flatnonzero(np.r_[True, e[1:] != e[:-1]])
+        vals = group.vals
+        if group.weight is not None:
+            vals = vals * np.sqrt(group.weight.reshape(-1)[e // n])
         terms = N[group.vids]
-        terms *= group.vals[:, None]
+        terms *= vals[:, None]
         G[e[starts]] = np.add.reduceat(terms, starts, axis=0)
     return G.reshape(k, n, n, -1)
 
@@ -374,7 +417,9 @@ def solve_ipm(prog: ConeProgram, tol: float = 1e-8) -> IpmResult:
     n = prog.nvars
     b = prog.objective
     groups = prog.groups
-    ntot = sum(blk.size for blk in prog.blocks)
+    # rows of all blocks, each counted with its multiplicity
+    ntot = sum(g.const.shape[0] * g.size if g.weight is None else g.weight.sum()
+               for g in groups)
 
     try:
         y0, N = _eliminate_equalities(prog.A, prog.d, n)
@@ -426,7 +471,7 @@ def solve_ipm(prog: ConeProgram, tol: float = 1e-8) -> IpmResult:
             adj_y -= g.adjoint(X[gi])
         r_adj = -(N.T @ adj_y)
 
-        gap = sum(float(np.vdot(Xg, Sg)) for Xg, Sg in zip(X, S))
+        gap = sum(g.inner(Xg, Sg) for g, Xg, Sg in zip(groups, X, S))
         mu = gap / ntot
         pobj = float(b @ y)
         dobj = pobj + gap  # exact at feasibility; used for gap control
@@ -540,8 +585,8 @@ def solve_ipm(prog: ConeProgram, tol: float = 1e-8) -> IpmResult:
             # Predictor.
             dy, dS, dX, Dxs, Dss = directions(0.0, None)
             ap, ad = step(Dss), step(Dxs)
-            gap_aff = sum(float(np.vdot(X[gi] + ad * dX[gi], S[gi] + ap * dS[gi]))
-                          for gi in range(len(groups)))
+            gap_aff = sum(g.inner(X[gi] + ad * dX[gi], S[gi] + ap * dS[gi])
+                          for gi, g in enumerate(groups))
             sigma = min(1.0, max((gap_aff / gap) ** 3, 1e-8))
             if infeasible_phase:
                 # Keep the barrier parameter from outrunning the residuals,
@@ -574,7 +619,7 @@ def solve_ipm(prog: ConeProgram, tol: float = 1e-8) -> IpmResult:
         for _ in range(12):
             Xn = [X[gi] + ad * dX[gi] for gi in range(len(groups))]
             Sn = [S[gi] + ap * dS[gi] for gi in range(len(groups))]
-            gap_new = sum(float(np.vdot(Xg, Sg)) for Xg, Sg in zip(Xn, Sn))
+            gap_new = sum(g.inner(Xg, Sg) for g, Xg, Sg in zip(groups, Xn, Sn))
             mu_new = max(gap_new / ntot, 0.0)
             if mu_new <= 0 or mu_new > 10.0 * mu + 10.0:
                 ap *= 0.7
@@ -608,7 +653,7 @@ def _dual_objective(prog: ConeProgram, X: list, y0: np.ndarray):
     group, with w the least-squares solution of A'w = adj (objective plus
     block adjoints).  As the minimum-norm solution of A y = d, ``y0`` lies in
     A's row space, so d'w = y0'adj."""
-    val = sum(float(np.vdot(Xg, g.const)) for g, Xg in zip(prog.groups, X))
+    val = sum(g.inner(Xg, g.const) for g, Xg in zip(prog.groups, X))
     if prog.A is not None and prog.A.shape[0] > 0:
         adj = prog.objective.copy()
         for g, Xg in zip(prog.groups, X):
@@ -659,14 +704,14 @@ def _infeasibility_certificate(prog: ConeProgram, X: list, N: np.ndarray,
     The ray must satisfy N' <E_k, X_b> = 0 approximately and make
     sum_b <C_b + E(y0), X_b> strictly negative after normalization.
     """
-    scale = sum(float(np.trace(Xg, axis1=1, axis2=2).sum()) for Xg in X)
+    scale = sum(g.trace(Xg) for g, Xg in zip(prog.groups, X))
     if scale <= 0:
         return None
     adj = np.zeros(prog.nvars)
     viol = 0.0
     for g, Xg in zip(prog.groups, X):
         adj += g.adjoint(Xg / scale)
-        viol -= float(np.vdot(Xg / scale, g.lmi_value(y0)))
+        viol -= g.inner(Xg / scale, g.lmi_value(y0))
     if np.abs(N.T @ adj).max(initial=0.0) <= 1e-7 and viol >= 1e-7:
         return {"ray_trace": 1.0, "violation": float(viol)}
     return None

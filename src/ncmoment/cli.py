@@ -108,6 +108,7 @@ def _solver_summary(solution) -> dict:
         "problem": None if problem is None else {
             "num_vars": problem.num_vars,
             "num_orbits": solution.num_orbits,
+            "solver_blocks": solution.solver_blocks,
             "num_eq": problem.metadata["num_eq"],
             "block_sizes": problem.metadata["block_sizes"],
         },

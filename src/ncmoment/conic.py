@@ -31,6 +31,31 @@ same dual objective.  So the dual objective and the certificates of the
 merged program hold for the full one, and its residuals are those of the
 averaged point, summed over each orbit.  Correctness rests on the checks
 alone; a missed symmetry costs only speed.
+
+Symmetry-adapted blocks.  When merging reduced the variable count, each
+PSD block of size >= 2 is then replaced, where possible, by a smaller one
+(Murota, Kanno, Kojima & Kojima, Japan J. Indust. Appl. Math. 27, 2010).
+The merged coefficient matrices E_v (the constant and a margin program's -I
+included) span a *-algebra that one orthogonal P block-diagonalizes:
+P' E_v P = diag(I_d1 (x) M_1(E_v), I_d2 (x) M_2(E_v), ...).  P is found
+numerically: eigenvectors of a random element A = sum a_v E_v, clustered at
+relative gaps of CLUSTER_GAP, are joined into parts by the nonzero pattern of
+Q' B Q for a second random element B; in a part whose clusters all have
+dimension d > 1, the basis of one cluster is carried to the others through
+projections of B, giving d copies of one basis.  Nothing is trusted: P must
+be orthonormal and every E_v must satisfy E_v P_i^(k) = P_i^(k) M_i(E_v),
+one M_i for all copies k, to SPLIT_TOL times the coefficient scale, checked
+on dense chunks of the coefficient lists; otherwise the block stays as it
+is.  The new block is diag(M_1, M_2, ...), one copy of each part, and its
+rows of part i carry the multiplicity d_i.  The solver weights every inner
+product by these multiplicities (see :mod:`ncmoment._ipm`), which makes the
+reduced program the unreduced one restricted to the algebra: its
+eigenvalues are those of the block without their repeats, and every inner
+product counts each copy.  The central path of the unreduced program lies in
+the algebra, so the solver takes the same iterates, up to roundoff, in the
+same number of iterations, on blocks about half as wide (de Klerk, Pasechnik
+& Schrijver, Math. Program. 109, 2007, for the value).  y, the moment
+matrix and flatness are read from the problem, not from the split blocks.
 """
 
 from __future__ import annotations
@@ -51,6 +76,13 @@ DEFAULT_EPS_FEAS = 1e-6
 DEFAULT_TAU_RANK = 1e-6
 # Largest residual of a numerical_limit outcome that still counts as a bound.
 ACCEPT_TOL = 1e-5
+# Symmetry-adapted blocks: seed of the random algebra elements, relative
+# eigenvalue gap between clusters, verification tolerance relative to the
+# coefficient scale, and the doubles per chunk of the verification.
+SPLIT_SEED = 2010
+CLUSTER_GAP = 1e-8
+SPLIT_TOL = 1e-9
+SPLIT_CHUNK = 1 << 19
 
 
 class SolveStatus(Enum):
@@ -74,6 +106,9 @@ class SdpSolution:
     iterations: int = 0
     qr_fallbacks: int = 0  # Schur solves that took the QR-then-SVD fallback
     num_orbits: int = 0  # variables the solver saw: one per variable orbit
+    # The solver's block for each of the problem's blocks: its size and its
+    # rows by multiplicity, {multiplicity: rows} (see the Symmetry notes).
+    solver_blocks: list = field(default_factory=list)
     residuals: dict = field(default_factory=dict)
     certificate: Optional[dict] = None
     problem: Optional[SdpProblem] = None
@@ -129,7 +164,56 @@ def _form_key(terms: dict) -> tuple:
     return tuple(sorted((v, round(c, 12)) for v, c in terms.items()))
 
 
-def _variable_permutation(problem: SdpProblem, perm: dict, keys: set) -> np.ndarray:
+def _key_rows(V: np.ndarray, C: np.ndarray, eq: np.ndarray,
+              rhs: np.ndarray) -> np.ndarray:
+    """One byte key per constraint of equal term count, equal exactly when
+    the ``LinearConstraint.key``s are: terms sorted by variable, and an
+    equality scaled so that its first coefficient is positive.
+
+    V and C hold the variables and (rounded) coefficients, one row per
+    constraint.
+    """
+    idx = np.argsort(V, axis=1)
+    V, C = np.take_along_axis(V, idx, 1), np.take_along_axis(C, idx, 1)
+    sgn = np.where(eq & (C[:, :1] < 0).any(axis=1), -1.0, 1.0)
+    rows = np.column_stack([eq, sgn * rhs, V, sgn[:, None] * C]) + 0.0  # no -0.0
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
+class _ConstraintKeys:
+    """The constraint set keyed once per problem, for images under sigma.
+
+    Constraints are grouped by term count; each group keeps its variables,
+    coefficients and the sorted keys of its members.
+    """
+
+    def __init__(self, constraints: list):
+        by_len: dict = {}
+        for con in constraints:
+            by_len.setdefault(len(con.terms), []).append(con)
+        self.groups = []
+        for size, cons in by_len.items():
+            V = np.array([list(c.terms) for c in cons], dtype=np.int64)
+            C = np.array([list(c.terms.values()) for c in cons], dtype=float)
+            shape = (len(cons), size)
+            data = (V.reshape(shape), np.round(C, 12).reshape(shape),
+                    np.array([c.relation == Relation.EQ for c in cons]),
+                    np.round(np.array([c.rhs for c in cons], dtype=float), 12))
+            self.groups.append((cons, data, np.sort(_key_rows(*data))))
+
+    def outside(self, sigma: np.ndarray) -> Optional[LinearConstraint]:
+        """A constraint whose image under sigma is no constraint, or None."""
+        for cons, (V, C, eq, rhs), keys in self.groups:
+            img = _key_rows(sigma[V], C, eq, rhs)
+            pos = np.minimum(np.searchsorted(keys, img), len(keys) - 1)
+            miss = np.flatnonzero(keys[pos] != img)
+            if miss.size:
+                return cons[miss[0]]
+        return None
+
+
+def _variable_permutation(problem: SdpProblem, perm: dict,
+                          keys: _ConstraintKeys) -> np.ndarray:
     """Variable permutation sigma induced by the symbol map ``perm``.
 
     Each block's row words are mapped and reduced, giving a row permutation
@@ -175,7 +259,7 @@ def _variable_permutation(problem: SdpProblem, perm: dict, keys: set) -> np.ndar
     sigma[free] = np.nonzero(free)[0]
     if any(not np.array_equal(sigma[a], b) for a, b in zip(src, dst)):
         raise SymmetryError("entries of one variable map to different variables")
-    if np.unique(sigma).size != n:
+    if not np.array_equal(np.sort(sigma), np.arange(n)):
         raise SymmetryError("the induced variable map is not a bijection")
 
     def image(terms: dict) -> dict:
@@ -189,10 +273,9 @@ def _variable_permutation(problem: SdpProblem, perm: dict, keys: set) -> np.ndar
             if _form_key(image(forms[p])) != _form_key(forms[q]):
                 raise SymmetryError(
                     f"{blk.label}: entry forms do not map onto themselves")
-    for con in problem.constraints:
-        if LinearConstraint(image(con.terms), con.rhs, con.relation).key() not in keys:
-            raise SymmetryError(
-                f"constraint {con.terms} maps outside the constraint set")
+    con = keys.outside(sigma)
+    if con is not None:
+        raise SymmetryError(f"constraint {con.terms} maps outside the constraint set")
     if _form_key(image(problem.objective)) != _form_key(problem.objective):
         raise SymmetryError("the objective changes")
     return sigma
@@ -204,22 +287,161 @@ def _orbit_labels(problem: SdpProblem) -> np.ndarray:
     Labels are 0..m-1, numbered by each orbit's least variable; without
     symmetries every variable is its own orbit.
     """
-    n = problem.num_vars
-    parent = list(range(n))
-
-    def root(a):
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        return a
-
+    least = np.arange(problem.num_vars)
     if problem.symmetries:
-        keys = {con.key() for con in problem.constraints}
+        keys = _ConstraintKeys(problem.constraints)
+        maps = []
         for perm in problem.symmetries:
-            for a, b in enumerate(_variable_permutation(problem, perm, keys).tolist()):
-                ra, rb = root(a), root(b)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-    return np.unique([root(a) for a in range(n)], return_inverse=True)[1]
+            sigma = _variable_permutation(problem, perm, keys)
+            inverse = np.empty_like(sigma)
+            inverse[sigma] = least
+            maps += [sigma, inverse]
+        while True:  # least member over generator steps, then pointer jumps
+            new = np.minimum.reduce([least] + [least[m] for m in maps])
+            new = new[new]
+            if np.array_equal(new, least):
+                break
+            least = new
+    return np.unique(least, return_inverse=True)[1]
+
+
+def _components(link: np.ndarray) -> np.ndarray:
+    """Least member of each node's component, for a symmetric adjacency matrix."""
+    lab = np.arange(len(link))
+    while True:
+        new = np.minimum(np.where(link, lab, len(link)).min(axis=1), lab)
+        new = new[new]
+        if np.array_equal(new, lab):
+            return lab
+        lab = new
+
+
+def _spanning_tree(W: np.ndarray) -> list:
+    """(node, parent) pairs of a maximum-weight spanning tree rooted at 0,
+    each node listed after its parent (Prim)."""
+    inside = np.zeros(len(W), dtype=bool)
+    inside[0] = True
+    best, parent, out = W[0].copy(), np.zeros(len(W), dtype=np.int64), []
+    for _ in range(len(W) - 1):
+        j = int(np.where(inside, -1.0, best).argmax())
+        out.append((j, int(parent[j])))
+        inside[j] = True
+        closer = W[j] > best
+        best[closer], parent[closer] = W[j][closer], j
+    return out
+
+
+def _split_basis(n: int, coeffs: tuple, nvars: int) -> Optional[list]:
+    """Candidate symmetry-adapted basis of a block, or None if it has none.
+
+    ``coeffs`` = (vids, rows, cols, vals) lists every coefficient matrix E_v,
+    v < nvars, of the block (the constant as v = nvars - 1).  Returns one
+    array (d, n, n_i) per component: d orthonormal copies of an n_i-column
+    basis, which ``_split_block`` verifies.
+    """
+    vids, rows, cols, vals = coeffs
+    A, B = (np.bincount(rows * n + cols, c[vids] * vals, n * n).reshape(n, n)
+            for c in np.random.default_rng(SPLIT_SEED).standard_normal((2, nvars)))
+    lam, Q = np.linalg.eigh(A)
+    cut = np.flatnonzero(np.diff(lam) > CLUSTER_GAP * np.abs(lam).max()) + 1
+    if len(cut) == n - 1:
+        return None  # a simple spectrum: no part repeats
+    starts, ends = np.r_[0, cut], np.r_[cut, n]
+    coupling = np.abs(Q.T @ B @ Q)
+    W = np.maximum.reduceat(np.maximum.reduceat(coupling, starts, axis=0),
+                            starts, axis=1)
+    comp = _components(W > SPLIT_TOL * coupling.max())
+    parts = []
+    for root in np.flatnonzero(comp == np.arange(len(comp))):
+        cl = np.flatnonzero(comp == root)
+        span = [Q[:, starts[c]:ends[c]] for c in cl]
+        d = span[0].shape[1]
+        if d == 1 or any(x.shape[1] != d for x in span):
+            parts.append(np.concatenate(span, axis=1)[None])  # kept whole
+            continue
+        # Carry the first cluster's basis to the others through B, along
+        # the strongest couplings: copy k is column k of every cluster.
+        for j, k in _spanning_tree(W[np.ix_(cl, cl)]):
+            U, _, Vt = np.linalg.svd(span[j].T @ (B @ span[k]))
+            span[j] = span[j] @ (U @ Vt)
+        parts.append(np.stack(span, axis=2).transpose(1, 0, 2))
+    if sum(p.shape[2] for p in parts) == n:
+        return None
+    return parts
+
+
+def _split_block(blk: BlockData, nvars: int) -> Optional[BlockData]:
+    """The block on one copy of each part, or None to keep it unreduced.
+
+    With the basis P of ``_split_basis``, every coefficient matrix E (the
+    constant included) must satisfy E P_i^(k) = P_i^(k) M_i(E) for every
+    copy k of every part i, with one M_i(E) for all copies, to SPLIT_TOL
+    times the coefficient scale, and P must be orthonormal.  Then P' E P is
+    block diagonal with d_i equal blocks M_i(E), and the returned block
+    holds the blocks M_i(E), its rows of part i carrying multiplicity d_i.
+    The check runs over chunks of variables, each at most SPLIT_CHUNK
+    doubles when dense.
+    """
+    n = blk.size
+    cr, cc = np.nonzero(blk.const)
+    vids = np.concatenate([blk.vids, np.full(cr.size, nvars)])
+    rows = np.concatenate([blk.rows, cr])
+    cols = np.concatenate([blk.cols, cc])
+    vals = np.concatenate([blk.vals, blk.const[cr, cc]])
+    scale = float(np.abs(vals).max(initial=0.0))
+    if scale == 0.0:
+        return None
+    parts = _split_basis(n, (vids, rows, cols, vals), nvars + 1)
+    if parts is None:
+        return None
+    P = np.concatenate([p.transpose(1, 0, 2).reshape(n, -1) for p in parts], axis=1)
+    if P.shape != (n, n) or np.abs(P.T @ P - np.eye(n)).max() > SPLIT_TOL:
+        return None
+
+    # Entries sorted by (variable, row).  For each chunk of variables the
+    # nonzero rows of every E_v are formed densely and multiplied by P in
+    # one product, giving the stack E_v P.
+    present = np.zeros(nvars + 1, dtype=bool)
+    present[vids] = True
+    uv = np.flatnonzero(present)
+    key = (np.cumsum(present) - 1)[vids] * n + rows
+    order = np.argsort(key, kind="stable")
+    key, cols, vals = key[order], cols[order], vals[order]
+    first = np.r_[True, key[1:] != key[:-1]]
+    run, row_key = np.cumsum(first) - 1, key[first]
+    vstart = np.searchsorted(key, np.arange(len(uv) + 1) * n)
+    step = max(1, SPLIT_CHUNK // (n * n))
+    out = []  # (vids, rows, cols, vals) of the reduced block
+    for lo in range(0, len(uv), step):
+        hi = min(lo + step, len(uv))
+        a, b = vstart[lo], vstart[hi]
+        ra, rb = run[a], run[b - 1] + 1
+        E = np.bincount((run[a:b] - ra) * n + cols[a:b], vals[a:b], (rb - ra) * n)
+        EP = np.zeros(((hi - lo) * n, n))
+        EP[row_key[ra:rb] - lo * n] = E.reshape(-1, n) @ P
+        EP = EP.reshape(hi - lo, n, n)
+        col = row = 0
+        for p in parts:
+            d, _, ni = p.shape
+            M = p[0].T @ EP[:, :, col:col + ni]
+            M = 0.5 * (M + np.swapaxes(M, 1, 2))
+            # E_v P_i^(k) - P_i^(k) M_v for every copy k, rows (row, k)
+            cut = slice(col, col + d * ni)
+            err = (EP[:, :, cut].reshape(hi - lo, n * d, ni)
+                   - P[:, cut].reshape(n * d, ni) @ M)
+            if np.abs(err, out=err).max() > SPLIT_TOL * scale:
+                return None
+            o, i, j = np.nonzero(np.abs(M) > 1e-12 * scale)
+            out.append((uv[lo + o], row + i, row + j, M[o, i, j]))
+            col += d * ni
+            row += ni
+    v, i, j, x = (np.concatenate(c) for c in zip(*out))
+    size = sum(p.shape[2] for p in parts)
+    const = np.zeros((size, size))
+    isc = v == nvars
+    const[i[isc], j[isc]] = x[isc]
+    mult = np.concatenate([np.full(p.shape[2], float(p.shape[0])) for p in parts])
+    return BlockData(size, const, v[~isc], i[~isc], j[~isc], x[~isc], mult)
 
 
 def _build_cone_program(
@@ -283,6 +505,9 @@ def _build_cone_program(
             blk.vals = np.concatenate([blk.vals, -np.ones(sz)])
         objective = np.append(objective, 1.0)
     nv = len(objective)
+    if m < n:
+        blocks = [blk if blk.size < 2 else _split_block(blk, nv) or blk
+                  for blk in blocks]
 
     eqs, seen = [], set()
     for con in problem.eq_constraints:
@@ -324,6 +549,13 @@ def _accepted(res, problem: SdpProblem) -> dict:
     return resid
 
 
+def _block_summary(blk: BlockData) -> dict:
+    mult = np.ones(blk.size, dtype=np.int64) if blk.mult is None else blk.mult.astype(np.int64)
+    values, rows = np.unique(mult, return_counts=True)
+    return {"size": blk.size,
+            "rows_by_multiplicity": dict(zip(values.tolist(), rows.tolist()))}
+
+
 def solve(problem: SdpProblem) -> SdpSolution:
     """Solve an assembled moment SDP with the interior-point method.
 
@@ -347,6 +579,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
         iterations=res.iterations,
         qr_fallbacks=res.qr_fallbacks,
         num_orbits=prog.nvars,
+        solver_blocks=[_block_summary(blk) for blk in prog.blocks[:len(problem.blocks)]],
         residuals={**residuals, "dual_objective": float(sign * res.dobj)},
         certificate=res.certificate,
         problem=problem,

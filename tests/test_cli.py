@@ -64,6 +64,11 @@ def test_graph_bound_xi_col_level2(c5_file, tmp_path):
     # D5 merges the 21 moment variables of C5 at level 2 into 5 orbits
     assert rep["solver"]["problem"]["num_vars"] == 21
     assert rep["solver"]["problem"]["num_orbits"] == 5
+    # and splits the 16 x 16 moment block into one block of size 10: four
+    # rows of multiplicity 1 and six of multiplicity 2
+    assert rep["solver"]["problem"]["block_sizes"] == [16]
+    assert rep["solver"]["problem"]["solver_blocks"] == [
+        {"size": 10, "rows_by_multiplicity": {"1": 4, "2": 6}}]
 
 
 def test_graph_bound_dimacs_input(tmp_path):
@@ -92,10 +97,13 @@ def test_corr_bound_level_one(classical_corr_file, tmp_path):
     assert rc == 0
     assert abs(rep["value"] - 1.0) < 1e-4
     # CHSH level 1 in the Collins-Gisin alphabet: 5 symbols, 8 generators;
-    # no symmetry is attached, so every variable is its own orbit
+    # no symmetry is attached, so every variable is its own orbit and the
+    # solver keeps every block
     assert rep["solver"]["problem"] == {
         "num_vars": 20, "num_orbits": 20, "num_eq": 1,
-        "block_sizes": [6] + [1] * 8}
+        "block_sizes": [6] + [1] * 8,
+        "solver_blocks": [{"size": size, "rows_by_multiplicity": {"1": size}}
+                          for size in [6] + [1] * 8]}
     # Schur solves that took the QR fallback, reported next to iterations
     assert 0 <= rep["solver"]["qr_fallbacks"] <= rep["solver"]["iterations"]
 

@@ -269,16 +269,19 @@ def test_solution_moment_matrix_psd():
 # ---------------------------------------------------------------------------
 
 S = qgraph.Strengthening
+GRAPH_PROGRAMS = {
+    "xi-stab": lambda g, r: qgraph.build_stab_problem(g, r),
+    "xi-col": lambda g, r: qgraph.build_col_problem(g, r),
+    "las-stab": lambda g, r: qgraph.build_stab_problem(g, r, commutative=True),
+    "theta-plus": lambda g, r: qgraph.build_col_problem(g, r, S.THETA_PLUS),
+}
 REDUCED_PROGRAMS = [
-    (f"{name} C{n} r2", build, n, 2)
+    (f"{name} C{n} r2", GRAPH_PROGRAMS[name], n, 2)
     for n in (5, 7)
-    for name, build in [
-        ("xi-stab", lambda g, r: qgraph.build_stab_problem(g, r)),
-        ("xi-col", lambda g, r: qgraph.build_col_problem(g, r)),
-        ("las-stab", lambda g, r: qgraph.build_stab_problem(g, r, commutative=True)),
-        ("theta-plus", lambda g, r: qgraph.build_col_problem(g, r, S.THETA_PLUS)),
-    ]
-] + [("xi-sdp C5 r1", lambda g, r: qgraph.build_col_problem(g, r, S.XI_SDP), 5, 1)]
+    for name in ("xi-stab", "xi-col", "las-stab", "theta-plus")
+] + [("xi-sdp C5 r1", lambda g, r: qgraph.build_col_problem(g, r, S.XI_SDP), 5, 1)] + [
+    (f"{name} C9 r2", GRAPH_PROGRAMS[name], 9, 2) for name in ("xi-stab", "xi-col")
+]
 
 
 @pytest.mark.parametrize("name,build,n,r", REDUCED_PROGRAMS,
@@ -288,7 +291,14 @@ def test_orbit_merging_keeps_the_solution(name, build, n, r):
     assert prob.symmetries
     merged = conic.solve(prob)
     full = conic.solve(dataclasses.replace(prob, symmetries=[]))
-    assert abs(merged.objective - full.objective) <= 1e-7
+    if prob.ge_constraints:
+        # one inequality per orbit: the value holds, the central path moves
+        assert abs(merged.objective - full.objective) <= 1e-7
+    else:
+        # merged variables and blocks split with multiplicities follow the
+        # unreduced central path
+        assert abs(merged.objective - full.objective) <= 1e-9
+        assert merged.iterations == full.iterations
     assert conic.flatness(merged, r).ranks == conic.flatness(full, r).ranks
     assert full.num_orbits == prob.num_vars
     assert merged.num_orbits < prob.num_vars
@@ -334,6 +344,22 @@ def test_symmetry_breaking_one_constraint_raises():
     assert sol.status == SolveStatus.OPTIMAL
 
 
+def test_constraint_keys_map_through_sigma():
+    cons = [LinearConstraint({0: 1.0, 1: -1.0}, 0.0, Relation.EQ),
+            LinearConstraint({0: 1.0, 2: 2.0}, 1.0, Relation.GE),
+            LinearConstraint({1: 1.0, 2: 2.0}, 1.0, Relation.GE),
+            LinearConstraint({}, 0.0, Relation.EQ)]
+    keys = conic._ConstraintKeys(cons)
+    swap = np.array([1, 0, 2])
+    # x1 - x0 = 0 is the first equality up to sign; the inequalities trade
+    assert keys.outside(swap) is None
+    # an inequality is not matched up to sign
+    flipped = conic._ConstraintKeys(
+        cons[:1] + [LinearConstraint({0: -1.0, 2: -2.0}, -1.0, Relation.GE)] + cons[2:])
+    assert flipped.outside(swap).terms == {0: -1.0, 2: -2.0}
+    assert flipped.outside(np.arange(3)) is None
+
+
 def test_symmetry_changing_the_objective_raises():
     prob = qgraph.build_stab_problem(graphs.cycle(5), 2)
     one = {prob.index.var_of((vertex(0),)): 1.0}
@@ -372,3 +398,103 @@ def test_symmetry_checks_localizing_forms():
     # L(1 - x0) is not
     with pytest.raises(SymmetryError, match="entry forms"):
         conic.solve(two_projector_problem([(vertex(0),)]))
+
+
+# ---------------------------------------------------------------------------
+# Symmetry-adapted blocks
+# ---------------------------------------------------------------------------
+
+
+def _labeled_problem(monkeypatch, system, g, k, r):
+    """The margin problem that ``qgraph.<system>`` hands to feasibility."""
+    seen = []
+    monkeypatch.setattr(conic, "feasibility", lambda prob: seen.append(prob) or (True, 0.0))
+    getattr(qgraph, system)(g, k, r)
+    monkeypatch.undo()
+    return seen[0]
+
+
+def _split_sizes(prog):
+    return [(blk.size, None if blk.mult is None else
+             dict(zip(*[a.tolist() for a in np.unique(blk.mult, return_counts=True)])))
+            for blk in prog.blocks if blk.size > 1]
+
+
+@pytest.mark.parametrize("name,n,sizes", [
+    ("xi-stab", 5, [(10, {1.0: 4, 2.0: 6})]),
+    ("xi-stab", 7, [(21, {1.0: 6, 2.0: 15})]),
+    ("xi-stab", 9, [(36, {1.0: 8, 2.0: 28})]),
+    ("xi-col", 5, [(10, {1.0: 4, 2.0: 6})]),
+    ("las-stab", 7, [(13, {1.0: 4, 2.0: 9})]),
+])
+def test_split_block_sizes(name, n, sizes):
+    prob = GRAPH_PROGRAMS[name](graphs.cycle(n), 2)
+    prog, _, _ = conic._build_cone_program(prob)
+    assert _split_sizes(prog) == sizes
+    # every row of the unreduced block is counted once
+    assert sum(k * m for k, m in sizes[0][1].items()) == prob.blocks[0].size
+
+
+def test_split_labeled_coloring_system(monkeypatch):
+    # D5 x S3 on the k = 3, r = 1 coloring system: the 16 moment rows fall
+    # into parts of dimension 1, 2 and 4 (D5 and S3 both have 2-dimensional
+    # irreducible representations)
+    prob = _labeled_problem(monkeypatch, "col_system_feasible", graphs.cycle(5), 3, 1)
+    assert prob.blocks[0].size == 16
+    prog, _, _ = conic._build_cone_program(prob, margin=True)
+    assert _split_sizes(prog) == [(7, {1.0: 2, 2.0: 3, 4.0: 2})]
+    # the margin variable t keeps its -I on the split block
+    (blk,) = [b for b in prog.blocks if b.size > 1]
+    t = blk.vids == prog.nvars - 1
+    assert np.array_equal(blk.rows[t], blk.cols[t])
+    assert np.sort(blk.rows[t]).tolist() == list(range(7))
+    assert np.allclose(blk.vals[t], -1.0, rtol=0, atol=1e-12)
+
+
+def _rotated(parts):
+    # a rotation by 1e-6 between a column of two parts keeps the basis
+    # orthonormal, but no longer block-diagonalizes the coefficients
+    u, v = parts[0][0, :, 0].copy(), parts[1][0, :, 0].copy()
+    c, s = np.cos(1e-6), np.sin(1e-6)
+    parts[0][0, :, 0], parts[1][0, :, 0] = c * u - s * v, s * u + c * v
+
+
+def _repeated(parts):
+    # a second copy equal to the first passes every coefficient check, but
+    # the basis is no longer orthonormal
+    p = next(p for p in parts if len(p) > 1)
+    p[1] = p[0]
+
+
+@pytest.mark.parametrize("perturb", [_rotated, _repeated])
+def test_perturbed_split_basis_fails_verification(monkeypatch, perturb):
+    prob = GRAPH_PROGRAMS["xi-stab"](graphs.cycle(5), 2)
+    basis = conic._split_basis
+
+    def perturbed(*args):
+        parts = [p.copy() for p in basis(*args)]
+        perturb(parts)
+        return parts
+
+    monkeypatch.setattr(conic, "_split_basis", perturbed)
+    prog, _, _ = conic._build_cone_program(prob)
+    assert _split_sizes(prog) == [(16, None)]  # left unreduced
+    sol = conic.solve(prob)
+    assert sol.solver_blocks == [{"size": 16, "rows_by_multiplicity": {1: 16}}]
+    assert abs(sol.objective - 2.0) <= 1e-6
+
+
+def test_programs_without_symmetry_keep_their_cone_data(monkeypatch):
+    from ncmoment import corrlab, entdim
+
+    calls = []
+    monkeypatch.setattr(conic, "_split_block", lambda *a: calls.append(a))
+    prob = entdim.build_xi_problem(corrlab.realize(corrlab.tsirelson_chsh()), 2)
+    prog, _, label = conic._build_cone_program(prob)
+    assert calls == []
+    assert prog.nvars == prob.num_vars
+    assert np.array_equal(label, np.arange(prob.num_vars))
+    assert [blk.size for blk in prog.blocks[:len(prob.blocks)]] == [
+        blk.size for blk in prob.blocks]
+    assert all(blk.mult is None for blk in prog.blocks)
+    assert all(g.weight is None and g.wvals is g.vals for g in prog.groups)

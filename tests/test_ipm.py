@@ -334,3 +334,85 @@ def test_dual_objective_matches_least_squares_on_rank_deficient_A():
     ref += float(d @ w)
     got = _ipm._dual_objective(prog, Xs, y0)
     assert abs(got - ref) <= 1e-10 * (1.0 + abs(ref))
+
+
+def _copies_program(layout):
+    """max b'y over a traceless 3x3 block A(y) and copies of a 2x2 block B(y).
+
+    ``layout`` "blocks": A and three separate copies of B; "one-block": one
+    block diag(A, B, B); "weighted": A and one B of multiplicity 3;
+    "weighted-rows": diag(A, B) with multiplicities (1, 1, 1, 2, 2).
+    """
+    rng = np.random.default_rng(21)
+    nvars = 3
+    a = {(i, j): {k: float(rng.standard_normal()) for k in range(nvars)}
+         for i in range(3) for j in range(i, 3)}
+    for k in range(nvars):  # traceless coefficients keep the program bounded
+        mean = sum(a[(i, i)][k] for i in range(3)) / 3
+        for i in range(3):
+            a[(i, i)][k] -= mean
+    b = {(i, j): {k: float(rng.standard_normal()) for k in range(nvars)}
+         for i in range(2) for j in range(i, 2)}
+
+    def shifted(entries, off):
+        return {(i + off, j + off): t for (i, j), t in entries.items()}
+
+    if layout == "blocks":
+        blocks = [_block(3, a)] + [_block(2, b) for _ in range(3)]
+    elif layout == "weighted":
+        blocks = [_block(3, a), _block(2, b)]
+        blocks[1].mult = np.full(2, 3.0)
+    elif layout == "one-block":
+        blocks = [_block(7, {**a, **shifted(b, 3), **shifted(b, 5)})]
+    else:
+        blocks = [_block(5, {**a, **shifted(b, 3)})]
+        blocks[0].mult = np.array([1.0, 1.0, 1.0, 2.0, 2.0])
+    objective = rng.standard_normal(nvars)
+    A = np.array([[1.0, -1.0, 0.0]])
+    return ConeProgram(nvars, objective, blocks, A, np.array([0.1])).finalize()
+
+
+@pytest.mark.parametrize("copies,weighted", [("blocks", "weighted"),
+                                             ("one-block", "weighted-rows")])
+def test_multiplicity_counts_every_copy(copies, weighted):
+    full = solve_ipm(_copies_program(copies))
+    one = solve_ipm(_copies_program(weighted))
+    assert full.status == one.status == "optimal"
+    assert one.iterations == full.iterations
+    assert abs(one.pobj - full.pobj) <= 1e-9 * (1 + abs(full.pobj))
+    assert abs(one.dobj - full.dobj) <= 1e-9 * (1 + abs(full.dobj))
+    assert np.abs(one.y - full.y).max() <= 1e-10  # the same iterates
+    # without the multiplicities the central path, and so the iterate, moves
+    plain = _copies_program(weighted)
+    for blk in plain.blocks:
+        blk.mult = None
+    plain = solve_ipm(ConeProgram(plain.nvars, plain.objective, plain.blocks,
+                                  plain.A, plain.d).finalize())
+    assert abs(plain.pobj - full.pobj) <= 1e-6 * (1 + abs(full.pobj))
+    assert np.abs(plain.y - full.y).max() >= 1e-8
+
+
+def test_weighted_kernels_count_every_copy():
+    # diag(A, B, B) against diag(A, B) with row multiplicities (1, 1, 1, 2, 2)
+    (full,) = _copies_program("one-block").groups
+    (one,) = _copies_program("weighted-rows").groups
+    rng = np.random.default_rng(8)
+    a, b = _pd_stack(rng, 2, 3), _pd_stack(rng, 2, 2)
+
+    def stacks(copies):
+        out = []
+        for k in range(2):
+            parts = [a[k]] + [b[k]] * copies
+            M = np.zeros((3 + 2 * copies,) * 2)
+            at = 0
+            for P in parts:
+                M[at:at + len(P), at:at + len(P)] = P
+                at += len(P)
+            out.append(M[None])
+        return out
+
+    (Xf, Sf), (Xo, So) = stacks(2), stacks(1)
+    assert one.weight.sum() == 7
+    assert abs(one.trace(Xo) - full.trace(Xf)) <= 1e-12 * full.trace(Xf)
+    assert abs(one.inner(Xo, So) - full.inner(Xf, Sf)) <= 1e-12 * full.inner(Xf, Sf)
+    assert np.allclose(one.adjoint(Xo), full.adjoint(Xf), rtol=1e-12, atol=0)
