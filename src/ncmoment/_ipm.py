@@ -1,15 +1,14 @@
 """Primal-dual interior-point solver for block-diagonal linear matrix
-inequalities with equality constraints.
+inequalities over free variables.
 
 Solves, over y in R^n:
 
-    maximize    b' y
-    subject to  S_b(y) = C_b + sum_k y_k E_k^(b)  PSD   for every block b,
-                A y = d.
+    maximize    b' y + offset
+    subject to  S_b(y) = C_b + sum_k y_k E_k^(b)  PSD   for every block b.
 
-The equalities are eliminated up front: with y = y0 + N t for a particular
-solution y0 and an orthonormal nullspace basis N of A, the iteration runs on
-the unconstrained reduced variables t.  The search direction is the
+There are no equalities: :mod:`ncmoment.conic` solves them first and hands
+over the program on the free coordinates of their solution set, so every
+coordinate is aligned with a moment variable.  The search direction is the
 Nesterov-Todd direction with a Mehrotra predictor-corrector step.
 
 Row multiplicities.  A block may carry one multiplicity per row
@@ -33,14 +32,14 @@ not with the number of blocks; 1x1 blocks (inequalities) are simply the
 size-1 group.  Step lengths are read in the NT-scaled space, where both
 iterates sit at the same diagonal point.
 
-Schur complement.  With the NT factor r of each block, the reduced Schur
-matrix is H = J'J, where J stacks the rows svec(r' G_a r) of every block
-(upper triangle, off-diagonal entries weighted by sqrt 2, so a block of size
-n gives n(n+1)/2 rows) and G_a = sum_k N[k, a] E_k.  Near degenerate optima
+Schur complement.  With the NT factor r of each block, the Schur matrix is
+H = J'J, where J stacks the rows svec(r' E_a r) of every block (upper
+triangle, off-diagonal entries weighted by sqrt 2, so a block of size n
+gives n(n+1)/2 rows).  Near degenerate optima
 the columns of J differ in scale by many orders of magnitude, and that alone
 drives the condition number of H to 1e23 and beyond.  So H is equilibrated
 first: with d = sqrt(diag H), K = D^-1 H D^-1 (D = diag d) has a unit
-diagonal, and the step is dt = D^-1 K^-1 D^-1 g.  Cholesky's backward error
+diagonal, and the step is dy = D^-1 K^-1 D^-1 g.  Cholesky's backward error
 on H is then governed by the condition number of K, not of H (van der Sluis,
 Numer. Math. 14, 1969; Higham, Accuracy and Stability of Numerical
 Algorithms, sec. 10.1).  K is Cholesky-factored and the factor is used when
@@ -166,8 +165,7 @@ class ConeProgram:
     nvars: int
     objective: np.ndarray  # maximized
     blocks: list
-    A: Optional[np.ndarray]  # equality matrix (may be rank deficient)
-    d: Optional[np.ndarray]
+    offset: float = 0.0  # constant part of the objective
     groups: list = field(init=False, default_factory=list)  # SizeGroups
 
     def finalize(self):
@@ -199,18 +197,9 @@ class IpmResult:
     mu: float
     err_lmi: float
     err_adj: float
-    err_eq: float
     certificate: Optional[dict] = None
     qr_fallbacks: int = 0  # Schur solves that took the QR-then-SVD fallback
-
-
-class InconsistentEqualities(RuntimeError):
-    def __init__(self, row: int, residual: float):
-        self.row = row
-        self.residual = residual
-        super().__init__(
-            f"equality system is inconsistent (row {row}, residual {residual:.3e})"
-        )
+    adjoint: Optional[np.ndarray] = None  # objective plus adjoints at X
 
 
 def _T(M: np.ndarray) -> np.ndarray:
@@ -287,42 +276,36 @@ def _centered(X: np.ndarray, S: np.ndarray, floor: float) -> bool:
     return np.linalg.eigvalsh(_T(L) @ X @ L)[:, 0].min() >= floor
 
 
-def _reduced_coefficients(group: SizeGroup, N: np.ndarray) -> np.ndarray:
-    """Stack G with G[b, :, :, a] = sum_k N[k, a] E_k^(b) for the group.
+def _coefficients(group: SizeGroup) -> np.ndarray:
+    """Dense stack G with G[b, :, :, a] = E_a^(b) for the group.
 
     Constant over the iteration; the scaled Gram rows are then plain
     congruences r_b' G[b, :, :, a] r_b.  A row of multiplicity m is scaled
     by sqrt m, so the Gram matrix counts every copy of the row.
     """
-    n, k = group.size, len(group.members)
-    G = np.zeros((k * n * n, N.shape[1]))
-    if len(group.entry):
-        e = group.entry
-        starts = np.flatnonzero(np.r_[True, e[1:] != e[:-1]])
-        vals = group.vals
-        if group.weight is not None:
-            vals = vals * np.sqrt(group.weight.reshape(-1)[e // n])
-        terms = N[group.vids]
-        terms *= vals[:, None]
-        G[e[starts]] = np.add.reduceat(terms, starts, axis=0)
-    return G.reshape(k, n, n, -1)
+    n, k, nv = group.size, len(group.members), group.nvars
+    vals = group.vals
+    if group.weight is not None:
+        vals = vals * np.sqrt(group.weight.reshape(-1)[group.entry // n])
+    return np.bincount(group.entry * nv + group.vids, vals,
+                       k * n * n * nv).reshape(k, n, n, nv)
 
 
 def _gram_rows_scaled(G: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Rows svec(r_b' G_ba r_b) for every block b and reduced variable a.
+    """Rows svec(r_b' G_ba r_b) for every block b and variable a.
 
-    Returns (k * size(size+1)/2 x nt).  svec keeps the upper triangle and
+    Returns (k * size(size+1)/2 x nvars).  svec keeps the upper triangle and
     weights off-diagonal entries by sqrt 2, so the Gram matrix of these rows
     equals that of the full vec rows; only the upper triangle is formed.
     """
-    k, n, _, nt = G.shape
-    tmp = (_T(r) @ G.reshape(k, n, n * nt)).reshape(k, n, n, nt)  # r' G
+    k, n, _, nv = G.shape
+    tmp = (_T(r) @ G.reshape(k, n, n * nv)).reshape(k, n, n, nv)  # r' G
     rows = np.concatenate(
         [_T(r[:, :, i:]) @ tmp[:, i] for i in range(n)], axis=1
-    )  # (k, size(size+1)/2, nt): entries (i, j >= i) in row-major order
+    )  # (k, size(size+1)/2, nv): entries (i, j >= i) in row-major order
     iu, ju = np.triu_indices(n)
     rows[:, iu != ju] *= np.sqrt(2.0)
-    return rows.reshape(-1, nt)
+    return rows.reshape(-1, nv)
 
 
 def _cholesky_base(H: np.ndarray):
@@ -393,25 +376,6 @@ def _schur_solver(J: np.ndarray, fallback: bool = False):
     return solve, chol is None
 
 
-def _eliminate_equalities(A, d, n, tol_rank=1e-11):
-    """Particular solution and orthonormal nullspace basis of A y = d."""
-    if A is None or A.shape[0] == 0:
-        return np.zeros(n), np.eye(n)
-    # One full SVD: its leading triplets give y0, the rest of Vt spans the
-    # nullspace.
-    U, sv, Vt = np.linalg.svd(A, full_matrices=True)
-    top = sv.max(initial=0.0)
-    rank = int((sv > tol_rank * max(top, 1.0)).sum())
-    y0 = Vt[:rank].T @ ((U[:, :rank].T @ d) / sv[:rank])
-    resid = A @ y0 - d
-    scale = 1.0 + np.abs(d).max(initial=0.0) + np.abs(A).max(initial=0.0)
-    if resid.size and np.abs(resid).max() > 1e-8 * scale:
-        raise InconsistentEqualities(
-            int(np.abs(resid).argmax()), float(np.abs(resid).max())
-        )
-    return y0, Vt[rank:].T
-
-
 def solve_ipm(prog: ConeProgram, tol: float = 1e-8) -> IpmResult:
     """Solve a finalized program; every kernel runs once per size group."""
     n = prog.nvars
@@ -421,41 +385,24 @@ def solve_ipm(prog: ConeProgram, tol: float = 1e-8) -> IpmResult:
     ntot = sum(g.const.shape[0] * g.size if g.weight is None else g.weight.sum()
                for g in groups)
 
-    try:
-        y0, N = _eliminate_equalities(prog.A, prog.d, n)
-    except InconsistentEqualities as exc:
-        return IpmResult(
-            "infeasible", np.zeros(n), [], [], np.nan, np.nan, 0, np.nan,
-            np.inf, np.inf, np.inf,
-            certificate={"reason": str(exc), "row": exc.row,
-                         "residual": exc.residual},
-        )
-    nt = N.shape[1]
-
     bscale = 1.0 + float(np.abs(b).max(initial=0.0))
     cscale = 1.0 + max(float(np.abs(g.const).max(initial=0.0)) for g in groups)
-    err_eq = 0.0
-    if prog.A is not None and prog.A.shape[0] > 0:
-        err_eq = float(np.abs(prog.A @ y0 - prog.d).max()) / (
-            1.0 + np.abs(prog.d).max(initial=0.0)
-        )
 
-    if nt == 0:
-        return _solve_fixed(prog, y0, err_eq, tol)
+    if n == 0:
+        return _solve_fixed(prog)
 
-    pregram = [_reduced_coefficients(g, N) for g in groups]
+    pregram = [_coefficients(g) for g in groups]
 
-    # Starting point: y on the affine subspace, scaled identity cone pair.
-    # X and S hold one (k, size, size) stack per size group.
-    y = y0.copy()
+    # Starting point: y = 0, scaled identity cone pair.  X and S hold one
+    # (k, size, size) stack per size group.
+    y = np.zeros(n)
     s0 = max(10.0, cscale, bscale)
     x0 = max(10.0, bscale)
     X = [x0 * np.tile(np.eye(g.size), (len(g.members), 1, 1)) for g in groups]
     S = []
     for g in groups:
-        M = g.lmi_value(y)
-        lam = np.linalg.eigvalsh(M)[:, 0]
-        S.append(M + np.maximum(s0, -1.5 * lam + s0)[:, None, None]
+        lam = np.linalg.eigvalsh(g.const)[:, 0]
+        S.append(g.const + np.maximum(s0, -1.5 * lam + s0)[:, None, None]
                  * np.eye(g.size))
 
     best = None
@@ -466,14 +413,13 @@ def solve_ipm(prog: ConeProgram, tol: float = 1e-8) -> IpmResult:
     it = 0
     for it in range(1, MAX_ITER + 1):
         R_lmi = [g.lmi_value(y) - S[gi] for gi, g in enumerate(groups)]
-        adj_y = -b.copy()
+        r_adj = b.copy()
         for gi, g in enumerate(groups):
-            adj_y -= g.adjoint(X[gi])
-        r_adj = -(N.T @ adj_y)
+            r_adj += g.adjoint(X[gi])
 
         gap = sum(g.inner(Xg, Sg) for g, Xg, Sg in zip(groups, X, S))
         mu = gap / ntot
-        pobj = float(b @ y)
+        pobj = float(b @ y) + prog.offset
         dobj = pobj + gap  # exact at feasibility; used for gap control
 
         err_lmi = max(float(np.abs(R).max(initial=0.0)) for R in R_lmi) / cscale
@@ -487,7 +433,7 @@ def solve_ipm(prog: ConeProgram, tol: float = 1e-8) -> IpmResult:
             # into blocks once, on return.
             return IpmResult("numerical_limit", y.copy(),
                              [Xg.copy() for Xg in X], [Sg.copy() for Sg in S],
-                             pobj, dobj, it, mu, err_lmi, err_adj, err_eq)
+                             pobj, dobj, it, mu, err_lmi, err_adj)
 
         if best is None or quality < best_quality:
             best = snapshot()
@@ -507,14 +453,14 @@ def solve_ipm(prog: ConeProgram, tol: float = 1e-8) -> IpmResult:
             relgap <= tol and err_lmi <= 10 * tol and err_adj > 1e3 * tol
         )
         if probe_ray:
-            ray = _unboundedness_ray(prog, y, N)
+            ray = _unboundedness_ray(prog, y)
             if ray is not None or pobj > 1e9 * bscale:
                 status = "unbounded"
                 best = snapshot()
                 best.certificate = ray
                 break
         if xnorm > 1e8 * x0:
-            ray = _infeasibility_certificate(prog, X, N, y0)
+            ray = _infeasibility_certificate(prog, X)
             if ray is not None:
                 status = "infeasible"
                 best = snapshot()
@@ -553,8 +499,7 @@ def solve_ipm(prog: ConeProgram, tol: float = 1e-8) -> IpmResult:
                 core_g = rhs / (0.5 * (lam[:, :, None] + lam[:, None, :]))
                 core.append(core_g)  # L_V^{-1}(rhs), symmetric
                 gy += g.adjoint(r @ (core_g - _T(r) @ R_lmi[gi] @ r) @ _T(r))
-            dt = solve_reduced(r_adj + N.T @ gy)
-            dy = N @ dt
+            dy = solve_schur(r_adj + gy)
             dS, dX, Dxs, Dss = [], [], [], []
             for gi, g in enumerate(groups):
                 r = rs[gi]
@@ -576,11 +521,11 @@ def solve_ipm(prog: ConeProgram, tol: float = 1e-8) -> IpmResult:
             return min(1.0, *(tau * _max_step(lam, D) for lam, D in zip(lams, Ds)))
 
         try:
-            # Reduced Schur complement H_t = J'J from the stacked svec rows.
-            solve_reduced, fallback = _schur_solver(np.vstack([
+            # Schur complement H = J'J from the stacked svec rows.
+            solve_schur, fallback = _schur_solver(np.vstack([
                 _gram_rows_scaled(pregram[gi], rs[gi])
                 for gi in range(len(groups))
-            ]), fallback)  # (sum size(size+1)/2) x nt
+            ]), fallback)  # (sum size(size+1)/2) x n
             qr_fallbacks += fallback
             # Predictor.
             dy, dS, dX, Dxs, Dss = directions(0.0, None)
@@ -643,49 +588,41 @@ def solve_ipm(prog: ConeProgram, tol: float = 1e-8) -> IpmResult:
     )
     res.iterations = it
     res.qr_fallbacks = qr_fallbacks
-    res.dobj = _dual_objective(prog, res.X, y0)
+    res.dobj, res.adjoint = _dual_side(prog, res.X)
     res.X, res.S = prog.unstack(res.X), prog.unstack(res.S)
     return res
 
 
-def _dual_objective(prog: ConeProgram, X: list, y0: np.ndarray):
-    """Dual bound sum_b <C_b, X_b> + d'w for X given as one stack per size
-    group, with w the least-squares solution of A'w = adj (objective plus
-    block adjoints).  As the minimum-norm solution of A y = d, ``y0`` lies in
-    A's row space, so d'w = y0'adj."""
-    val = sum(g.inner(Xg, g.const) for g, Xg in zip(prog.groups, X))
-    if prog.A is not None and prog.A.shape[0] > 0:
-        adj = prog.objective.copy()
-        for g, Xg in zip(prog.groups, X):
-            adj += g.adjoint(Xg)
-        val += float(y0 @ adj)
-    return val
+def _dual_side(prog: ConeProgram, X: list):
+    """Dual objective sum_b <C_b, X_b> + offset and adjoint residual
+    b + sum_b E_b*(X_b), for X given as one stack per size group."""
+    dobj = prog.offset + sum(g.inner(Xg, g.const) for g, Xg in zip(prog.groups, X))
+    return dobj, prog.objective + sum(g.adjoint(Xg) for g, Xg in zip(prog.groups, X))
 
 
-def _solve_fixed(prog: ConeProgram, y0: np.ndarray, err_eq: float,
-                 tol: float) -> IpmResult:
-    """Degenerate case: the equalities pin every variable."""
-    S = [g.lmi_value(y0) for g in prog.groups]
+def _solve_fixed(prog: ConeProgram) -> IpmResult:
+    """Degenerate case: no variables, so every block is its constant."""
+    S = [g.const for g in prog.groups]
     lam = min(float(np.linalg.eigvalsh(M)[:, 0].min()) for M in S)
-    pobj = float(prog.objective @ y0)
+    pobj = prog.offset
     X = [np.zeros((blk.size, blk.size)) for blk in prog.blocks]
     S = prog.unstack(S)
+    y = np.zeros(0)
     if lam < -1e-9:
         return IpmResult(
-            "infeasible", y0, X, S, pobj, pobj, 0, 0.0, 0.0, 0.0, err_eq,
+            "infeasible", y, X, S, pobj, pobj, 0, 0.0, 0.0, 0.0,
             certificate={"reason": "pinned variables violate the cone",
-                         "violation": float(-lam)},
+                         "violation": float(-lam)}, adjoint=y,
         )
-    return IpmResult("optimal", y0, X, S, pobj, pobj, 0, 0.0, 0.0, 0.0, err_eq)
+    return IpmResult("optimal", y, X, S, pobj, pobj, 0, 0.0, 0.0, 0.0, adjoint=y)
 
 
-def _unboundedness_ray(prog: ConeProgram, y: np.ndarray,
-                       N: np.ndarray) -> Optional[dict]:
+def _unboundedness_ray(prog: ConeProgram, y: np.ndarray) -> Optional[dict]:
     """Check the scaled iterate for an improving feasible direction."""
     norm = float(np.linalg.norm(y))
     if norm <= 0:
         return None
-    yh = N @ (N.T @ (y / norm))  # project onto the equality nullspace
+    yh = y / norm
     gain = float(prog.objective @ yh)
     if gain < 1e-7:
         return None
@@ -696,13 +633,12 @@ def _unboundedness_ray(prog: ConeProgram, y: np.ndarray,
     return {"improving_direction": True, "gain": gain}
 
 
-def _infeasibility_certificate(prog: ConeProgram, X: list, N: np.ndarray,
-                               y0: np.ndarray) -> Optional[dict]:
+def _infeasibility_certificate(prog: ConeProgram, X: list) -> Optional[dict]:
     """Check a scaled X (one stack per size group) for a Farkas ray of the
-    reduced LMI system.
+    LMI system.
 
-    The ray must satisfy N' <E_k, X_b> = 0 approximately and make
-    sum_b <C_b + E(y0), X_b> strictly negative after normalization.
+    The ray must satisfy <E_k, X_b> = 0 approximately and make
+    sum_b <C_b, X_b> strictly negative after normalization.
     """
     scale = sum(g.trace(Xg) for g, Xg in zip(prog.groups, X))
     if scale <= 0:
@@ -711,7 +647,7 @@ def _infeasibility_certificate(prog: ConeProgram, X: list, N: np.ndarray,
     viol = 0.0
     for g, Xg in zip(prog.groups, X):
         adj += g.adjoint(Xg / scale)
-        viol -= g.inner(Xg / scale, g.lmi_value(y0))
-    if np.abs(N.T @ adj).max(initial=0.0) <= 1e-7 and viol >= 1e-7:
+        viol -= g.inner(Xg / scale, g.const)
+    if np.abs(adj).max(initial=0.0) <= 1e-7 and viol >= 1e-7:
         return {"ray_trace": 1.0, "violation": float(viol)}
     return None

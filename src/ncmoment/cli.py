@@ -86,7 +86,7 @@ def _emit(report: dict, out):
 
 def _report_base(args, parameter: str, input_path=None) -> dict:
     return {
-        "command": " ".join(sys.argv[1:]) if sys.argv[1:] else parameter,
+        "command": " ".join(args.argv) if args.argv else parameter,
         "input_digest": _digest(input_path) if input_path else None,
         "parameter": parameter,
         "level": getattr(args, "level", None),
@@ -342,6 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    args.argv = sys.argv[1:] if argv is None else list(argv)
     try:
         return args.func(args)
     except (CorrelationError, graphs.GraphFormatError, conic.SdpaFormatError,

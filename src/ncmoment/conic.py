@@ -29,8 +29,23 @@ merged program over the group, and spreading each equality multiplier over
 the orbit of its row, gives a dual solution of the full program with the
 same dual objective.  So the dual objective and the certificates of the
 merged program hold for the full one, and its residuals are those of the
-averaged point, summed over each orbit.  Correctness rests on the checks
-alone; a missed symmetry costs only speed.
+averaged point, summed over each orbit.  The orbit images of an inequality
+become one 1x1 block whose multiplicity counts its distinct rows.
+Correctness rests on the checks alone; a missed symmetry costs only speed.
+
+The lift.  The merged equality rows are solved once, by sparse substitution
+(``_substitution``): y = y0 + B z over the merged variables, one column of
+B per free variable, scaled to the sum over its orbit so that the solver's
+residuals are those of one orbit member.  Every block, its constant
+(C + E(y0)), the inequalities and the objective (B'c, with the constant
+c'y0 as the program's offset) are mapped through it, and the solver gets a
+program without equalities whose coordinates are moment variables.  A
+dependent row that does not hold raises InconsistentEqualities, reported as
+an infeasible status with its row and residual.  The reported dual
+objective is sum_b <C_b, X_b> + d'w, w the least-squares multiplier of the
+rows for the adjoint at X.  That is the solver's dual objective taken at
+the minimum-norm solution y0 - B u, u = argmin |y0 - B u| (``Lift.shift``),
+so it is the solver's value less u' times its adjoint residual in z.
 
 Symmetry-adapted blocks.  When merging reduced the variable count, each
 PSD block of size >= 2 is then replaced, where possible, by a smaller one
@@ -83,6 +98,9 @@ SPLIT_SEED = 2010
 CLUSTER_GAP = 1e-8
 SPLIT_TOL = 1e-9
 SPLIT_CHUNK = 1 << 19
+# Equality lift: a substituted coefficient below LIFT_TOL times the larger of
+# the two terms that make it has cancelled and is dropped.
+LIFT_TOL = 1e-11
 
 
 class SolveStatus(Enum):
@@ -150,6 +168,15 @@ def _full_entries(block: CompiledBlock):
 
 class SymmetryError(SolverError):
     """A declared symmetry does not map the program onto itself."""
+
+
+class InconsistentEqualities(RuntimeError):
+    def __init__(self, row: int, residual: float):
+        self.row = row
+        self.residual = residual
+        super().__init__(
+            f"equality system is inconsistent (row {row}, residual {residual:.3e})"
+        )
 
 
 def _merged(terms: dict, label: list) -> dict:
@@ -444,16 +471,130 @@ def _split_block(blk: BlockData, nvars: int) -> Optional[BlockData]:
     return BlockData(size, const, v[~isc], i[~isc], j[~isc], x[~isc], mult)
 
 
+def _add_scaled(terms: dict, a: float, other: dict):
+    """terms += a * other, dropping each sum that cancels below LIFT_TOL."""
+    for v, c in other.items():
+        old, new = terms.get(v, 0.0), a * c
+        if abs(old + new) <= LIFT_TOL * max(abs(old), abs(new)):
+            terms.pop(v, None)
+        else:
+            terms[v] = old + new
+
+
+def _substitution(eqs: list, nv: int):
+    """Particular solution y0 and basis B of { y in R^nv : every row of eqs }.
+
+    Sparse Gaussian elimination, 1-term rows first: a row, earlier pivots
+    substituted, is pivoted on its largest coefficient (ties to the lowest
+    variable), and its pivot is substituted into the earlier pivots, each an
+    affine form in the free variables.  A row left with no terms raises
+    InconsistentEqualities when its right-hand side exceeds 1e-8 times the
+    system's scale.  Returns y0, B as (rows, cols, vals) sorted by row, and
+    the free variables, one column each in increasing order.
+    """
+    scale = 1.0 + max((abs(x) for e in eqs for x in (e.rhs, *e.terms.values())),
+                      default=0.0)
+    expr, const = {}, {}  # pivot -> its form in the free variables, constant
+    for i in sorted(range(len(eqs)), key=lambda i: len(eqs[i].terms) > 1):
+        row, rhs = dict(eqs[i].terms), eqs[i].rhs
+        for v in [v for v in row if v in expr]:
+            c = row.pop(v)
+            rhs -= c * const[v]
+            _add_scaled(row, c, expr[v])
+        if not row:
+            if abs(rhs) > 1e-8 * scale:
+                raise InconsistentEqualities(i, abs(rhs))
+            continue
+        p = min(row, key=lambda v: (-abs(row[v]), v))
+        cp = row.pop(p)
+        form = {v: -c / cp for v, c in row.items()}
+        for q in expr:
+            if p in expr[q]:
+                a = expr[q].pop(p)
+                const[q] += a * rhs / cp
+                _add_scaled(expr[q], a, form)
+        expr[p], const[p] = form, rhs / cp
+    free = [v for v in range(nv) if v not in expr]
+    col = {v: j for j, v in enumerate(free)}
+    B = np.array([(v, col[u], a) for v in range(nv)
+                  for u, a in expr.get(v, {v: 1.0}).items()]).reshape(-1, 3)
+    y0 = np.array([const.get(v, 0.0) for v in range(nv)])
+    return y0, B[:, 0].astype(np.int64), B[:, 1].astype(np.int64), B[:, 2], free
+
+
+@dataclass
+class Lift:
+    """Merged moment vectors y = y0 + B z that satisfy the equality rows
+    ``eqs``; B is (rows, cols, vals) sorted by row, one column per free
+    variable, and the full moment vector is y[label]."""
+
+    label: np.ndarray
+    y0: np.ndarray
+    B: tuple
+    shift: np.ndarray  # u = argmin |y0 - B u|; y0 - B u has minimum norm
+    eqs: list
+
+    def residual(self, y: np.ndarray) -> float:
+        """Largest equality residual of y, relative to 1 + max |rhs|."""
+        top = max((abs(sum(c * y[v] for v, c in e.terms.items()) - e.rhs)
+                   for e in self.eqs), default=0.0)
+        return top / (1.0 + max((abs(e.rhs) for e in self.eqs), default=0.0))
+
+    def block(self, blk: BlockData) -> BlockData:
+        """The block over z: coefficients E'_j = sum_k B[k, j] E_k, summed
+        per entry, and constant C + E(y0)."""
+        (rows, cols, vals), n, nv = self.B, blk.size, len(self.y0)
+        start = np.searchsorted(rows, np.arange(nv + 1))
+        cnt = (start[1:] - start[:-1])[blk.vids]
+        term = np.repeat(np.arange(len(blk.vids)), cnt)
+        at = np.arange(len(term)) + np.repeat(start[blk.vids] - np.cumsum(cnt) + cnt, cnt)
+        pos = blk.rows * n + blk.cols
+        key, inv = np.unique(pos[term] * nv + cols[at], return_inverse=True)
+        coef = np.bincount(inv, blk.vals[term] * vals[at], len(key))
+        const = blk.const + np.bincount(pos, blk.vals * self.y0[blk.vids],
+                                        n * n).reshape(n, n)
+        return BlockData(n, const, key % nv, key // nv // n, key // nv % n,
+                         coef, blk.mult)
+
+
+def _lifted_program(objective: np.ndarray, blocks: list, eqs: list,
+                    label: np.ndarray) -> Tuple[ConeProgram, Lift]:
+    """The program over the free coordinates z of the lift y = y0 + B z of
+    the merged equality rows ``eqs`` (see ``_substitution``), and the lift."""
+    nv = len(objective)
+    y0, rows, cols, vals, free = _substitution(eqs, nv)
+    # z_j is the sum over the orbit of free variable j, so the solver's
+    # objective scale and adjoint residual are those of one orbit member.
+    size = np.maximum(np.bincount(label, minlength=nv), 1)[free]
+    vals = vals / size[cols]
+    # B'B = D^2 + P'P, with D = diag(1 / size) from the free rows and P the
+    # nonzero pivot rows of B (a pin's row is zero).  The shift solves
+    # (D^2 + P'P) u = P'y0 as u = D^-2 P' (I + P D^-2 P')^-1 y0, one dense
+    # solve with one row per pivot, no larger than one with one per equality.
+    pivot = np.zeros(nv, dtype=bool)
+    pivot[rows] = True
+    pivot[free] = False
+    at = pivot[rows]
+    P = np.zeros((int(pivot.sum()), len(free)))
+    P[(np.cumsum(pivot) - 1)[rows[at]], cols[at]] = vals[at]
+    W = P * size ** 2
+    shift = W.T @ np.linalg.solve(np.eye(len(P)) + W @ P.T, y0[pivot])
+    lift = Lift(label, y0, (rows, cols, vals), shift, eqs)
+    prog = ConeProgram(len(free), np.bincount(cols, vals * objective[rows], len(free)),
+                       [lift.block(blk) for blk in blocks], float(objective @ y0))
+    return prog.finalize(), lift
+
+
 def _build_cone_program(
     problem: SdpProblem, margin: bool = False
-) -> Tuple[ConeProgram, float, np.ndarray]:
+) -> Tuple[ConeProgram, float, Lift]:
     """Translate an LMI-form problem into the solver's internal data.
 
-    Returns (program, sign, label); the solver maximizes sign * (original
-    objective) over one variable z[o] per orbit o, and y = z[label].  With
-    ``margin`` the program is instead the margin program
-    max { t : every block - t*I is PSD }, t being the variable after the
-    orbits.
+    Returns (program, sign, lift); the program maximizes sign * (original
+    objective), its constant part as the offset, over the free coordinates
+    of the lift (see the module notes).  With ``margin`` it is instead the margin program
+    max { t : every block - t*I is PSD }, t being the merged variable after
+    the orbits and the last free coordinate.
     """
     n = problem.num_vars
     label = _orbit_labels(problem)
@@ -471,18 +612,19 @@ def _build_cone_program(
         covered[vids] = True
         blocks.append(BlockData(blk.size, np.zeros((blk.size, blk.size)),
                                 label[vids], rows, cols, vals))
-    seen = set()
+    orbit = {}  # merged inequality -> the distinct rows it stands for
     for con in problem.ge_constraints:
         covered[list(con.terms)] = True
         merged = LinearConstraint(_merged(con.terms, lab), con.rhs, Relation.GE)
-        if merged.key() in seen or (not merged.terms and con.rhs <= 0):
-            continue  # an orbit image of an earlier inequality, or 0 >= rhs
-        seen.add(merged.key())
+        if merged.terms or con.rhs > 0:  # else 0 >= rhs
+            orbit.setdefault(merged.key(), (merged, set()))[1].add(con.key())
+    for merged, rows in orbit.values():
         items = sorted(merged.terms.items())
         z = np.zeros(len(items), dtype=np.int64)
-        blocks.append(BlockData(1, np.array([[-con.rhs]]),
+        blocks.append(BlockData(1, np.array([[-merged.rhs]]),
                                 np.array([v for v, _ in items], dtype=np.int64), z, z,
-                                np.array([cf for _, cf in items], dtype=float)))
+                                np.array([cf for _, cf in items], dtype=float),
+                                np.array([len(rows)], float) if len(rows) > 1 else None))
 
     referenced = np.zeros(n, dtype=bool)
     referenced[list(problem.objective)] = True
@@ -515,17 +657,11 @@ def _build_cone_program(
         if (merged.terms or merged.rhs) and merged.key() not in seen:
             seen.add(merged.key())
             eqs.append(merged)
-    if eqs:
-        A = np.zeros((len(eqs), nv))
-        d = np.array([con.rhs for con in eqs])
-        for i, con in enumerate(eqs):
-            A[i, list(con.terms)] = list(con.terms.values())
-    else:
-        A, d = None, None
-    return ConeProgram(nv, objective, blocks, A, d).finalize(), sign, label
+    prog, lift = _lifted_program(objective, blocks, eqs, label)
+    return prog, sign, lift
 
 
-def _accepted(res, problem: SdpProblem) -> dict:
+def _accepted(res, problem: SdpProblem, err_eq: float) -> dict:
     """Residuals of an IPM result; SolverError if it is no bound.
 
     A numerical_limit outcome whose largest residual exceeds ``ACCEPT_TOL``
@@ -534,7 +670,7 @@ def _accepted(res, problem: SdpProblem) -> dict:
     resid = {
         "lmi": res.err_lmi,
         "adjoint": res.err_adj,
-        "equality": res.err_eq,
+        "equality": err_eq,
         "gap": abs(res.pobj - res.dobj) / (1 + abs(res.pobj) + abs(res.dobj)),
     }
     if res.status == "numerical_limit":
@@ -556,6 +692,16 @@ def _block_summary(blk: BlockData) -> dict:
             "rows_by_multiplicity": dict(zip(values.tolist(), rows.tolist()))}
 
 
+def _solve_lifted(prog: ConeProgram, lift: Lift, problem: SdpProblem):
+    """Solve a lifted program: its result with y read back on the merged
+    variables and the dual objective taken at the minimum-norm solution
+    (see the module notes), and the residuals of ``_accepted``."""
+    res, (rows, cols, vals) = solve_ipm(prog, tol=DEFAULT_TOL), lift.B
+    res.y = lift.y0 + np.bincount(rows, vals * res.y[cols], len(lift.y0))
+    res.dobj -= float(lift.shift @ res.adjoint)
+    return res, _accepted(res, problem, lift.residual(res.y))
+
+
 def solve(problem: SdpProblem) -> SdpSolution:
     """Solve an assembled moment SDP with the interior-point method.
 
@@ -563,12 +709,16 @@ def solve(problem: SdpProblem) -> SdpSolution:
     ``residuals["dual_objective"]``.  Raises SolverError on a numerical_limit
     outcome that the module's acceptance rule rejects.
     """
-    prog, sign, label = _build_cone_program(problem)
-    res = solve_ipm(prog, tol=DEFAULT_TOL)
-    residuals = _accepted(res, problem)
-    status = SolveStatus(res.status)
-    y = res.y[label]
     mi = problem.moment_block_index()
+    try:
+        prog, sign, lift = _build_cone_program(problem)
+    except InconsistentEqualities as exc:
+        cert = {"reason": str(exc), "row": exc.row, "residual": exc.residual}
+        return SdpSolution(SolveStatus.INFEASIBLE, math.nan, np.zeros(problem.num_vars),
+                           None, None, certificate=cert, problem=problem)
+    res, residuals = _solve_lifted(prog, lift, problem)
+    status = SolveStatus(res.status)
+    y = res.y[lift.label]
     mom = problem.blocks[mi].materialize(y) if status != SolveStatus.INFEASIBLE else None
     return SdpSolution(
         status=status,
@@ -578,7 +728,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
         moment_degrees=problem.blocks[mi].row_degrees,
         iterations=res.iterations,
         qr_fallbacks=res.qr_fallbacks,
-        num_orbits=prog.nvars,
+        num_orbits=len(lift.y0),
         solver_blocks=[_block_summary(blk) for blk in prog.blocks[:len(problem.blocks)]],
         residuals={**residuals, "dual_objective": float(sign * res.dobj)},
         certificate=res.certificate,
@@ -596,14 +746,16 @@ def feasibility(problem: SdpProblem) -> Tuple[bool, float]:
     """
     if problem.objective:
         raise ValueError("feasibility expects a problem without objective")
-    prog, _, _ = _build_cone_program(problem, margin=True)
-    res = solve_ipm(prog, tol=DEFAULT_TOL)
-    _accepted(res, problem)
+    try:
+        prog, _, lift = _build_cone_program(problem, margin=True)
+    except InconsistentEqualities:
+        return False, -math.inf
+    res, _ = _solve_lifted(prog, lift, problem)
     if res.status == "unbounded":
         return True, math.inf
     if res.status == "infeasible":
         return False, -math.inf
-    margin = float(res.y[prog.nvars - 1])  # t follows the orbit variables
+    margin = float(res.y[-1])  # t follows the orbit variables
     return margin >= -DEFAULT_EPS_FEAS, margin
 
 

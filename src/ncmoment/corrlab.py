@@ -421,8 +421,7 @@ def _margin_lp(P: np.ndarray, columns: np.ndarray):
     blocks += [BlockData(1, np.ones((1, 1)), np.array([i]), z, z,
                          np.array([sign]))
                for i in range(dim) for sign in (-1.0, 1.0)]
-    prog = ConeProgram(dim + 1, np.append(P, -1.0), blocks, None,
-                       None).finalize()
+    prog = ConeProgram(dim + 1, np.append(P, -1.0), blocks).finalize()
     res = solve_ipm(prog)
     w = np.array([res.X[k][0, 0] for k in range(len(columns))])
     return np.clip(res.y[:dim], -1.0, 1.0), w

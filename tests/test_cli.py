@@ -108,6 +108,16 @@ def test_corr_bound_level_one(classical_corr_file, tmp_path):
     assert 0 <= rep["solver"]["qr_fallbacks"] <= rep["solver"]["iterations"]
 
 
+def test_command_is_the_parsed_argv(classical_corr_file, tmp_path, monkeypatch):
+    # an in-process call reports its own arguments, not the host's
+    monkeypatch.setattr("sys.argv", ["host-program", "--some", "flags"])
+    out = str(tmp_path / "rep.json")
+    argv = ["corr-bound", "--level", "1", "--input", classical_corr_file,
+            "--out", out]
+    assert main(argv) == 0
+    assert read_report(out)["command"] == " ".join(argv)
+
+
 def test_corr_bound_invalid_table(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text('{"A": 2, "B": 2, "S": 2, "T": 2, "P": [[[[1.0]]]]}')

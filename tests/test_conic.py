@@ -55,7 +55,9 @@ def test_contradictory_equalities_infeasible():
     ])
     sol = conic.solve(prob)
     assert sol.status == SolveStatus.INFEASIBLE
-    assert sol.certificate is not None
+    # the lift pins L(1) = 1 and leaves row 1 as 0 = 2 - 1
+    assert sol.certificate["row"] == 1
+    assert sol.certificate["residual"] == 1.0
 
 
 def test_unbounded_maximization():
@@ -91,7 +93,7 @@ def test_weak_duality_reported():
 
 def _ipm_result(status, residual):
     return SimpleNamespace(status=status, iterations=7, err_lmi=residual,
-                           err_adj=0.0, err_eq=0.0, pobj=1.0, dobj=1.0)
+                           err_adj=0.0, pobj=1.0, dobj=1.0)
 
 
 @pytest.mark.parametrize("residual,accepted", [
@@ -102,13 +104,13 @@ def test_acceptance_rule(residual, accepted):
     prob.description = "probe"
     # Converged or certified outcomes pass whatever their residuals.
     for status in ("optimal", "infeasible", "unbounded"):
-        conic._accepted(_ipm_result(status, residual), prob)
+        conic._accepted(_ipm_result(status, residual), prob, 0.0)
     res = _ipm_result("numerical_limit", residual)
     if accepted:
-        assert conic._accepted(res, prob)["gap"] == 0.0
+        assert conic._accepted(res, prob, 0.0)["gap"] == 0.0
     else:
         with pytest.raises(conic.SolverError, match="probe: .* lmi residual"):
-            conic._accepted(res, prob)
+            conic._accepted(res, prob, 0.0)
 
 
 def test_numerical_limit_is_no_bound(monkeypatch):
@@ -280,7 +282,8 @@ REDUCED_PROGRAMS = [
     for n in (5, 7)
     for name in ("xi-stab", "xi-col", "las-stab", "theta-plus")
 ] + [("xi-sdp C5 r1", lambda g, r: qgraph.build_col_problem(g, r, S.XI_SDP), 5, 1)] + [
-    (f"{name} C9 r2", GRAPH_PROGRAMS[name], 9, 2) for name in ("xi-stab", "xi-col")
+    (f"{name} C9 r2", GRAPH_PROGRAMS[name], 9, 2)
+    for name in ("xi-stab", "xi-col", "theta-plus")
 ]
 
 
@@ -291,14 +294,10 @@ def test_orbit_merging_keeps_the_solution(name, build, n, r):
     assert prob.symmetries
     merged = conic.solve(prob)
     full = conic.solve(dataclasses.replace(prob, symmetries=[]))
-    if prob.ge_constraints:
-        # one inequality per orbit: the value holds, the central path moves
-        assert abs(merged.objective - full.objective) <= 1e-7
-    else:
-        # merged variables and blocks split with multiplicities follow the
-        # unreduced central path
-        assert abs(merged.objective - full.objective) <= 1e-9
-        assert merged.iterations == full.iterations
+    # merged variables, blocks split with multiplicities and one inequality
+    # per orbit, counted once per row, follow the unreduced central path
+    assert abs(merged.objective - full.objective) <= 1e-9
+    assert merged.iterations == full.iterations
     assert conic.flatness(merged, r).ranks == conic.flatness(full, r).ranks
     assert full.num_orbits == prob.num_vars
     assert merged.num_orbits < prob.num_vars
@@ -310,6 +309,44 @@ def test_orbit_merging_keeps_the_solution(name, build, n, r):
         assert np.ptp(merged.y[label == o]) == 0.0
 
 
+def _relabeled_cycle(perm):
+    n = len(perm)
+    return graphs.Graph.from_edges(n, [(perm[i], perm[(i + 1) % n]) for i in range(n)])
+
+
+C5_RELABELED = _relabeled_cycle([1, 4, 0, 3, 2])
+C7_RELABELED = _relabeled_cycle([4, 2, 6, 1, 0, 3, 5])
+SEARCHES = {
+    "gamma-col C5 r1": lambda: qgraph.gamma_col(C5_RELABELED, 1, cross_check=True),
+    "gamma-col C7 r1": lambda: qgraph.gamma_col(C7_RELABELED, 1, cross_check=True),
+    "lambda C5 r1": lambda: qgraph.Lambda(C5_RELABELED, 1),
+    "xi-sdp C5 r1": lambda: qgraph.xi_col(C5_RELABELED, 1, S.XI_SDP),
+}
+
+
+@pytest.mark.parametrize("name", list(SEARCHES))
+def test_merged_searches_keep_the_unmerged_iterations(name, monkeypatch):
+    # Every solve of these searches on relabeled cycles, margin programs with
+    # merged inequalities included, takes the iterations of the same solve
+    # without symmetries: a merged inequality counts once per row of its
+    # orbit, and each lift column is the sum over its orbit.
+    counts, solve_ipm = [], conic.solve_ipm
+
+    def counting(prog, **kw):
+        res = solve_ipm(prog, **kw)
+        counts.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(conic, "solve_ipm", counting)
+    merged = SEARCHES[name]()
+    merged_counts = counts[:]
+    counts.clear()
+    monkeypatch.setattr(conic, "_orbit_labels", lambda p: np.arange(p.num_vars))
+    full = SEARCHES[name]()
+    assert abs(merged.value - full.value) <= 1e-9
+    assert merged_counts == counts
+
+
 def test_orbit_counts_and_reduced_data():
     # D9 on the level-2 stability program of C9: 328 variables, 29 orbits
     assert conic._orbit_labels(
@@ -317,11 +354,14 @@ def test_orbit_counts_and_reduced_data():
     # theta-plus on C7: the 14 pair inequalities merge into one per orbit
     # of non-adjacent pairs (distance 2 and distance 3)
     prob = qgraph.build_col_problem(graphs.cycle(7), 2, S.THETA_PLUS)
-    prog, _, label = conic._build_cone_program(prob)
+    prog, _, lift = conic._build_cone_program(prob)
     assert len(prob.ge_constraints) == 14
-    assert [b.size for b in prog.blocks].count(1) == 2
-    assert prog.nvars == label.max() + 1 == 13
-    assert prog.A.shape == (1, 13)  # the 7 rows L(x_i) = 1 merge into one
+    assert [b.mult.tolist() for b in prog.blocks if b.size == 1] == [[7.0], [7.0]]
+    assert len(lift.y0) == lift.label.max() + 1 == 13
+    # the 7 rows L(x_i) = 1 merge into one, which pins their orbit
+    o = lift.label[prob.index.var_of((vertex(0),))]
+    assert len(lift.eqs) == 1 and lift.y0[o] == 1.0 and o not in lift.B[0]
+    assert prog.nvars == 12
 
 
 def test_non_automorphism_raises():
@@ -490,11 +530,31 @@ def test_programs_without_symmetry_keep_their_cone_data(monkeypatch):
     calls = []
     monkeypatch.setattr(conic, "_split_block", lambda *a: calls.append(a))
     prob = entdim.build_xi_problem(corrlab.realize(corrlab.tsirelson_chsh()), 2)
-    prog, _, label = conic._build_cone_program(prob)
+    prog, _, lift = conic._build_cone_program(prob)
     assert calls == []
-    assert prog.nvars == prob.num_vars
-    assert np.array_equal(label, np.arange(prob.num_vars))
+    assert len(lift.y0) == prob.num_vars
+    assert np.array_equal(lift.label, np.arange(prob.num_vars))
     assert [blk.size for blk in prog.blocks[:len(prob.blocks)]] == [
         blk.size for blk in prob.blocks]
     assert all(blk.mult is None for blk in prog.blocks)
     assert all(g.weight is None and g.wvals is g.vals for g in prog.groups)
+
+
+def test_lift_does_not_depend_on_row_order_or_scale():
+    # Permuted equality rows, each rescaled by a random factor, cut out the
+    # same affine set: the CHSH level-2 solves keep value and iterations.
+    from ncmoment import corrlab, entdim
+
+    rng = np.random.default_rng(17)
+    for P in (corrlab.realize(corrlab.tsirelson_chsh()),
+              corrlab.random_classical(entdim.Scenario(2, 2, 2, 2), 3, seed=2)):
+        prob = entdim.build_xi_problem(P, 2)
+        eqs = prob.eq_constraints
+        factors = rng.uniform(0.1, 10.0, len(eqs)) * rng.choice([-1.0, 1.0], len(eqs))
+        scaled = [LinearConstraint({v: f * c for v, c in con.terms.items()}, f * con.rhs)
+                  for con, f in zip(eqs, factors)]
+        moved = dataclasses.replace(prob, constraints=prob.ge_constraints + [
+            scaled[i] for i in rng.permutation(len(eqs))])
+        base, other = conic.solve(prob), conic.solve(moved)
+        assert other.iterations == base.iterations
+        assert abs(other.objective - base.objective) <= 1e-9

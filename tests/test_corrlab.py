@@ -213,7 +213,7 @@ def test_import_leaves_scipy_optimize_unloaded():
         "                   np.array([j for _, j in ij]), np.ones(8))\n"
         "cap = BlockData(1, np.array([[0.5]]), np.array([1, 2]),\n"
         "                np.zeros(2, int), np.zeros(2, int), -np.ones(2))\n"
-        "prog = ConeProgram(3, np.ones(3), [moment, cap], None, None)\n"
+        "prog = ConeProgram(3, np.ones(3), [moment, cap])\n"
         "print(solve_ipm(prog.finalize()).qr_fallbacks)\n"
         "print(sorted(m for m in sys.modules if any(\n"
         "    m == p or m.startswith(p + '.')\n"

@@ -93,16 +93,15 @@ def test_problem_shape_level_two():
 
 @pytest.mark.parametrize("label", ["tsirelson", "classical"])
 def test_level_two_blocks_have_no_common_null_vector(label):
-    # A common null vector of S_b(y0) and of every reduced coefficient
-    # G_ba = sum_k N[k, a] E_k^(b) is a null vector of S_b(y) at every
-    # feasible y, so the program would have no Slater point.
+    # A common null vector of the lifted constant C_b + E(y0) and of every
+    # lifted coefficient E'_a = sum_k B[k, a] E_k^(b) is a null vector of
+    # S_b(y) at every feasible y, so the program would have no Slater point.
     P = (corrlab.realize(corrlab.tsirelson_chsh()) if label == "tsirelson"
          else corrlab.random_classical(CHSH, 3, seed=2))
     prog, _, _ = conic._build_cone_program(build_xi_problem(P, 2))
-    y0, N = _ipm._eliminate_equalities(prog.A, prog.d, prog.nvars)
     for g in prog.groups:
-        S = g.lmi_value(y0)
-        G = np.moveaxis(_ipm._reduced_coefficients(g, N), -1, 1)
+        S = g.const
+        G = np.moveaxis(_ipm._coefficients(g), -1, 1)
         for b in range(len(g.members)):
             stack = np.concatenate([S[b][None], G[b]]).reshape(-1, g.size)
             sv = np.linalg.svd(stack, compute_uv=False)

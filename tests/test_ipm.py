@@ -1,13 +1,14 @@
 """The interior-point method: size-grouped kernels against per-block
-references, and the reduced Schur solve (svec Gram rows, the Cholesky path
-and the QR-then-SVD fallback)."""
+references, and the Schur solve (svec Gram rows, the Cholesky path and the
+QR-then-SVD fallback)."""
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from ncmoment import _ipm, graphs, qgraph
+from ncmoment import _ipm, conic, graphs, qgraph
 from ncmoment._ipm import BlockData, ConeProgram, solve_ipm
+from ncmoment.momentize import LinearConstraint
 
 
 @pytest.fixture
@@ -47,31 +48,34 @@ def _random_block(rng, size, nvars):
     return _block(size, entries)
 
 
+def _lifted(nvars, objective, blocks, eqs):
+    """The equality-free program of max b'y over the blocks and ``eqs``."""
+    return conic._lifted_program(objective, blocks, eqs, np.arange(nvars))[0]
+
+
 def test_svec_rows_keep_the_gram_matrix():
     rng = np.random.default_rng(3)
-    size, nvars, nt, k = 6, 9, 5, 2
+    size, nvars, k = 6, 9, 2
     prog = ConeProgram(nvars, np.zeros(nvars),
-                       [_random_block(rng, size, nvars) for _ in range(k)],
-                       None, None).finalize()
+                       [_random_block(rng, size, nvars) for _ in range(k)]).finalize()
     (group,) = prog.groups
-    N, _ = np.linalg.qr(rng.standard_normal((nvars, nt)))
-    G = _ipm._reduced_coefficients(group, N)
+    G = _ipm._coefficients(group)
     r = rng.standard_normal((k, size, size))
 
     full = np.vstack([
-        np.stack([(r[b].T @ G[b, :, :, a] @ r[b]).ravel() for a in range(nt)],
+        np.stack([(r[b].T @ G[b, :, :, a] @ r[b]).ravel() for a in range(nvars)],
                  axis=1)
         for b in range(k)
-    ])  # k size^2 x nt
+    ])  # k size^2 x nvars
     J = _ipm._gram_rows_scaled(G, r)
-    assert J.shape == (k * size * (size + 1) // 2, nt)
+    assert J.shape == (k * size * (size + 1) // 2, nvars)
     ref = full.T @ full
     assert np.abs(J.T @ J - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_owner_map_kernels_match_dense_reference():
     rng = np.random.default_rng(13)
-    size, nvars, nt, k = 4, 6, 3, 3
+    size, nvars, k = 4, 6, 3
     blocks = [_random_block(rng, size, nvars) for _ in range(k)]
     # A repeated (entry, variable) pair must add up, as in a sparse sum.
     blk = blocks[1]
@@ -80,7 +84,7 @@ def test_owner_map_kernels_match_dense_reference():
         setattr(blk, name, np.append(arr, arr[:2]))
     for blk in blocks:
         blk.const = rng.standard_normal((size, size))
-    prog = ConeProgram(nvars, np.zeros(nvars), blocks, None, None).finalize()
+    prog = ConeProgram(nvars, np.zeros(nvars), blocks).finalize()
     (group,) = prog.groups
     E = np.zeros((k, nvars, size, size))  # dense E_k^(b), one loop per term
     for b, blk in enumerate(blocks):
@@ -88,15 +92,13 @@ def test_owner_map_kernels_match_dense_reference():
             E[b, v, i, j] += c
     y = rng.standard_normal(nvars)
     M = rng.standard_normal((k, size, size))
-    N = rng.standard_normal((nvars, nt))
     want_lmi = (np.stack([blk.const for blk in blocks])
                 + np.einsum("bvij,v->bij", E, y))
     want_adj = np.einsum("bvij,bij->v", E, M)
-    want_G = np.einsum("bvij,va->bija", E, N)
+    want_G = np.einsum("bvij->bijv", E)
     assert np.allclose(group.lmi_value(y), want_lmi, rtol=0, atol=1e-12)
     assert np.allclose(group.adjoint(M), want_adj, rtol=0, atol=1e-12)
-    assert np.allclose(_ipm._reduced_coefficients(group, N), want_G, rtol=0,
-                       atol=1e-12)
+    assert np.allclose(_ipm._coefficients(group), want_G, rtol=0, atol=1e-12)
 
 
 def _reference_step(M, dM):
@@ -156,7 +158,7 @@ def test_failed_cholesky_repairs_only_that_block():
     assert np.allclose(L @ np.swapaxes(L, 1, 2), M, rtol=0, atol=1e-12)
 
 
-def _mixed_program(order):
+def _mixed_data(order):
     """max b'y over five blocks (sizes 1, 1, 3, 3, 5), one equality.
 
     Every block is I + sum_k y_k E_k.  The coefficients of the size-5 block
@@ -181,9 +183,12 @@ def _mixed_program(order):
                 blk.vals[diag] -= blk.vals[diag].mean()
         blocks.append(blk)
     objective = rng.standard_normal(nvars)
-    A = np.array([[1.0, 1.0, 0.0, 0.0]])
-    return ConeProgram(nvars, objective, [blocks[i] for i in order], A,
-                       np.array([0.05])).finalize()
+    return (nvars, objective, [blocks[i] for i in order],
+            [LinearConstraint({0: 1.0, 1: 1.0}, 0.05)])
+
+
+def _mixed_program(order):
+    return _lifted(*_mixed_data(order))
 
 
 def test_block_order_does_not_change_the_solve():
@@ -200,6 +205,21 @@ def test_block_order_does_not_change_the_solve():
         assert np.abs(perm.X[i] - base.X[j]).max() <= 1e-6 * scale
 
 
+def test_lifted_objective_keeps_its_constant():
+    # The lift pins y_0 = 0.05 - y_1, so the solver's objective has the
+    # constant 0.05 b_0; pobj and dobj count it.
+    nvars, objective, blocks, eqs = _mixed_data([0, 1, 2, 3, 4])
+    prog, lift = conic._lifted_program(objective, blocks, eqs, np.arange(nvars))
+    assert prog.offset == 0.05 * objective[0] != 0.0
+    res = solve_ipm(prog)
+    assert res.status == "optimal"
+    rows, cols, vals = lift.B
+    y = lift.y0 + np.bincount(rows, vals * res.y[cols], nvars)
+    assert abs(y[0] + y[1] - 0.05) <= 1e-14
+    assert abs(res.pobj - objective @ y) <= 1e-12 * (1 + abs(res.pobj))
+    assert abs(res.dobj - res.pobj) <= 1e-7 * (1 + abs(res.pobj))
+
+
 def _program(duplicate):
     """max y0 + z over [[1, y0, z], [y0, 1, y0], [z, y0, 1]] >= 0, z <= 1/2.
 
@@ -212,7 +232,7 @@ def _program(duplicate):
     cap = _block(1, {(0, 0): {k: -v for k, v in zs.items()}})
     cap.const = np.array([[0.5]])
     objective = np.ones(nvars)
-    return ConeProgram(nvars, objective, [moment, cap], None, None).finalize()
+    return ConeProgram(nvars, objective, [moment, cap]).finalize()
 
 
 def test_singular_schur_takes_qr_fallback(qr_calls):
@@ -311,29 +331,46 @@ def test_cholesky_rcond_matches_reference(cond, seed):
     assert np.abs(solve(g) - want).max() <= 1e-10 * np.abs(want).max()
 
 
-def test_dual_objective_matches_least_squares_on_rank_deficient_A():
-    # d'w with w = lstsq(A', adj) equals y0'adj for the minimum-norm y0.
+def test_dual_objective_matches_least_squares_on_rank_deficient_A(monkeypatch):
+    # The reported dual objective is sum_b <C_b, X_b> + d'w with
+    # w = lstsq(A', adj), adj the objective plus block adjoints, for any X;
+    # here X is not dual feasible and the substitution's y0 is not the
+    # minimum-norm solution, so the shift matters.
     rng = np.random.default_rng(11)
     nvars = 7
     blocks = [_random_block(rng, size, nvars) for size in (4, 4, 2)]
+    for blk in blocks:
+        blk.const = _ipm._sym(rng.standard_normal((blk.size, blk.size)))
     a = rng.standard_normal((2, nvars))
     A = np.vstack([a, a[0] + a[1], 2.0 * a[0]])  # rank 2
     d = A @ rng.standard_normal(nvars)
-    prog = ConeProgram(nvars, rng.standard_normal(nvars), blocks, A,
-                       d).finalize()
-    y0, _ = _ipm._eliminate_equalities(A, d, nvars)
+    objective = rng.standard_normal(nvars)
     X = []
     for blk in blocks:
         M = rng.standard_normal((blk.size, blk.size))
         X.append(M @ M.T)
-
-    Xs = [np.stack([X[bi] for bi in g.members]) for g in prog.groups]
-    adj = prog.objective + sum(g.adjoint(Xg) for g, Xg in zip(prog.groups, Xs))
+    plain = ConeProgram(nvars, objective, blocks).finalize()
+    ref, adj = _ipm._dual_side(
+        plain, [np.stack([X[bi] for bi in g.members]) for g in plain.groups])
     w, *_ = np.linalg.lstsq(A.T, adj, rcond=None)
-    ref = sum(float(np.vdot(Xg, g.const)) for g, Xg in zip(prog.groups, Xs))
+    assert np.abs(A.T @ w - adj).max() > 1e-3  # X is not dual feasible
     ref += float(d @ w)
-    got = _ipm._dual_objective(prog, Xs, y0)
-    assert abs(got - ref) <= 1e-10 * (1.0 + abs(ref))
+
+    eqs = [LinearConstraint(dict(enumerate(row)), rhs) for row, rhs in zip(A, d)]
+    prog, lift = conic._lifted_program(objective, blocks, eqs, np.arange(nvars))
+    assert prog.nvars == nvars - 2  # the two dependent rows are dropped
+    assert np.abs(lift.shift).max() > 1e-3  # y0 is not the minimum-norm one
+
+    def at_X(prog, tol):
+        # the solver's own dual side at X, over the free coordinates
+        dobj, adj_z = _ipm._dual_side(
+            prog, [np.stack([X[bi] for bi in g.members]) for g in prog.groups])
+        return _ipm.IpmResult("optimal", np.zeros(prog.nvars), [], [], dobj,
+                              dobj, 1, 0.0, 0.0, 0.0, adjoint=adj_z)
+
+    monkeypatch.setattr(conic, "solve_ipm", at_X)
+    res, _ = conic._solve_lifted(prog, lift, None)
+    assert abs(res.dobj - ref) <= 1e-10 * (1.0 + abs(ref))
 
 
 def _copies_program(layout):
@@ -368,8 +405,7 @@ def _copies_program(layout):
         blocks = [_block(5, {**a, **shifted(b, 3)})]
         blocks[0].mult = np.array([1.0, 1.0, 1.0, 2.0, 2.0])
     objective = rng.standard_normal(nvars)
-    A = np.array([[1.0, -1.0, 0.0]])
-    return ConeProgram(nvars, objective, blocks, A, np.array([0.1])).finalize()
+    return _lifted(nvars, objective, blocks, [LinearConstraint({0: 1.0, 1: -1.0}, 0.1)])
 
 
 @pytest.mark.parametrize("copies,weighted", [("blocks", "weighted"),
@@ -387,7 +423,7 @@ def test_multiplicity_counts_every_copy(copies, weighted):
     for blk in plain.blocks:
         blk.mult = None
     plain = solve_ipm(ConeProgram(plain.nvars, plain.objective, plain.blocks,
-                                  plain.A, plain.d).finalize())
+                                  plain.offset).finalize())
     assert abs(plain.pobj - full.pobj) <= 1e-6 * (1 + abs(full.pobj))
     assert np.abs(plain.y - full.y).max() >= 1e-8
 
