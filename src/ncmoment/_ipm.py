@@ -11,16 +11,22 @@ over the program on the free coordinates of their solution set, so every
 coordinate is aligned with a moment variable.  The search direction is the
 Nesterov-Todd direction with a Mehrotra predictor-corrector step.
 
+Outcomes.  ``optimal`` once the relative residuals and gap are within
+``TOL``, ``unbounded`` on a verified improving direction, else
+``numerical_limit``.  Infeasibility is left to :mod:`ncmoment.conic` and its
+margin program, except that a program with no free variable is
+``infeasible`` when one of its constant blocks is indefinite.
+
 Row multiplicities.  A block may carry one multiplicity per row
 (``BlockData.mult``): it then stands for a larger block that is
 orthogonally similar to the direct sum of mult copies of each of its parts,
 and it must vanish between rows of different multiplicity.  The solver
 counts every copy: the adjoint and the Schur rows weight each row by its
 multiplicity (the Schur rows by its square root), as do the duality gap, the
-barrier size ``ntot``, the dual objective and the certificates.  Step
-lengths, the neighbourhood guard and the Cholesky repair read eigenvalues,
-which the copies only repeat, so they need no weight.  Blocks without
-multiplicities take the unweighted kernels unchanged.
+barrier size ``ntot`` and the dual objective.  Step lengths, the
+neighbourhood guard and the Cholesky repair read eigenvalues, which the
+copies only repeat, so they need no weight.  Blocks without multiplicities
+take the unweighted kernels unchanged.
 
 Size groups.  ``ConeProgram.finalize`` groups the blocks by size; X, S and
 every per-iteration kernel work on one stacked (k, n, n) array per group:
@@ -69,6 +75,8 @@ import numpy as np
 RCOND_MIN = 1e-12
 # Iteration limit; a solve that reaches it ends with status numerical_limit.
 MAX_ITER = 120
+# Largest relative residual and relative gap of an optimal outcome.
+TOL = 1e-8
 
 
 @dataclass
@@ -135,11 +143,6 @@ class SizeGroup:
             return float(np.vdot(X, S))
         return float(np.vdot(X * self.weight[:, :, None], S))
 
-    def trace(self, X: np.ndarray) -> float:
-        """sum_b tr_w X_b, the weighted trace."""
-        diag = np.diagonal(X, axis1=1, axis2=2)
-        return float(diag.sum() if self.weight is None else np.vdot(diag, self.weight))
-
 
 def _size_group(blocks: list, members: list, nvars: int) -> SizeGroup:
     n = blocks[members[0]].size
@@ -187,7 +190,7 @@ class ConeProgram:
 
 @dataclass
 class IpmResult:
-    status: str  # optimal | infeasible | unbounded | numerical_limit
+    status: str  # optimal | unbounded | numerical_limit | infeasible (n = 0)
     y: np.ndarray
     X: list
     S: list
@@ -376,7 +379,7 @@ def _schur_solver(J: np.ndarray, fallback: bool = False):
     return solve, chol is None
 
 
-def solve_ipm(prog: ConeProgram, tol: float = 1e-8) -> IpmResult:
+def solve_ipm(prog: ConeProgram) -> IpmResult:
     """Solve a finalized program; every kernel runs once per size group."""
     n = prog.nvars
     b = prog.objective
@@ -439,30 +442,22 @@ def solve_ipm(prog: ConeProgram, tol: float = 1e-8) -> IpmResult:
             best = snapshot()
             best_quality = quality
 
-        if max(err_lmi, err_adj) <= tol and relgap <= tol:
+        if max(err_lmi, err_adj) <= TOL and relgap <= TOL:
             status = "optimal"
             if best.iterations != it:
                 best = snapshot()
             break
 
-        # Divergence-based certificates.  A verified improving feasible
-        # direction proves unboundedness; probe for one when the objective
-        # runs away or when everything except dual feasibility has converged.
-        xnorm = max(float(np.abs(Xg).max(initial=0.0)) for Xg in X)
+        # A verified improving feasible direction proves unboundedness; probe
+        # for one when the objective runs away or when everything except dual
+        # feasibility has converged.
         probe_ray = (pobj > 1e5 * bscale and err_lmi <= 1e-6) or (
-            relgap <= tol and err_lmi <= 10 * tol and err_adj > 1e3 * tol
+            relgap <= TOL and err_lmi <= 10 * TOL and err_adj > 1e3 * TOL
         )
         if probe_ray:
             ray = _unboundedness_ray(prog, y)
             if ray is not None or pobj > 1e9 * bscale:
                 status = "unbounded"
-                best = snapshot()
-                best.certificate = ray
-                break
-        if xnorm > 1e8 * x0:
-            ray = _infeasibility_certificate(prog, X)
-            if ray is not None:
-                status = "infeasible"
                 best = snapshot()
                 best.certificate = ray
                 break
@@ -513,7 +508,7 @@ def solve_ipm(prog: ConeProgram, tol: float = 1e-8) -> IpmResult:
             return dy, dS, dX, Dxs, Dss
 
         err_all = max(err_lmi, err_adj)
-        infeasible_phase = err_all > 100.0 * max(relgap, tol)
+        infeasible_phase = err_all > 100.0 * max(relgap, TOL)
         tau = 0.95 if infeasible_phase else 0.98
 
         def step(Ds):
@@ -582,8 +577,8 @@ def solve_ipm(prog: ConeProgram, tol: float = 1e-8) -> IpmResult:
     res = best
     res.status = status if status != "numerical_limit" else (
         "optimal"
-        if max(res.err_lmi, res.err_adj) <= 10 * tol
-        and res.mu / (1.0 + abs(res.pobj)) <= 10 * tol
+        if max(res.err_lmi, res.err_adj) <= 10 * TOL
+        and res.mu / (1.0 + abs(res.pobj)) <= 10 * TOL
         else "numerical_limit"
     )
     res.iterations = it
@@ -601,7 +596,8 @@ def _dual_side(prog: ConeProgram, X: list):
 
 
 def _solve_fixed(prog: ConeProgram) -> IpmResult:
-    """Degenerate case: no variables, so every block is its constant."""
+    """Degenerate case: no variables, so every block is its constant.  The
+    margin is their smallest eigenvalue, the margin program's value here."""
     S = [g.const for g in prog.groups]
     lam = min(float(np.linalg.eigvalsh(M)[:, 0].min()) for M in S)
     pobj = prog.offset
@@ -612,7 +608,7 @@ def _solve_fixed(prog: ConeProgram) -> IpmResult:
         return IpmResult(
             "infeasible", y, X, S, pobj, pobj, 0, 0.0, 0.0, 0.0,
             certificate={"reason": "pinned variables violate the cone",
-                         "violation": float(-lam)}, adjoint=y,
+                         "margin": lam}, adjoint=y,
         )
     return IpmResult("optimal", y, X, S, pobj, pobj, 0, 0.0, 0.0, 0.0, adjoint=y)
 
@@ -632,22 +628,3 @@ def _unboundedness_ray(prog: ConeProgram, y: np.ndarray) -> Optional[dict]:
             return None
     return {"improving_direction": True, "gain": gain}
 
-
-def _infeasibility_certificate(prog: ConeProgram, X: list) -> Optional[dict]:
-    """Check a scaled X (one stack per size group) for a Farkas ray of the
-    LMI system.
-
-    The ray must satisfy <E_k, X_b> = 0 approximately and make
-    sum_b <C_b, X_b> strictly negative after normalization.
-    """
-    scale = sum(g.trace(Xg) for g, Xg in zip(prog.groups, X))
-    if scale <= 0:
-        return None
-    adj = np.zeros(prog.nvars)
-    viol = 0.0
-    for g, Xg in zip(prog.groups, X):
-        adj += g.adjoint(Xg / scale)
-        viol -= g.inner(Xg / scale, g.const)
-    if np.abs(adj).max(initial=0.0) <= 1e-7 and viol >= 1e-7:
-        return {"ray_trace": 1.0, "violation": float(viol)}
-    return None

@@ -7,10 +7,14 @@ so the core solver only sees a single cone type.
 Acceptance.  This module alone decides which solver outcome is a bound.
 ``optimal`` is accepted.  ``numerical_limit`` is accepted only when the
 largest of its lmi, adjoint, equality and gap residuals is at most
-``ACCEPT_TOL``; otherwise :func:`solve` and :func:`feasibility` raise
-SolverError.  Certified ``infeasible`` and ``unbounded`` outcomes are
-returned to the caller: as statuses by :func:`solve`, as the verdicts
-(False, -inf) and (True, inf) by :func:`feasibility`.  Post-solve utilities
+``ACCEPT_TOL``.  A rejected solve raises SolverError, except that
+:func:`solve` first solves the margin program of the problem, objective
+dropped (phase I; Ye, Todd & Mizuno, Math. Oper. Res. 19, 1994), and
+returns INFEASIBLE when that solve is accepted with a margin below
+-DEFAULT_EPS_FEAS, the rule of :func:`feasibility`.  Every INFEASIBLE
+certificate carries its ``margin`` (-inf for inconsistent equalities).
+``unbounded`` is returned as the status by :func:`solve` and as the verdict
+(True, inf) by :func:`feasibility`.  Post-solve utilities
 compute numerical ranks of nested principal submatrices of the realized
 moment matrix and the flatness verdicts used for finite-convergence
 certificates.
@@ -76,7 +80,7 @@ matrix and flatness are read from the problem, not from the split blocks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional, Tuple
 
@@ -86,7 +90,6 @@ from ._ipm import BlockData, ConeProgram, solve_ipm
 from .momentize import CompiledBlock, LinearConstraint, Relation, SdpProblem, _combine
 from .ncwords import reduce_word
 
-DEFAULT_TOL = 1e-8
 DEFAULT_EPS_FEAS = 1e-6
 DEFAULT_TAU_RANK = 1e-6
 # Largest residual of a numerical_limit outcome that still counts as a bound.
@@ -696,27 +699,56 @@ def _solve_lifted(prog: ConeProgram, lift: Lift, problem: SdpProblem):
     """Solve a lifted program: its result with y read back on the merged
     variables and the dual objective taken at the minimum-norm solution
     (see the module notes), and the residuals of ``_accepted``."""
-    res, (rows, cols, vals) = solve_ipm(prog, tol=DEFAULT_TOL), lift.B
+    res, (rows, cols, vals) = solve_ipm(prog), lift.B
     res.y = lift.y0 + np.bincount(rows, vals * res.y[cols], len(lift.y0))
     res.dobj -= float(lift.shift @ res.adjoint)
     return res, _accepted(res, problem, lift.residual(res.y))
+
+
+def _margin(problem: SdpProblem):
+    """Solve the margin program max { t : every block - t*I PSD } of a problem
+    without objective: its margin (inf if unbounded), result and residuals."""
+    prog, _, lift = _build_cone_program(problem, margin=True)
+    res, resid = _solve_lifted(prog, lift, problem)
+    margin = math.inf if res.status == "unbounded" else float(res.y[-1])
+    return margin, res, resid  # t follows the orbit variables
+
+
+def _margin_verdict(problem: SdpProblem, exc: SolverError) -> SdpSolution:
+    """INFEASIBLE if the margin program of ``problem``, objective dropped, is
+    accepted with margin below -DEFAULT_EPS_FEAS; else ``exc`` raised again,
+    its message extended by the margin or by the margin solve's failure."""
+    try:
+        margin, res, resid = _margin(replace(problem, objective={}))
+    except SolverError as err:
+        raise SolverError(f"{exc}; margin program: {err}") from exc
+    if not margin < -DEFAULT_EPS_FEAS:
+        raise SolverError(f"{exc}; margin program gives {margin:.3e}") from exc
+    cert = {"reason": f"margin program gives {margin:.6e}", "margin": margin,
+            "iterations": res.iterations, "residuals": resid}
+    return SdpSolution(SolveStatus.INFEASIBLE, math.nan, np.zeros(problem.num_vars),
+                       None, None, certificate=cert, problem=problem)
 
 
 def solve(problem: SdpProblem) -> SdpSolution:
     """Solve an assembled moment SDP with the interior-point method.
 
     The returned objective is the moment-side value; the dual objective is in
-    ``residuals["dual_objective"]``.  Raises SolverError on a numerical_limit
-    outcome that the module's acceptance rule rejects.
+    ``residuals["dual_objective"]``.  A solve that the acceptance rule
+    rejects is decided by the margin program (see the module notes).
     """
     mi = problem.moment_block_index()
     try:
         prog, sign, lift = _build_cone_program(problem)
     except InconsistentEqualities as exc:
-        cert = {"reason": str(exc), "row": exc.row, "residual": exc.residual}
+        cert = {"reason": str(exc), "row": exc.row, "residual": exc.residual,
+                "margin": -math.inf}
         return SdpSolution(SolveStatus.INFEASIBLE, math.nan, np.zeros(problem.num_vars),
                            None, None, certificate=cert, problem=problem)
-    res, residuals = _solve_lifted(prog, lift, problem)
+    try:
+        res, residuals = _solve_lifted(prog, lift, problem)
+    except SolverError as exc:
+        return _margin_verdict(problem, exc)
     status = SolveStatus(res.status)
     y = res.y[lift.label]
     mom = problem.blocks[mi].materialize(y) if status != SolveStatus.INFEASIBLE else None
@@ -740,22 +772,17 @@ def feasibility(problem: SdpProblem) -> Tuple[bool, float]:
     """Decide feasibility via the margin program max { t : blocks >= t*I }.
 
     The input must have no objective.  Feasible iff the optimal margin is
-    >= -DEFAULT_EPS_FEAS; the margin is returned alongside.  The equality
-    constraints must pin the normalization (e.g. L(1) = 1), otherwise the
-    margin program is unbounded.
+    >= -DEFAULT_EPS_FEAS; the margin is returned alongside (-inf for
+    inconsistent equalities).  The equality constraints must pin the
+    normalization (e.g. L(1) = 1); otherwise the margin program is unbounded
+    or its supremum need not be attained, and the solve may raise SolverError.
     """
     if problem.objective:
         raise ValueError("feasibility expects a problem without objective")
     try:
-        prog, _, lift = _build_cone_program(problem, margin=True)
+        margin, _, _ = _margin(problem)
     except InconsistentEqualities:
         return False, -math.inf
-    res, _ = _solve_lifted(prog, lift, problem)
-    if res.status == "unbounded":
-        return True, math.inf
-    if res.status == "infeasible":
-        return False, -math.inf
-    margin = float(res.y[-1])  # t follows the orbit variables
     return margin >= -DEFAULT_EPS_FEAS, margin
 
 

@@ -17,9 +17,7 @@ the eliminated operators enter as localizing generators and data polynomials.
 
 from __future__ import annotations
 
-import dataclasses
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -265,12 +263,7 @@ def solve_xi_problem(problem: SdpProblem) -> EntDimResult:
     r = problem.r
     sol = conic.solve(problem)
     if sol.status == SolveStatus.INFEASIBLE:
-        margin = -math.inf
-        try:
-            _, margin = conic.feasibility(dataclasses.replace(problem, objective={}))
-        except conic.SolverError:
-            pass
-        raise InfeasibleCorrelationError(r, margin)
+        raise InfeasibleCorrelationError(r, sol.certificate["margin"])
     if sol.status == SolveStatus.UNBOUNDED:
         raise conic.SolverError(f"{problem.description}: solver returned "
                                 f"{sol.status.value}")

@@ -58,6 +58,7 @@ def test_contradictory_equalities_infeasible():
     # the lift pins L(1) = 1 and leaves row 1 as 0 = 2 - 1
     assert sol.certificate["row"] == 1
     assert sol.certificate["residual"] == 1.0
+    assert sol.certificate["margin"] == -math.inf
 
 
 def test_unbounded_maximization():
@@ -71,6 +72,55 @@ def test_cone_infeasibility_detected():
     prob = single_var_problem([LinearConstraint({0: 1.0}, -1.0, Relation.EQ)])
     sol = conic.solve(prob)
     assert sol.status == SolveStatus.INFEASIBLE
+    assert sol.certificate["margin"] == -1.0  # the pinned block's eigenvalue
+
+
+def test_infeasible_graph_program_decided_by_margin():
+    # A projector has L(x_i) <= 1, so L(x_i) = 2 admits no moment matrix.
+    # The objective solve stops at numerical_limit; its margin program,
+    # objective dropped, decides.
+    prob = qgraph.build_stab_problem(graphs.cycle(5), 2)
+    prob = dataclasses.replace(prob, constraints=prob.constraints + [
+        LinearConstraint({prob.index.var_of((vertex(i),)): 1.0}, 2.0, Relation.EQ)
+        for i in range(5)
+    ])
+    sol = conic.solve(prob)
+    assert sol.status == SolveStatus.INFEASIBLE
+    assert abs(sol.certificate["margin"] + 2.34786663) <= 1e-6
+    assert sol.certificate["iterations"] > 0
+    assert max(sol.certificate["residuals"].values()) <= 1e-8
+
+
+def test_rejection_reports_the_margin_solve(monkeypatch):
+    # The margin solve is capped too, and its own failure joins the message.
+    monkeypatch.setattr(_ipm, "MAX_ITER", 3)
+    prob = qgraph.build_stab_problem(graphs.cycle(5), 1)
+    with pytest.raises(conic.SolverError,
+                       match=f"{prob.description}: .*numerical_limit.*; "
+                             "margin program: .*numerical_limit"):
+        conic.solve(prob)
+
+
+@pytest.mark.parametrize("search", [
+    lambda: qgraph.theta(graphs.cycle(5)),
+    lambda: qgraph.gamma_col(graphs.cycle(5), 1),
+], ids=["theta C5", "gamma-col C5 r1"])
+def test_accepted_solve_runs_one_ipm_solve(search, monkeypatch):
+    # the margin fallback never runs where the objective solve is accepted
+    calls = {"ipm": 0, "entry": 0}
+
+    def counted(func, key):
+        def wrapper(*args):
+            calls[key] += 1
+            return func(*args)
+        return wrapper
+
+    monkeypatch.setattr(conic, "solve_ipm", counted(conic.solve_ipm, "ipm"))
+    monkeypatch.setattr(conic, "solve", counted(conic.solve, "entry"))
+    monkeypatch.setattr(conic, "feasibility", counted(conic.feasibility, "entry"))
+    search()
+    assert calls["entry"] > 0
+    assert calls["ipm"] == calls["entry"]
 
 
 def test_theta_c5_closed_form():
@@ -263,7 +313,7 @@ def test_solution_moment_matrix_psd():
     res = qgraph.xi_col(graphs.cycle(5), 2)
     M = res.solution.moment_matrix
     assert np.abs(M - M.T).max() < 1e-12
-    assert np.linalg.eigvalsh(M)[0] >= -10 * conic.DEFAULT_TOL
+    assert np.linalg.eigvalsh(M)[0] >= -10 * _ipm.TOL
 
 
 # ---------------------------------------------------------------------------
