@@ -41,25 +41,21 @@ iterates sit at the same diagonal point.
 Schur complement.  With the NT factor r of each block, the Schur matrix is
 H = J'J, where J stacks the rows svec(r' E_a r) of every block (upper
 triangle, off-diagonal entries weighted by sqrt 2, so a block of size n
-gives n(n+1)/2 rows).  Near degenerate optima
-the columns of J differ in scale by many orders of magnitude, and that alone
-drives the condition number of H to 1e23 and beyond.  So H is equilibrated
-first: with d = sqrt(diag H), K = D^-1 H D^-1 (D = diag d) has a unit
-diagonal, and the step is dy = D^-1 K^-1 D^-1 g.  Cholesky's backward error
-on H is then governed by the condition number of K, not of H (van der Sluis,
-Numer. Math. 14, 1969; Higham, Accuracy and Stability of Numerical
-Algorithms, sec. 10.1).  K is Cholesky-factored and the factor is used when
-it exists and the exact reciprocal 1-norm condition number of K reaches
-``RCOND_MIN`` = 1e-12.  Both paths refine the solve twice against J'J.  A
-Cholesky step has a relative error of about eps/rcond, at most 2e-4 at the
-guard, and each refinement step multiplies it by that factor again, so a
-step accepted at the guard ends near 1e-11.  Otherwise, when K is
-numerically singular or worse conditioned than the guard, as on some steps
-of degenerate faces and late in infeasible solves, the step comes from a QR
-of the unscaled J followed by an SVD of its R factor, which gives a zero
-step along directions outside the numerical row space instead of amplified
-roundoff.  Once a solve takes the fallback it keeps it for its remaining
-iterations.  The module needs numpy alone.
+gives n(n+1)/2 rows).  Near degenerate optima the columns of J differ in
+scale by many orders of magnitude, and that alone drives the condition
+number of H to 1e23 and beyond.  So H is equilibrated first: with
+d = sqrt(diag H), K = D^-1 H D^-1 (D = diag d) has a unit diagonal, and the
+step is dy = D^-1 K^-1 D^-1 g (van der Sluis, Numer. Math. 14, 1969; Higham,
+Accuracy and Stability of Numerical Algorithms, sec. 10.1).  The bounds of
+interest sit at flat optima, where the moment matrices have low rank and K
+itself turns singular.  So K is factored as V diag(lam) V' by a symmetric
+eigendecomposition, and only the eigenvalues above the standard rank
+tolerance len(lam) eps max(lam), the rule of ``numpy.linalg.matrix_rank``,
+are inverted: a numerically null direction gets a zero step instead of
+amplified roundoff, as in the modified Cholesky of S. J. Wright (SIAM J.
+Optim. 9, 1999).  A zero column of J takes d = 1, so its zero eigenvalue is
+dropped too.  The step is refined twice against J'J, with the residual read
+on the kept space.  The module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -69,10 +65,6 @@ from typing import Optional
 
 import numpy as np
 
-# Smallest reciprocal 1-norm condition number of the equilibrated Schur
-# matrix K = D^-1 J'J D^-1 for the Cholesky path; two refinement steps at
-# eps/rcond each take an accepted step to a relative error near 1e-11.
-RCOND_MIN = 1e-12
 # Iteration limit; a solve that reaches it ends with status numerical_limit.
 MAX_ITER = 120
 # Largest relative residual and relative gap of an optimal outcome.
@@ -201,7 +193,7 @@ class IpmResult:
     err_lmi: float
     err_adj: float
     certificate: Optional[dict] = None
-    qr_fallbacks: int = 0  # Schur solves that took the QR-then-SVD fallback
+    schur_rank_deficient: int = 0  # Schur solves that dropped a direction
     adjoint: Optional[np.ndarray] = None  # objective plus adjoints at X
 
 
@@ -311,59 +303,27 @@ def _gram_rows_scaled(G: np.ndarray, r: np.ndarray) -> np.ndarray:
     return rows.reshape(-1, nv)
 
 
-def _cholesky_base(H: np.ndarray):
-    """Solve with H through its Cholesky factor L, or None.
+def _schur_solver(J: np.ndarray):
+    """Solver for H dt = g with H = J'J, refined twice against J'J, and the
+    number of directions it drops (see Schur complement above).
 
-    None when H is not numerically positive definite or its reciprocal
-    1-norm condition number 1/(||H||_1 ||H^-1||_1), computed exactly from
-    H^-1 = Li' Li with Li = L^-1, is below ``RCOND_MIN``.
+    With d = sqrt(diag H) (1 for a zero column) and lam, V the eigenpairs of
+    K = H / (d d'), dt = V diag(1/lam) V'(g/d) / d over the eigenvalues above
+    len(lam) eps max(lam).
     """
-    try:
-        Li = np.linalg.inv(np.linalg.cholesky(H))
-    except np.linalg.LinAlgError:
-        return None
-    hnorm = np.abs(H).sum(axis=0).max(initial=0.0)
-    inorm = np.abs(Li.T @ Li).sum(axis=0).max(initial=0.0)
-    if not hnorm * inorm <= 1.0 / RCOND_MIN:  # also catches NaN
-        return None
-    return lambda g: Li.T @ (Li @ g)
+    H = J.T @ J
+    d = np.sqrt(np.diag(H))
+    d[d == 0.0] = 1.0
+    lam, V = np.linalg.eigh(H / np.outer(d, d))
+    keep = lam > len(lam) * np.finfo(float).eps * lam.max()
+    V, w = V[:, keep], 1.0 / lam[keep]
+    dropped = len(lam) - V.shape[1]
 
+    def base(g):
+        return V @ (w * (V.T @ (g / d))) / d
 
-def _row_space_base(J: np.ndarray):
-    """Minimum-norm solve with J'J on the numerical row space of J.
-
-    From R of a QR of J and the SVD R = U diag(s) V', J'J = V diag(s^2) V';
-    the step is V diag(s^-2) V' g over the singular values above the
-    standard rank tolerance max(m, n) eps max(s_1, 1), so directions outside
-    the row space get a zero step, not roundoff divided by a tiny pivot.
-    Returns the solve and the projector onto that row space.
-    """
-    _, sv, Vt = np.linalg.svd(np.linalg.qr(J, mode="r"), full_matrices=False)
-    tol = max(J.shape) * np.finfo(float).eps * max(sv.max(initial=0.0), 1.0)
-    V = Vt[: int((sv > tol).sum())].T
-    w = sv[: V.shape[1]] ** -2.0
-    return (lambda g: V @ (w * (V.T @ g))), (lambda g: V @ (V.T @ g))
-
-
-def _schur_solver(J: np.ndarray, fallback: bool = False):
-    """Solver for H dt = g with H = J'J, refined twice against J'J, and
-    whether it took the rank-revealing fallback.
-
-    Cholesky of the equilibrated K = H / (d d') with d = sqrt(diag H) when K
-    is well conditioned (rcond >= RCOND_MIN), giving dt = K^-1(g / d) / d;
-    else ``_row_space_base`` on the unscaled J.  With ``fallback`` the
-    Cholesky attempt is skipped.
-    """
-    chol = None
-    if not fallback:
-        H = J.T @ J
-        d = np.sqrt(np.diag(H))
-        if d.min(initial=1.0) > 0.0:
-            chol = _cholesky_base(H / np.outer(d, d))
-    if chol is not None:
-        base, live = (lambda g: chol(g / d) / d), (lambda res: res)
-    else:
-        base, live = _row_space_base(J)
+    def live(res):
+        return d * (V @ (V.T @ (res / d))) if dropped else res
 
     def solve(g):
         dt = base(g)
@@ -376,7 +336,7 @@ def _schur_solver(J: np.ndarray, fallback: bool = False):
             dt += base(res)
         return dt
 
-    return solve, chol is None
+    return solve, dropped
 
 
 def solve_ipm(prog: ConeProgram) -> IpmResult:
@@ -411,8 +371,7 @@ def solve_ipm(prog: ConeProgram) -> IpmResult:
     best = None
     best_quality = np.inf
     status = "numerical_limit"
-    qr_fallbacks = 0
-    fallback = False  # sticky: once taken, later iterations skip Cholesky
+    schur_rank_deficient = 0
     it = 0
     for it in range(1, MAX_ITER + 1):
         R_lmi = [g.lmi_value(y) - S[gi] for gi, g in enumerate(groups)]
@@ -517,11 +476,11 @@ def solve_ipm(prog: ConeProgram) -> IpmResult:
 
         try:
             # Schur complement H = J'J from the stacked svec rows.
-            solve_schur, fallback = _schur_solver(np.vstack([
+            solve_schur, dropped = _schur_solver(np.vstack([
                 _gram_rows_scaled(pregram[gi], rs[gi])
                 for gi in range(len(groups))
-            ]), fallback)  # (sum size(size+1)/2) x n
-            qr_fallbacks += fallback
+            ]))  # (sum size(size+1)/2) x n
+            schur_rank_deficient += dropped > 0
             # Predictor.
             dy, dS, dX, Dxs, Dss = directions(0.0, None)
             ap, ad = step(Dss), step(Dxs)
@@ -582,7 +541,7 @@ def solve_ipm(prog: ConeProgram) -> IpmResult:
         else "numerical_limit"
     )
     res.iterations = it
-    res.qr_fallbacks = qr_fallbacks
+    res.schur_rank_deficient = schur_rank_deficient
     res.dobj, res.adjoint = _dual_side(prog, res.X)
     res.X, res.S = prog.unstack(res.X), prog.unstack(res.S)
     return res

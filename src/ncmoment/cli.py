@@ -113,7 +113,7 @@ def _solver_summary(solution) -> dict:
             "block_sizes": problem.metadata["block_sizes"],
         },
         "iterations": solution.iterations,
-        "qr_fallbacks": solution.qr_fallbacks,
+        "schur_rank_deficient": solution.schur_rank_deficient,
         "residuals": {k: (float(v) if isinstance(v, (int, float, np.floating))
                           else v)
                       for k, v in solution.residuals.items()},
@@ -131,12 +131,6 @@ def cmd_graph_bound(args) -> int:
     report = _report_base(args, args.param, args.input)
     t0 = time.perf_counter()
     g = _load_graph(args.input)
-    strengthening = {
-        None: qgraph.Strengthening.NONE,
-        "none": qgraph.Strengthening.NONE,
-        "theta-plus": qgraph.Strengthening.THETA_PLUS,
-        "xi-sdp": qgraph.Strengthening.XI_SDP,
-    }[args.strengthen]
     r = args.level
     param = args.param
     if param == "theta":
@@ -146,7 +140,7 @@ def cmd_graph_bound(args) -> int:
     elif param == "xi-sdp":
         res = qgraph.xi_col(g, r, qgraph.Strengthening.XI_SDP)
     elif param == "xi-col":
-        res = qgraph.xi_col(g, r, strengthening)
+        res = qgraph.xi_col(g, r)
     elif param == "xi-stab":
         res = qgraph.xi_stab(g, r)
     elif param == "gamma-col":
@@ -299,8 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--param", required=True, choices=GRAPH_PARAMS)
     g.add_argument("--level", type=int, default=1)
     g.add_argument("--input", required=True)
-    g.add_argument("--strengthen", choices=["none", "theta-plus", "xi-sdp"],
-                   default=None)
     g.add_argument("--cross-check", action="store_true")
     g.add_argument("--vertex-transitive", action="store_true")
     g.add_argument("--out", default=None)

@@ -125,7 +125,7 @@ class SdpSolution:
     moment_matrix: Optional[np.ndarray]
     moment_degrees: Optional[np.ndarray]
     iterations: int = 0
-    qr_fallbacks: int = 0  # Schur solves that took the QR-then-SVD fallback
+    schur_rank_deficient: int = 0  # Schur solves that dropped a direction
     num_orbits: int = 0  # variables the solver saw: one per variable orbit
     # The solver's block for each of the problem's blocks: its size and its
     # rows by multiplicity, {multiplicity: rows} (see the Symmetry notes).
@@ -759,7 +759,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
         moment_matrix=mom,
         moment_degrees=problem.blocks[mi].row_degrees,
         iterations=res.iterations,
-        qr_fallbacks=res.qr_fallbacks,
+        schur_rank_deficient=res.schur_rank_deficient,
         num_orbits=len(lift.y0),
         solver_blocks=[_block_summary(blk) for blk in prog.blocks[:len(problem.blocks)]],
         residuals={**residuals, "dual_objective": float(sign * res.dobj)},

@@ -194,10 +194,10 @@ def test_weights_residual_bound(shift, certified, monkeypatch):
 def test_import_leaves_scipy_optimize_unloaded():
     # The package needs numpy alone: no scipy.optimize, scipy.linalg or
     # scipy.sparse module may load, on import or lazily during a solve.  The
-    # subprocess runs theta(C5) (Cholesky path) and a program whose variable
-    # z is split into two identical columns, max y + z1 + z2 over
+    # subprocess runs theta(C5) (regular Schur matrix) and a program whose
+    # variable z is split into two identical columns, max y + z1 + z2 over
     # [[1, y, z], [y, 1, y], [z, y, 1]] >= 0 and z <= 1/2 with z = z1 + z2:
-    # its Schur matrix is singular, so it takes the rank-revealing fallback.
+    # its Schur matrix is singular, so the solve drops a direction.
     src = os.path.dirname(os.path.dirname(corrlab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
@@ -214,15 +214,15 @@ def test_import_leaves_scipy_optimize_unloaded():
         "cap = BlockData(1, np.array([[0.5]]), np.array([1, 2]),\n"
         "                np.zeros(2, int), np.zeros(2, int), -np.ones(2))\n"
         "prog = ConeProgram(3, np.ones(3), [moment, cap])\n"
-        "print(solve_ipm(prog.finalize()).qr_fallbacks)\n"
+        "print(solve_ipm(prog.finalize()).schur_rank_deficient)\n"
         "print(sorted(m for m in sys.modules if any(\n"
         "    m == p or m.startswith(p + '.')\n"
         "    for p in ('scipy.optimize', 'scipy.linalg', 'scipy.sparse'))))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    fallbacks, loaded = out.stdout.strip().splitlines()
-    assert int(fallbacks) > 0
+    rank_deficient, loaded = out.stdout.strip().splitlines()
+    assert int(rank_deficient) > 0
     assert loaded == "[]"
 
 

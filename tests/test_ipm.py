@@ -1,6 +1,7 @@
 """The interior-point method: size-grouped kernels against per-block
-references, and the Schur solve (svec Gram rows, the Cholesky path and the
-QR-then-SVD fallback)."""
+references, and the Schur solve (svec Gram rows and the eigendecomposition
+of the equilibrated Schur matrix that drops its numerically null
+directions)."""
 
 import numpy as np
 import pytest
@@ -12,17 +13,18 @@ from ncmoment.momentize import LinearConstraint
 
 
 @pytest.fixture
-def qr_calls(monkeypatch):
-    """Count the rank-revealing fallbacks taken by the Schur solve."""
-    calls = []
-    fallback = _ipm._row_space_base
+def dropped(monkeypatch):
+    """The number of directions each Schur solve drops, in solve order."""
+    counts = []
+    schur_solver = _ipm._schur_solver
 
-    def counting_fallback(*args, **kwargs):
-        calls.append(1)
-        return fallback(*args, **kwargs)
+    def counting(J):
+        solve, n = schur_solver(J)
+        counts.append(n)
+        return solve, n
 
-    monkeypatch.setattr(_ipm, "_row_space_base", counting_fallback)
-    return calls
+    monkeypatch.setattr(_ipm, "_schur_solver", counting)
+    return counts
 
 
 def _block(size, entries):
@@ -235,98 +237,95 @@ def _program(duplicate):
     return ConeProgram(nvars, objective, [moment, cap]).finalize()
 
 
-def test_singular_schur_takes_qr_fallback(qr_calls):
+def test_singular_schur_takes_qr_fallback(dropped):
+    # The split program's Schur matrix is singular: the solve drops the
+    # direction z1 - z2 and still reaches the merged program's value.
     merged = solve_ipm(_program(duplicate=False))
     assert merged.status == "optimal"
-    qr_calls.clear()
+    dropped.clear()
     split = solve_ipm(_program(duplicate=True))
     assert split.status == "optimal"
-    assert len(qr_calls) >= 1
-    assert split.qr_fallbacks == len(qr_calls)
+    assert sum(dropped) >= 1
+    assert split.schur_rank_deficient == sum(n > 0 for n in dropped)
     assert abs(split.pobj - merged.pobj) <= 1e-7
 
 
-def test_fallback_is_sticky(monkeypatch):
-    paths = []
-    for name, tag in (("_cholesky_base", "chol"), ("_row_space_base", "qr")):
-        def logged(*args, _f=getattr(_ipm, name), _tag=tag):
-            paths.append(_tag)
-            return _f(*args)
-        monkeypatch.setattr(_ipm, name, logged)
-    res = solve_ipm(_program(duplicate=True))
-    assert res.status == "optimal"
-    first = paths.index("qr")
-    assert paths[first:] == ["qr"] * (len(paths) - first)
-    assert res.qr_fallbacks == len(paths) - first
-
-
-def test_theta_c5_uses_cholesky_path(qr_calls):
+def test_theta_c5_uses_cholesky_path(dropped):
+    # A regular Schur matrix keeps every direction on every iteration.
     res = qgraph.theta(graphs.cycle(5))
-    # The converged last iteration stops before its Schur solve, so every
-    # other iteration factors once; fewer QRs than that means Cholesky ran.
-    assert len(qr_calls) < res.solution.iterations - 1
+    assert dropped and sum(dropped) == 0
+    assert res.solution.schur_rank_deficient == 0
 
 
 def test_fallback_step_has_no_null_space_component():
+    # The null vector of J is v; that of K = D^-1 J'J D^-1 is u = D v.  The
+    # step keeps D dt orthogonal to u, and J'J dt = D K D dt is g less its
+    # component along D u in the matching metric.
     rng = np.random.default_rng(7)
-    J = rng.standard_normal((12, 5))
+    J = rng.standard_normal((12, 5)) * np.array([1.0, 1e3, 1.0, 1e-3, 1.0])
     J[:, 4] = J[:, 0] - 2.0 * J[:, 2]  # one dependent column
-    null = np.array([1.0, 0.0, -2.0, 0.0, -1.0]) / np.sqrt(6.0)
-    assert np.abs(J @ null).max() <= 1e-12
-    solve, fallback = _ipm._schur_solver(J)
-    assert fallback  # H = J'J is singular, so Cholesky is refused
+    v = np.array([1.0, 0.0, -2.0, 0.0, -1.0])
+    assert np.abs(J @ v).max() <= 1e-12
+    d = np.sqrt(np.diag(J.T @ J))
+    u = d * v / np.linalg.norm(d * v)
+    solve, n = _ipm._schur_solver(J)
+    # one dropped direction, as numpy's matrix_rank counts it on K
+    assert n == 1 == 5 - np.linalg.matrix_rank(J.T @ J / np.outer(d, d),
+                                               hermitian=True)
     g = rng.standard_normal(5)
     dt = solve(g)
-    assert abs(dt @ null) <= 1e-10 * np.linalg.norm(dt)
-    # On the row space the step solves J'J dt = g.
-    g_row = g - (g @ null) * null
-    assert np.abs(J.T @ (J @ dt) - g_row).max() <= 1e-9 * np.abs(g).max()
-    # A forced fallback on a regular J solves the system exactly.
-    K = rng.standard_normal((12, 5))
-    solve, fallback = _ipm._schur_solver(K, fallback=True)
-    assert fallback
-    assert np.allclose(K.T @ (K @ solve(g)), g, rtol=0, atol=1e-10)
+    assert abs((d * dt) @ u) <= 1e-10 * np.linalg.norm(d * dt)
+    g_kept = g - ((g / d) @ u) * (d * u)
+    assert np.abs(J.T @ (J @ dt) - g_kept).max() <= 1e-9 * np.abs(g).max()
+
+
+def test_zero_column_gets_a_zero_step():
+    # d = 0 for a zero column of J; it takes d = 1, so its zero eigenvalue
+    # is dropped and the other coordinates solve their own system.
+    rng = np.random.default_rng(3)
+    J = np.column_stack([rng.standard_normal((12, 3)), np.zeros(12)])
+    solve, n = _ipm._schur_solver(J)
+    assert n == 1
+    g = rng.standard_normal(4)
+    dt = solve(g)
+    assert dt[3] == 0.0
+    want = np.linalg.solve(J[:, :3].T @ J[:, :3], g[:3])
+    assert np.allclose(dt[:3], want, rtol=1e-10, atol=0)
 
 
 def test_column_scaling_keeps_the_cholesky_path():
     # Columns scaled by 1e6 and 1e-6 put the rcond of H = J'J near 4e-25,
     # but the equilibrated K = D^-1 H D^-1 is as well conditioned as J0'J0,
-    # so the Cholesky path solves it.
+    # so the solve keeps every direction.
     rng = np.random.default_rng(0)
     J0 = rng.standard_normal((30, 6))
     s = np.array([1e6, 1e-6, 1e6, 1e-6, 1.0, 1e6])
     J = J0 * s
     assert 1.0 / np.linalg.cond(J.T @ J, 1) < 1e-24
-    solve, fallback = _ipm._schur_solver(J)
-    assert not fallback
+    solve, n = _ipm._schur_solver(J)
+    assert n == 0
     g = rng.standard_normal(6)
     # J'J dt = g is J0'J0 (s dt) = g / s: the unscaled solve mapped back.
     want = np.linalg.solve(J0.T @ J0, g / s) / s
     assert np.allclose(solve(g), want, rtol=1e-10, atol=0)
 
 
-# 3e5 and 1e6 put the reference rcond at 1.7e-6 and 4.9e-7, on either side of
-# the former guard 1e-6; 3e11 and 1e12 put it at 1.4e-12 and 4.6e-13, on
-# either side of RCOND_MIN.
+# J'J conditioned from 1e2 up to 1e12: its smallest eigenvalues stay far
+# above the rank tolerance 8 eps max(lam) of this 8 x 8 K, so every
+# direction is kept and refinement makes the step exact.
 @pytest.mark.parametrize("cond, seed",
                          [(1e2, 102), (3e5, 5), (1e6, 6), (1e9, 9),
                           (3e11, 11), (1e12, 12)])
-def test_cholesky_rcond_matches_reference(cond, seed):
+def test_rank_rule_keeps_conditioned_directions(cond, seed):
     rng = np.random.default_rng(seed)
     Q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
     ev = np.geomspace(1.0, 1.0 / cond, 8)
-    H = (Q * ev) @ Q.T
-    H = 0.5 * (H + H.T)
-    rcond = 1.0 / np.linalg.cond(H, 1)
-    base = _ipm._cholesky_base(H)
-    assert (base is not None) == (rcond >= _ipm.RCOND_MIN)
+    J = np.sqrt(ev)[:, None] * Q.T  # J'J = Q diag(ev) Q'
+    solve, n = _ipm._schur_solver(J)
+    d = np.sqrt(np.diag(J.T @ J))
+    assert n == 0 == 8 - np.linalg.matrix_rank(J.T @ J / np.outer(d, d),
+                                               hermitian=True)
     g = rng.standard_normal(8)
-    if base is not None and cond <= 1e9:
-        assert np.allclose(H @ base(g), g, rtol=0, atol=1e-6)
-    # Near the guard a lone Cholesky solve leaves residuals near 1e-5; the
-    # Schur solve refined against J'J = H matches the exact step.
-    J = np.sqrt(ev)[:, None] * Q.T
-    solve, _ = _ipm._schur_solver(J)
     want = Q @ ((Q.T @ g) / ev)
     assert np.abs(solve(g) - want).max() <= 1e-10 * np.abs(want).max()
 
