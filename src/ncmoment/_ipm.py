@@ -403,8 +403,6 @@ def solve_ipm(prog: ConeProgram) -> IpmResult:
 
         if max(err_lmi, err_adj) <= TOL and relgap <= TOL:
             status = "optimal"
-            if best.iterations != it:
-                best = snapshot()
             break
 
         # A verified improving feasible direction proves unboundedness; probe

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 
@@ -80,8 +81,20 @@ def _write(payload: str, out):
         print(payload)
 
 
+def _finite(x):
+    """``x`` with every non-finite float replaced by None, which JSON
+    writes as null (RFC 8259 has no infinities or NaN)."""
+    if isinstance(x, dict):
+        return {k: _finite(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite(v) for v in x]
+    if isinstance(x, float) and not math.isfinite(x):
+        return None
+    return x
+
+
 def _emit(report: dict, out):
-    _write(json.dumps(report, indent=2, sort_keys=True), out)
+    _write(json.dumps(_finite(report), indent=2, sort_keys=True, allow_nan=False), out)
 
 
 def _report_base(args, parameter: str, input_path=None) -> dict:
@@ -121,40 +134,30 @@ def _solver_summary(solution) -> dict:
     }
 
 
-GRAPH_PARAMS = (
-    "theta", "theta-plus", "xi-sdp", "xi-col", "xi-stab",
-    "gamma-col", "gamma-stab", "las-col", "las-stab", "lambda",
-)
+# Each graph parameter and its bound on g at level r, given the parsed
+# arguments.
+GRAPH_PARAMS = {
+    "theta": lambda g, r, args: qgraph.theta(g),
+    "theta-plus": lambda g, r, args: qgraph.xi_col(
+        g, r, qgraph.Strengthening.THETA_PLUS),
+    "xi-sdp": lambda g, r, args: qgraph.xi_col(
+        g, r, qgraph.Strengthening.XI_SDP),
+    "xi-col": lambda g, r, args: qgraph.xi_col(g, r),
+    "xi-stab": lambda g, r, args: qgraph.xi_stab(g, r),
+    "gamma-col": lambda g, r, args: qgraph.gamma_col(g, r, cross_check=args.cross_check),
+    "gamma-stab": lambda g, r, args: qgraph.gamma_stab(g, r, cross_check=args.cross_check),
+    "las-col": lambda g, r, args: qgraph.lasserre_col(g, r),
+    "las-stab": lambda g, r, args: qgraph.lasserre_stab(g, r),
+    "lambda": lambda g, r, args: qgraph.Lambda(g, r),
+}
 
 
 def cmd_graph_bound(args) -> int:
     report = _report_base(args, args.param, args.input)
     t0 = time.perf_counter()
     g = _load_graph(args.input)
-    r = args.level
-    param = args.param
-    if param == "theta":
-        res = qgraph.theta(g)
-    elif param == "theta-plus":
-        res = qgraph.xi_col(g, r, qgraph.Strengthening.THETA_PLUS)
-    elif param == "xi-sdp":
-        res = qgraph.xi_col(g, r, qgraph.Strengthening.XI_SDP)
-    elif param == "xi-col":
-        res = qgraph.xi_col(g, r)
-    elif param == "xi-stab":
-        res = qgraph.xi_stab(g, r)
-    elif param == "gamma-col":
-        res = qgraph.gamma_col(g, r, cross_check=args.cross_check)
-    elif param == "gamma-stab":
-        res = qgraph.gamma_stab(g, r, cross_check=args.cross_check)
-    elif param == "las-col":
-        res = qgraph.lasserre_col(g, r)
-    elif param == "las-stab":
-        res = qgraph.lasserre_stab(g, r)
-    elif param == "lambda":
-        res = qgraph.Lambda(g, r)
-    else:
-        raise ValueError(f"unknown parameter {param}")
+    r, param = args.level, args.param
+    res = GRAPH_PARAMS[param](g, r, args)
     report["value"] = res.value
     report["status"] = "ok"
     report["flatness"] = res.flatness.summary() if res.flatness else None

@@ -20,9 +20,13 @@ moment matrix and the flatness verdicts used for finite-convergence
 certificates.
 
 Symmetry.  A builder may attach symbol maps (``SdpProblem.symmetries``).
-Before the solve each one is turned into a variable permutation, read off
-the blocks' entry patterns, and checked: it must map every block, the
-constraint set and the objective onto themselves, else SymmetryError.  The
+Before the solve each one is turned into a variable permutation and checked,
+else SymmetryError.  The map permutes the rows of every block (rho, by
+mapping and reducing the row words); sigma is read off the one-term entries,
+the variable at (i, j) going to the one at (rho i, rho j).  Then every
+block's entry form at (rho i, rho j) must be sigma applied to its form at
+(i, j), compared in one vectorized pass per block, and sigma must map the
+constraint set and the objective onto themselves.  The
 variables of one orbit of the group these permutations generate are merged
 into one, so the solver sees one variable per orbit and y = z[label]; a
 problem without symmetries has singleton orbits.  Because the program is
@@ -190,10 +194,6 @@ def _merged(terms: dict, label: list) -> dict:
     return out
 
 
-def _form_key(terms: dict) -> tuple:
-    return tuple(sorted((v, round(c, 12)) for v, c in terms.items()))
-
-
 def _key_rows(V: np.ndarray, C: np.ndarray, eq: np.ndarray,
               rhs: np.ndarray) -> np.ndarray:
     """One byte key per constraint of equal term count, equal exactly when
@@ -247,17 +247,19 @@ def _variable_permutation(problem: SdpProblem, perm: dict,
     """Variable permutation sigma induced by the symbol map ``perm``.
 
     Each block's row words are mapped and reduced, giving a row permutation
-    rho; sigma sends the variable at (i, j) to the one at (rho i, rho j).
-    Raises SymmetryError unless sigma is a bijection that maps every block's
-    entry pattern, the constraint set (``keys``) and the objective onto
-    themselves.
+    rho; sigma sends the variable of each one-term entry (i, j) to the one at
+    (rho i, rho j) and holds every other variable fixed.  Raises
+    SymmetryError unless sigma is a bijection, every block's entry form at
+    (rho i, rho j) is sigma applied to its form at (i, j), and sigma maps the
+    constraint set (``keys``) and the objective onto themselves.
+    Coefficients are compared rounded to 12 digits.
     """
     n = problem.num_vars
     if problem.index is None:
         raise SymmetryError("symmetries need the problem's word index")
     rw = problem.index.rw
     sigma = np.full(n, -1, dtype=np.int64)
-    src, dst, multi = [], [], []
+    forms = []
     for blk in problem.blocks:
         s = blk.size
         where = {w: i for i, w in enumerate(blk.row_words)}
@@ -267,46 +269,34 @@ def _variable_permutation(problem: SdpProblem, perm: dict,
         ], dtype=np.int64)
         if (rho < 0).any() or len(set(rho.tolist())) != s:
             raise SymmetryError(f"{blk.label}: row words do not map onto themselves")
+        # Entries by position, each form by variable: the k-th term at
+        # (i, j) is matched with the k-th term at (rho i, rho j).
         pos = blk.rows * s + blk.cols
-        ri, rj = rho[blk.rows], rho[blk.cols]
+        o = np.argsort(pos * n + blk.var_ids, kind="stable")
+        pos, var, coef = pos[o], blk.var_ids[o], np.round(blk.coefs[o], 12)
+        ri, rj = rho[blk.rows[o]], rho[blk.cols[o]]
         img = np.minimum(ri, rj) * s + np.maximum(ri, rj)
         terms = np.bincount(pos, minlength=s * s)
         if not np.array_equal(terms[img], terms[pos]):
-            raise SymmetryError(f"{blk.label}: entry pattern does not map onto itself")
+            raise SymmetryError(f"{blk.label}: entry forms do not map onto themselves")
+        start = np.cumsum(terms) - terms
+        match = start[img] + np.arange(pos.size) - start[pos]
         one = terms[pos] == 1
-        var_at = np.full(s * s, -1, dtype=np.int64)
-        coef_at = np.zeros(s * s)
-        var_at[pos[one]] = blk.var_ids[one]
-        coef_at[pos[one]] = blk.coefs[one]
-        if not np.allclose(coef_at[img[one]], blk.coefs[one], rtol=1e-12, atol=1e-12):
-            raise SymmetryError(f"{blk.label}: entry coefficients change")
-        src.append(blk.var_ids[one])
-        dst.append(var_at[img[one]])
-        sigma[src[-1]] = dst[-1]
-        if not one.all():
-            multi.append((blk, pos, img))
-    free = sigma < 0  # in no single-term entry: held fixed, then checked
-    sigma[free] = np.nonzero(free)[0]
-    if any(not np.array_equal(sigma[a], b) for a, b in zip(src, dst)):
-        raise SymmetryError("entries of one variable map to different variables")
+        sigma[var[one]] = var[match[one]]
+        forms.append((blk.label, pos, var, coef, match))
+    sigma = np.where(sigma < 0, np.arange(n), sigma)  # fixed, then checked
     if not np.array_equal(np.sort(sigma), np.arange(n)):
         raise SymmetryError("the induced variable map is not a bijection")
-
-    def image(terms: dict) -> dict:
-        return {int(sigma[v]): c for v, c in terms.items()}
-
-    for blk, pos, img in multi:
-        forms: dict = {}
-        for p, v, cf in zip(pos.tolist(), blk.var_ids.tolist(), blk.coefs.tolist()):
-            forms.setdefault(p, {})[v] = cf
-        for p, q in set(zip(pos.tolist(), img.tolist())):
-            if _form_key(image(forms[p])) != _form_key(forms[q]):
-                raise SymmetryError(
-                    f"{blk.label}: entry forms do not map onto themselves")
+    for label, pos, var, coef, match in forms:
+        o = np.argsort(pos * n + sigma[var], kind="stable")
+        if not (np.array_equal(sigma[var[o]], var[match])
+                and np.array_equal(coef[o], coef[match])):
+            raise SymmetryError(f"{label}: entry forms do not map onto themselves")
     con = keys.outside(sigma)
     if con is not None:
         raise SymmetryError(f"constraint {con.terms} maps outside the constraint set")
-    if _form_key(image(problem.objective)) != _form_key(problem.objective):
+    objective = {v: round(c, 12) for v, c in problem.objective.items()}
+    if {int(sigma[v]): c for v, c in objective.items()} != objective:
         raise SymmetryError("the objective changes")
     return sigma
 
@@ -317,29 +307,22 @@ def _orbit_labels(problem: SdpProblem) -> np.ndarray:
     Labels are 0..m-1, numbered by each orbit's least variable; without
     symmetries every variable is its own orbit.
     """
-    least = np.arange(problem.num_vars)
-    if problem.symmetries:
-        keys = _ConstraintKeys(problem.constraints)
-        maps = []
-        for perm in problem.symmetries:
-            sigma = _variable_permutation(problem, perm, keys)
-            inverse = np.empty_like(sigma)
-            inverse[sigma] = least
-            maps += [sigma, inverse]
-        while True:  # least member over generator steps, then pointer jumps
-            new = np.minimum.reduce([least] + [least[m] for m in maps])
-            new = new[new]
-            if np.array_equal(new, least):
-                break
-            least = new
-    return np.unique(least, return_inverse=True)[1]
+    if not problem.symmetries:
+        return np.arange(problem.num_vars)
+    keys = _ConstraintKeys(problem.constraints)
+    maps = []
+    for perm in problem.symmetries:
+        sigma = _variable_permutation(problem, perm, keys)
+        maps += [sigma, np.argsort(sigma)]
+    return np.unique(_least_labels(np.array(maps)), return_inverse=True)[1]
 
 
-def _components(link: np.ndarray) -> np.ndarray:
-    """Least member of each node's component, for a symmetric adjacency matrix."""
-    lab = np.arange(len(link))
-    while True:
-        new = np.minimum(np.where(link, lab, len(link)).min(axis=1), lab)
+def _least_labels(nbr: np.ndarray) -> np.ndarray:
+    """Least node of each node's component.  Column i of ``nbr`` lists
+    neighbours of node i, and every link is listed both ways."""
+    lab = np.arange(nbr.shape[1])
+    while True:  # least label over the neighbours, then pointer jumps
+        new = np.minimum(lab[nbr].min(axis=0), lab)
         new = new[new]
         if np.array_equal(new, lab):
             return lab
@@ -380,9 +363,10 @@ def _split_basis(n: int, coeffs: tuple, nvars: int) -> Optional[list]:
     coupling = np.abs(Q.T @ B @ Q)
     W = np.maximum.reduceat(np.maximum.reduceat(coupling, starts, axis=0),
                             starts, axis=1)
-    comp = _components(W > SPLIT_TOL * coupling.max())
+    idx = np.arange(len(W))  # clusters joined where they couple
+    comp = _least_labels(np.where(W > SPLIT_TOL * coupling.max(), idx[:, None], idx))
     parts = []
-    for root in np.flatnonzero(comp == np.arange(len(comp))):
+    for root in np.flatnonzero(comp == idx):
         cl = np.flatnonzero(comp == root)
         span = [Q[:, starts[c]:ends[c]] for c in cl]
         d = span[0].shape[1]

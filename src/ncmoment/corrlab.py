@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
@@ -232,14 +232,7 @@ def synchronous_from_projectors(fam: np.ndarray, d: int) -> Correlation:
     """Synchronous table P(a,b|s,t) = Tr(X_s^a X_t^b)/d."""
     _check_projector_family(fam)
     nS, nA = fam.shape[0], fam.shape[1]
-    table = np.zeros((nA, nA, nS, nS))
-    for s in range(nS):
-        for t in range(nS):
-            for a in range(nA):
-                for b in range(nA):
-                    table[a, b, s, t] = float(
-                        np.real(np.trace(fam[s, a] @ fam[t, b]))
-                    ) / d
+    table = np.einsum("saij,tbji->abst", fam, fam).real / d
     return Correlation(Scenario(nA, nA, nS, nS), table)
 
 
@@ -281,12 +274,7 @@ def gram_of_synchronous(P: Correlation) -> CpsdGram:
     _sync_check(P)
     sc = P.scenario
     n = sc.nS * sc.nA
-    M = np.zeros((n, n))
-    for s in range(sc.nS):
-        for a in range(sc.nA):
-            for t in range(sc.nS):
-                for b in range(sc.nA):
-                    M[s * sc.nA + a, t * sc.nA + b] = P.table[a, b, s, t]
+    M = P.table.transpose(2, 0, 3, 1).reshape(n, n)  # rows (s, a), columns (t, b)
     return CpsdGram(M, sc.nS, sc.nA)
 
 
@@ -296,20 +284,9 @@ def cpsd_gram_from_projectors(fam: np.ndarray, d: int) -> CpsdGram:
     The recorded factors are the projectors scaled by 1/sqrt(d), so their
     plain Frobenius inner products reproduce the table entries.
     """
-    _check_projector_family(fam)
     factors = fam / np.sqrt(d)
-    nS, nA = fam.shape[0], fam.shape[1]
-    n = nS * nA
-    M = np.zeros((n, n))
-    for s in range(nS):
-        for a in range(nA):
-            for t in range(nS):
-                for b in range(nA):
-                    M[s * nA + a, t * nA + b] = float(
-                        np.real(np.trace(factors[s, a].conj().T @ factors[t, b]))
-                    )
-    K = factors[0].sum(axis=0)
-    return CpsdGram(M, nS, nA, factors=factors, K=K)
+    gram = gram_of_synchronous(synchronous_from_projectors(fam, d))
+    return replace(gram, factors=factors, K=factors[0].sum(axis=0))
 
 
 def factorize(gram: CpsdGram) -> np.ndarray:

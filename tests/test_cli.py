@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from ncmoment import corrlab, graphs
-from ncmoment.cli import REPORT_SCHEMA, main
-from ncmoment.entdim import Scenario
+from ncmoment.cli import GRAPH_PARAMS, REPORT_SCHEMA, main
+from ncmoment.entdim import Correlation, Scenario
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -26,9 +26,13 @@ def classical_corr_file(tmp_path):
     return str(p)
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
 def read_report(path):
     with open(path) as fh:
-        rep = json.load(fh)
+        rep = json.load(fh, parse_constant=_no_constant)
     jsonschema.validate(rep, REPORT_SCHEMA)
     return rep
 
@@ -69,6 +73,36 @@ def test_graph_bound_xi_col_level2(c5_file, tmp_path):
     assert rep["solver"]["problem"]["block_sizes"] == [16]
     assert rep["solver"]["problem"]["solver_blocks"] == [
         {"size": 10, "rows_by_multiplicity": {"1": 4, "2": 6}}]
+
+
+ROOT5 = 5 ** 0.5
+C5_LEVEL_ONE = {
+    "theta": ROOT5, "theta-plus": ROOT5, "xi-col": ROOT5, "xi-stab": ROOT5,
+    "las-col": ROOT5, "las-stab": ROOT5, "xi-sdp": 2.5,
+    "gamma-col": 3, "gamma-stab": 2, "lambda": 3,
+}
+
+
+@pytest.mark.parametrize("param", GRAPH_PARAMS)
+def test_graph_bound_every_parameter(param, c5_file, tmp_path):
+    out = str(tmp_path / "rep.json")
+    rc = main(["graph-bound", "--param", param, "--level", "1",
+               "--input", c5_file, "--out", out])
+    assert rc == 0
+    rep = read_report(out)
+    assert rep["status"] == "ok"
+    assert abs(rep["value"] - C5_LEVEL_ONE[param]) <= 1e-6
+
+
+@pytest.mark.parametrize("param", ["xi-col", "xi-stab"])
+def test_graph_bound_vertex_transitive(param, c5_file, tmp_path):
+    # xi_stab(C5) * xi_col(C5) = |V| = 5 at level 1
+    out = str(tmp_path / "rep.json")
+    rc = main(["graph-bound", "--param", param, "--level", "1",
+               "--input", c5_file, "--vertex-transitive", "--out", out])
+    assert rc == 0
+    check = read_report(out)["diagnostics"]["product_identity"]
+    assert check["vertex_transitive"] and check["equality_ok"]
 
 
 def test_graph_bound_dimacs_input(tmp_path):
@@ -117,6 +151,22 @@ def test_command_is_the_parsed_argv(classical_corr_file, tmp_path, monkeypatch):
             "--out", out]
     assert main(argv) == 0
     assert read_report(out)["command"] == " ".join(argv)
+
+
+def test_corr_bound_infeasible_table_reports_json(tmp_path):
+    # Alice's marginal for s = 0 depends on t, so the data rows of the
+    # level-2 program contradict each other: the margin is -inf, which the
+    # report writes as null.
+    t = np.zeros((2, 2, 2, 2))
+    t[0, 0, 0, 0] = t[1, 1, 0, 1] = t[0, 0, 1, 0] = t[0, 0, 1, 1] = 1.0
+    corr = tmp_path / "signalling.json"
+    corr.write_text(Correlation(Scenario(2, 2, 2, 2), t).to_json())
+    out = str(tmp_path / "rep.json")
+    rc = main(["corr-bound", "--level", "2", "--input", str(corr), "--out", out])
+    assert rc == 2
+    rep = read_report(out)
+    assert rep["status"] == "infeasible"
+    assert rep["diagnostics"]["margin"] is None
 
 
 def test_corr_bound_invalid_table(tmp_path):

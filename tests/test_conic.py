@@ -490,6 +490,23 @@ def test_symmetry_checks_localizing_forms():
         conic.solve(two_projector_problem([(vertex(0),)]))
 
 
+@pytest.mark.parametrize("field,change", [("coefs", lambda c: 2.0 * c),
+                                          ("var_ids", lambda v: v + 1)])
+def test_symmetry_checks_one_term_entries(field, change):
+    # the moment block of C5 at level 2 with the entry at (x0, x0) changed:
+    # its coefficient doubled, or its variable replaced, while the entries
+    # at the images of (x0, x0) under D5 are left as they were
+    prob = qgraph.build_stab_problem(graphs.cycle(5), 2)
+    blk = prob.blocks[0]
+    at = np.flatnonzero((blk.rows == 1) & (blk.cols == 1))
+    assert blk.row_words[1] == (vertex(0),) and at.size == 1
+    values = getattr(blk, field).copy()
+    values[at] = change(values[at])
+    changed = dataclasses.replace(blk, **{field: values})
+    with pytest.raises(SymmetryError, match="entry forms"):
+        conic.solve(dataclasses.replace(prob, blocks=[changed, *prob.blocks[1:]]))
+
+
 # ---------------------------------------------------------------------------
 # Symmetry-adapted blocks
 # ---------------------------------------------------------------------------

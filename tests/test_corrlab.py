@@ -279,6 +279,18 @@ def test_synchronity_enforced():
                     assert P.table[a, b, s, s] < 1e-12
 
 
+def test_synchronous_table_and_gram_match_the_trace_loop():
+    # reference: one trace per entry, P(a,b|s,t) = Re Tr(X_s^a X_t^b)/d, and
+    # Gram row (s, a), column (t, b)
+    fam = random_projector_family(3, 2, 3, seed=4)
+    P = synchronous_from_projectors(fam, 3)
+    M = cpsd_gram_from_projectors(fam, 3).matrix
+    for s, a, t, b in itertools.product(range(3), range(2), range(3), range(2)):
+        entry = np.trace(fam[s, a] @ fam[t, b]).real / 3
+        assert abs(P.table[a, b, s, t] - entry) <= 1e-12
+        assert abs(M[2 * s + a, 2 * t + b] - entry) <= 1e-12
+
+
 def test_gram_psd_and_roundtrip():
     for seed in (0, 1, 2):
         fam = random_projector_family(3, 2, 3, seed=seed)
