@@ -11,11 +11,26 @@ over the program on the free coordinates of their solution set, so every
 coordinate is aligned with a moment variable.  The search direction is the
 Nesterov-Todd direction with a Mehrotra predictor-corrector step.
 
-Outcomes.  ``optimal`` once the relative residuals and gap are within
-``TOL``, ``unbounded`` on a verified improving direction, else
-``numerical_limit``.  Infeasibility is left to :mod:`ncmoment.conic` and its
-margin program, except that a program with no free variable is
-``infeasible`` when one of its constant blocks is indefinite.
+The embedding.  The program is solved in its homogeneous self-dual
+embedding (Ye, Todd & Mizuno, Math. Oper. Res. 19, 1994; de Klerk, Roos &
+Terlaky, Oper. Res. Lett. 20, 1997): with tau, kappa >= 0, each full step
+shrinks tau C + A(y) - S, tau b + A*(X) and b'y - <C, X> - kappa by
+eta = 1 - sigma, mu = (<X, S> + tau kappa) / (ntot + 1), one step length
+serves all variables, and the neighbourhood guard also checks tau kappa.
+The step is dy = p + dtau q with q = H^-1 (b - A*(WCW)), W = r r'; the
+constant is one more column of J, whose products give A*(WCW) and <C, WCW>.
+dtau solves the scalar gap equation.  Its pivot (b + A*(WCW))'q + <C, WCW>
++ kappa/tau cancels near degenerate optima, so it follows the Schur rank
+rule: below (n + 1) eps times its largest term, dtau = 0.
+
+Outcomes.  Results are reported divided by tau.  ``optimal`` once their
+relative residuals and gap are within ``TOL``.  While kappa > tau,
+``infeasible`` when X^ = X / (-<C, X>) has |A*(X^)|_inf <= ``TOL`` (a Farkas
+certificate; its margin <C, X> / tr_w X bounds max { t : C + A(y) >= t I }
+from above), and ``unbounded`` when b'y > 0 and lambda_min A(y) >=
+-``TOL`` b'y (an improving ray).  Else ``numerical_limit``; ``stop`` says
+why the loop ended.  With no free variable the program is ``infeasible``
+when a constant block is indefinite.
 
 Row multiplicities.  A block may carry one multiplicity per row
 (``BlockData.mult``): it then stands for a larger block that is
@@ -182,7 +197,7 @@ class ConeProgram:
 
 @dataclass
 class IpmResult:
-    status: str  # optimal | unbounded | numerical_limit | infeasible (n = 0)
+    status: str  # optimal | infeasible | unbounded | numerical_limit
     y: np.ndarray
     X: list
     S: list
@@ -195,6 +210,8 @@ class IpmResult:
     certificate: Optional[dict] = None
     schur_rank_deficient: int = 0  # Schur solves that dropped a direction
     adjoint: Optional[np.ndarray] = None  # objective plus adjoints at X
+    stop: str = "converged"  # or farkas, ray, iteration_cap, no_step, scaling_failure
+    lmi_norm: float = 0.0  # largest |eigenvalue| of C + A(y) - S
 
 
 def _T(M: np.ndarray) -> np.ndarray:
@@ -213,8 +230,8 @@ def _repair_psd(M: np.ndarray, mu: float) -> np.ndarray:
     return M + shift * np.eye(M.shape[0])
 
 
-def _chol_repaired(M: np.ndarray, mu: float) -> Optional[np.ndarray]:
-    """Lower Cholesky factors of a stack, or None.
+def _chol_repaired(M: np.ndarray, mu: float) -> np.ndarray:
+    """Lower Cholesky factors of a stack; LinAlgError if the repair fails.
 
     When the stacked factorization fails, the blocks that fail on their own
     are repaired in place with ``_repair_psd``; the others stay untouched.
@@ -228,10 +245,7 @@ def _chol_repaired(M: np.ndarray, mu: float) -> Optional[np.ndarray]:
             np.linalg.cholesky(M[j])
         except np.linalg.LinAlgError:
             M[j] = _repair_psd(M[j], mu)
-    try:
-        return np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        return None
+    return np.linalg.cholesky(M)
 
 
 def _nt_scaling(Ls: np.ndarray, Lx: np.ndarray):
@@ -340,7 +354,8 @@ def _schur_solver(J: np.ndarray):
 
 
 def solve_ipm(prog: ConeProgram) -> IpmResult:
-    """Solve a finalized program; every kernel runs once per size group."""
+    """Solve a finalized program in its self-dual embedding; every kernel
+    runs once per size group."""
     n = prog.nvars
     b = prog.objective
     groups = prog.groups
@@ -354,192 +369,205 @@ def solve_ipm(prog: ConeProgram) -> IpmResult:
     if n == 0:
         return _solve_fixed(prog)
 
-    pregram = [_coefficients(g) for g in groups]
+    # The coefficient stacks with the constant, row-weighted alike, as one
+    # more column: its Gram rows give A*(WCW) and <C, WCW>.
+    pregram = [np.concatenate([_coefficients(g), (g.const if g.weight is None else
+                               g.const * np.sqrt(g.weight)[:, :, None])[..., None]],
+                              axis=-1) for g in groups]
 
-    # Starting point: y = 0, scaled identity cone pair.  X and S hold one
-    # (k, size, size) stack per size group.
+    # Starting point: y = 0, scaled identity cone pair, tau = 1 and kappa at
+    # the blocks' mean complementarity.  X and S hold one (k, size, size)
+    # stack per size group.
     y = np.zeros(n)
     s0 = max(10.0, cscale, bscale)
     x0 = max(10.0, bscale)
     X = [x0 * np.tile(np.eye(g.size), (len(g.members), 1, 1)) for g in groups]
-    S = []
-    for g in groups:
-        lam = np.linalg.eigvalsh(g.const)[:, 0]
-        S.append(g.const + np.maximum(s0, -1.5 * lam + s0)[:, None, None]
-                 * np.eye(g.size))
+    S = [g.const + np.maximum(s0, s0 - 1.5 * np.linalg.eigvalsh(g.const)[:, 0])
+         [:, None, None] * np.eye(g.size) for g in groups]
+    tau = 1.0
+    kappa = sum(g.inner(Xg, Sg) for g, Xg, Sg in zip(groups, X, S)) / ntot
 
-    best = None
-    best_quality = np.inf
-    status = "numerical_limit"
+    best, best_quality = None, np.inf
+    status, stop, certificate = "numerical_limit", "iteration_cap", None
     schur_rank_deficient = 0
     it = 0
     for it in range(1, MAX_ITER + 1):
-        R_lmi = [g.lmi_value(y) - S[gi] for gi, g in enumerate(groups)]
-        r_adj = b.copy()
-        for gi, g in enumerate(groups):
-            r_adj += g.adjoint(X[gi])
+        R_lmi = [tau * g.const + g.linear(y) - S[gi] for gi, g in enumerate(groups)]
+        adj = sum(g.adjoint(X[gi]) for gi, g in enumerate(groups))
+        r_adj = tau * b + adj
+        cx = sum(g.inner(Xg, g.const) for g, Xg in zip(groups, X))
+        by = float(b @ y)
+        r_gap = by - cx - kappa
+        xs = sum(g.inner(Xg, Sg) for g, Xg, Sg in zip(groups, X, S))
+        mu = (xs + tau * kappa) / (ntot + 1)
 
-        gap = sum(g.inner(Xg, Sg) for g, Xg, Sg in zip(groups, X, S))
-        mu = gap / ntot
-        pobj = float(b @ y) + prog.offset
+        # The point divided by tau.
+        gap = xs / tau**2
+        pobj = by / tau + prog.offset
         dobj = pobj + gap  # exact at feasibility; used for gap control
-
-        err_lmi = max(float(np.abs(R).max(initial=0.0)) for R in R_lmi) / cscale
-        err_adj = float(np.abs(r_adj).max(initial=0.0)) / bscale
+        err_lmi = max(float(np.abs(R).max(initial=0.0)) for R in R_lmi) / tau / cscale
+        err_adj = float(np.abs(r_adj).max(initial=0.0)) / tau / bscale
         relgap = gap / (1.0 + abs(pobj) + abs(dobj))
-
         quality = max(relgap, err_lmi, err_adj)
 
         def snapshot():
-            # Stack copies (_chol_repaired writes into X and S); unstacked
+            # New stacks (_chol_repaired writes into X and S); unstacked
             # into blocks once, on return.
-            return IpmResult("numerical_limit", y.copy(),
-                             [Xg.copy() for Xg in X], [Sg.copy() for Sg in S],
-                             pobj, dobj, it, mu, err_lmi, err_adj)
+            return IpmResult("numerical_limit", y / tau, [Xg / tau for Xg in X],
+                             [Sg / tau for Sg in S], pobj, dobj, it, gap / ntot,
+                             err_lmi, err_adj)
 
         if best is None or quality < best_quality:
             best = snapshot()
             best_quality = quality
 
         if max(err_lmi, err_adj) <= TOL and relgap <= TOL:
-            status = "optimal"
+            status, stop = "optimal", "converged"
             break
 
-        # A verified improving feasible direction proves unboundedness; probe
-        # for one when the objective runs away or when everything except dual
-        # feasibility has converged.
-        probe_ray = (pobj > 1e5 * bscale and err_lmi <= 1e-6) or (
-            relgap <= TOL and err_lmi <= 10 * TOL and err_adj > 1e3 * TOL
-        )
-        if probe_ray:
-            ray = _unboundedness_ray(prog, y)
-            if ray is not None or pobj > 1e9 * bscale:
-                status = "unbounded"
+        if kappa > tau:
+            # X / (-<C, X>) with A*(X) = 0 is a Farkas certificate; y with
+            # b'y > 0 and A(y) PSD is an improving ray.
+            if cx < 0 and np.abs(adj).max(initial=0.0) <= TOL * -cx:
+                trace = sum(float((np.diagonal(Xg, 0, 1, 2)
+                                   * (1.0 if g.weight is None else g.weight)).sum())
+                            for g, Xg in zip(groups, X))
+                status, stop = "infeasible", "farkas"
+                certificate = {"reason": "Farkas certificate", "margin": cx / trace,
+                               "residual": float(np.abs(adj).max()) / -cx}
+            elif by > 0:
+                low = min(float(np.linalg.eigvalsh(g.linear(y))[:, 0].min())
+                          for g in groups)
+                if low >= -TOL * by:
+                    status, stop = "unbounded", "ray"
+                    certificate = {"reason": "improving ray: the returned y",
+                                   "residual": max(-low, 0.0) / by}
+            if certificate is not None:
                 best = snapshot()
-                best.certificate = ray
+                best.certificate = certificate
                 break
 
-        # Nesterov-Todd scaling per group (see _nt_scaling).
-        rs, lams = [], []
-        ok_scaling = True
-        for gi in range(len(groups)):
-            Ls = _chol_repaired(S[gi], mu)
-            Lx = _chol_repaired(X[gi], mu)
-            if Ls is None or Lx is None:
-                ok_scaling = False
-                break
-            r, lam = _nt_scaling(Ls, Lx)
-            rs.append(r)
-            lams.append(lam)
-        if not ok_scaling:
+        try:  # Nesterov-Todd scaling per group (see _nt_scaling)
+            rs, lams = zip(*[_nt_scaling(_chol_repaired(Sg, mu), _chol_repaired(Xg, mu))
+                             for Xg, Sg in zip(X, S)])
+        except np.linalg.LinAlgError:
+            stop = "scaling_failure"
             break
+        Rs = [_T(r) @ R @ r for r, R in zip(rs, R_lmi)]  # scaled lmi residuals
 
-        def directions(sigmu, corr):
+        def directions(sigma, corr):
             # Scaled-space central equation: lam o (Dx + Ds) = rhs with the
             # symmetrized product; the Lyapunov inverse divides entrywise by
-            # the eigenvalue-pair means.
-            gy = np.zeros(n)
+            # the eigenvalue-pair means.  Residuals shrink by eta = 1 - sigma.
+            eta = 1.0 - sigma
+            gy = eta * r_adj
+            cm = 0.0
             core = []
             for gi, g in enumerate(groups):
                 lam, r = lams[gi], rs[gi]
                 diag = np.arange(g.size)
                 rhs = np.zeros_like(r)
-                rhs[:, diag, diag] = sigmu - lam * lam
+                rhs[:, diag, diag] = sigma * mu - lam * lam
                 if corr is not None:
-                    Dxp, Dsp = corr[gi]
+                    Dxp, Dsp = corr[0][gi]
                     rhs -= 0.5 * (Dxp @ Dsp + Dsp @ Dxp)
                 core_g = rhs / (0.5 * (lam[:, :, None] + lam[:, None, :]))
                 core.append(core_g)  # L_V^{-1}(rhs), symmetric
-                gy += g.adjoint(r @ (core_g - _T(r) @ R_lmi[gi] @ r) @ _T(r))
-            dy = solve_schur(r_adj + gy)
+                M = r @ (core_g - eta * Rs[gi]) @ _T(r)
+                gy += g.adjoint(M)
+                cm += g.inner(M, g.const)
+            p = solve_schur(gy)
+            rt = sigma * mu - tau * kappa - (0.0 if corr is None else corr[1])
+            dtau = 0.0
+            if tau_pivot > 0:
+                dtau = (cm + rt / tau - eta * r_gap - bu @ p) / tau_pivot
+            dy = p + dtau * q
+            dkappa = (rt - kappa * dtau) / tau
             dS, dX, Dxs, Dss = [], [], [], []
             for gi, g in enumerate(groups):
                 r = rs[gi]
-                dSg = g.linear(dy) + R_lmi[gi]
+                dSg = dtau * g.const + g.linear(dy) + eta * R_lmi[gi]
                 Dsg = _T(r) @ dSg @ r
                 Dxg = _sym(core[gi] - Dsg)
                 dX.append(r @ Dxg @ _T(r))
                 dS.append(dSg)
                 Dxs.append(Dxg)
                 Dss.append(_sym(Dsg))
-            return dy, dS, dX, Dxs, Dss
+            return dy, dtau, dkappa, dS, dX, Dxs, Dss
 
-        err_all = max(err_lmi, err_adj)
-        infeasible_phase = err_all > 100.0 * max(relgap, TOL)
-        tau = 0.95 if infeasible_phase else 0.98
-
-        def step(Ds):
-            # Step bound in the scaled space, where both iterates are diag(lam).
-            return min(1.0, *(tau * _max_step(lam, D) for lam, D in zip(lams, Ds)))
+        def step(dtau, dkappa, Dxs, Dss):
+            # One step length for all; the cone bounds are read in the scaled
+            # space, where both iterates are diag(lam).
+            return min(1.0, 0.98 * min(
+                [_max_step(lam, D) for Ds in (Dxs, Dss) for lam, D in zip(lams, Ds)]
+                + [-v / dv for v, dv in ((tau, dtau), (kappa, dkappa)) if dv < 0]))
 
         try:
-            # Schur complement H = J'J from the stacked svec rows.
-            solve_schur, dropped = _schur_solver(np.vstack([
-                _gram_rows_scaled(pregram[gi], rs[gi])
-                for gi in range(len(groups))
-            ]))  # (sum size(size+1)/2) x n
+            # Schur complement H = J'J from the stacked svec rows; the
+            # constant is their last column, which gives A*(WCW) and <C, WCW>.
+            Jc = np.vstack([_gram_rows_scaled(pregram[gi], rs[gi])
+                            for gi in range(len(groups))])
+            J, jc = Jc[:, :n], Jc[:, n]
+            solve_schur, dropped = _schur_solver(J)
             schur_rank_deficient += dropped > 0
+            # The tau row (see The embedding): q = H^-1 (b - u), u = A*(WCW).
+            u = J.T @ jc
+            q, bu = solve_schur(b - u), b + u
+            terms = (bu @ q, jc @ jc, kappa / tau)
+            tau_pivot = sum(terms)
+            if tau_pivot <= (n + 1) * np.finfo(float).eps * max(map(abs, terms)):
+                tau_pivot = 0.0  # numerically null: dtau = 0
             # Predictor.
-            dy, dS, dX, Dxs, Dss = directions(0.0, None)
-            ap, ad = step(Dss), step(Dxs)
-            gap_aff = sum(g.inner(X[gi] + ad * dX[gi], S[gi] + ap * dS[gi])
-                          for gi, g in enumerate(groups))
-            sigma = min(1.0, max((gap_aff / gap) ** 3, 1e-8))
-            if infeasible_phase:
-                # Keep the barrier parameter from outrunning the residuals,
-                # otherwise the iterates wedge at the cone boundary.
-                sigma = max(sigma, 0.3)
+            dy, dtau, dkappa, dS, dX, Dxs, Dss = directions(0.0, None)
+            a = step(dtau, dkappa, Dxs, Dss)
+            gap_aff = (sum(g.inner(X[gi] + a * dX[gi], S[gi] + a * dS[gi])
+                           for gi, g in enumerate(groups))
+                       + (tau + a * dtau) * (kappa + a * dkappa))
+            sigma = min(1.0, max((gap_aff / (xs + tau * kappa)) ** 3, 1e-8))
             # Corrector.  A blocked predictor makes the second-order term
             # unreliable; recenter without it instead.
-            if min(ap, ad) >= 0.15:
-                corr = list(zip(Dxs, Dss))
+            if a >= 0.15:
+                corr = (list(zip(Dxs, Dss)), dtau * dkappa)
             else:
                 corr = None
                 sigma = max(sigma, 0.5)
-            dy, dS, dX, Dxs, Dss = directions(sigma * mu, corr)
-            ap, ad = step(Dss), step(Dxs)
-            if infeasible_phase:
-                ap = ad = min(ap, ad)
+            dy, dtau, dkappa, dS, dX, Dxs, Dss = directions(sigma, corr)
+            a = step(dtau, dkappa, Dxs, Dss)
         except np.linalg.LinAlgError:
+            stop = "no_step"
             break
 
-        if ap < 1e-10 and ad < 1e-10:
-            break
-        if not all(np.isfinite(dXg).all() and np.isfinite(dSg).all()
-                   for dXg, dSg in zip(dX, dS)):
+        if a < 1e-10 or not all(np.isfinite(dXg).all() and np.isfinite(dSg).all()
+                                for dXg, dSg in zip(dX, dS)):
+            stop = "no_step"
             break
         # Wide-neighborhood guard: shrink the step until every block keeps
-        # lambda_min(X S) above a fraction of the new barrier parameter;
-        # letting one complementarity pair crash to the boundary wedges all
-        # later iterations.
+        # lambda_min(X S), and tau kappa, above a fraction of the new barrier
+        # parameter; letting one complementarity pair crash to the boundary
+        # wedges all later iterations.
         gamma = 1e-3
         for _ in range(12):
-            Xn = [X[gi] + ad * dX[gi] for gi in range(len(groups))]
-            Sn = [S[gi] + ap * dS[gi] for gi in range(len(groups))]
-            gap_new = sum(g.inner(Xg, Sg) for g, Xg, Sg in zip(groups, Xn, Sn))
-            mu_new = max(gap_new / ntot, 0.0)
-            if mu_new <= 0 or mu_new > 10.0 * mu + 10.0:
-                ap *= 0.7
-                ad *= 0.7
-                continue
-            if all(_centered(Xg, Sg, gamma * mu_new) for Xg, Sg in zip(Xn, Sn)):
+            Xn = [X[gi] + a * dX[gi] for gi in range(len(groups))]
+            Sn = [S[gi] + a * dS[gi] for gi in range(len(groups))]
+            tk = (tau + a * dtau) * (kappa + a * dkappa)
+            gap_new = tk + sum(g.inner(Xg, Sg) for g, Xg, Sg in zip(groups, Xn, Sn))
+            mu_new = gap_new / (ntot + 1)
+            if 0 < mu_new <= 10.0 * mu + 10.0 and tk >= gamma * mu_new and all(
+                    _centered(Xg, Sg, gamma * mu_new) for Xg, Sg in zip(Xn, Sn)):
                 break
-            ap *= 0.7
-            ad *= 0.7
-        y = y + ap * dy
-        for gi in range(len(groups)):
-            S[gi] = S[gi] + ap * dS[gi]
-            X[gi] = X[gi] + ad * dX[gi]
+            a *= 0.7
+        y, tau, kappa = y + a * dy, tau + a * dtau, kappa + a * dkappa
+        X = [Xg + a * dXg for Xg, dXg in zip(X, dX)]
+        S = [Sg + a * dSg for Sg, dSg in zip(S, dS)]
 
     res = best
-    res.status = status if status != "numerical_limit" else (
-        "optimal"
-        if max(res.err_lmi, res.err_adj) <= 10 * TOL
-        and res.mu / (1.0 + abs(res.pobj)) <= 10 * TOL
-        else "numerical_limit"
-    )
-    res.iterations = it
+    if (status == "numerical_limit" and max(res.err_lmi, res.err_adj) <= 10 * TOL
+            and res.mu / (1.0 + abs(res.pobj)) <= 10 * TOL):
+        status = "optimal"
+    res.status, res.iterations, res.stop = status, it, stop
     res.schur_rank_deficient = schur_rank_deficient
+    res.lmi_norm = max(float(np.abs(np.linalg.eigvalsh(g.lmi_value(res.y) - Sg)).max())
+                       for g, Sg in zip(groups, res.S))
     res.dobj, res.adjoint = _dual_side(prog, res.X)
     res.X, res.S = prog.unstack(res.X), prog.unstack(res.S)
     return res
@@ -565,23 +593,6 @@ def _solve_fixed(prog: ConeProgram) -> IpmResult:
         return IpmResult(
             "infeasible", y, X, S, pobj, pobj, 0, 0.0, 0.0, 0.0,
             certificate={"reason": "pinned variables violate the cone",
-                         "margin": lam}, adjoint=y,
+                         "margin": lam}, adjoint=y, stop="farkas",
         )
     return IpmResult("optimal", y, X, S, pobj, pobj, 0, 0.0, 0.0, 0.0, adjoint=y)
-
-
-def _unboundedness_ray(prog: ConeProgram, y: np.ndarray) -> Optional[dict]:
-    """Check the scaled iterate for an improving feasible direction."""
-    norm = float(np.linalg.norm(y))
-    if norm <= 0:
-        return None
-    yh = y / norm
-    gain = float(prog.objective @ yh)
-    if gain < 1e-7:
-        return None
-    for g in prog.groups:
-        M = g.lmi_value(yh) - g.const
-        if np.linalg.eigvalsh(_sym(M))[:, 0].min() < -1e-9:
-            return None
-    return {"improving_direction": True, "gain": gain}
-

@@ -126,6 +126,7 @@ def _solver_summary(solution) -> dict:
             "block_sizes": problem.metadata["block_sizes"],
         },
         "iterations": solution.iterations,
+        "stop": solution.stop,
         "schur_rank_deficient": solution.schur_rank_deficient,
         "residuals": {k: (float(v) if isinstance(v, (int, float, np.floating))
                           else v)

@@ -7,14 +7,14 @@ so the core solver only sees a single cone type.
 Acceptance.  This module alone decides which solver outcome is a bound.
 ``optimal`` is accepted.  ``numerical_limit`` is accepted only when the
 largest of its lmi, adjoint, equality and gap residuals is at most
-``ACCEPT_TOL``.  A rejected solve raises SolverError, except that
-:func:`solve` first solves the margin program of the problem, objective
-dropped (phase I; Ye, Todd & Mizuno, Math. Oper. Res. 19, 1994), and
-returns INFEASIBLE when that solve is accepted with a margin below
--DEFAULT_EPS_FEAS, the rule of :func:`feasibility`.  Every INFEASIBLE
-certificate carries its ``margin`` (-inf for inconsistent equalities).
-``unbounded`` is returned as the status by :func:`solve` and as the verdict
-(True, inf) by :func:`feasibility`.  Post-solve utilities
+``ACCEPT_TOL``; otherwise the solve raises SolverError.  One solve gives
+every verdict: the interior point's self-dual embedding returns
+``infeasible`` with a Farkas certificate, whose ``margin`` is an upper
+bound on the margin program's value (-inf for inconsistent equalities), and
+``unbounded`` with an improving ray (see :mod:`ncmoment._ipm`).
+:func:`feasibility` still solves the margin program, since the graph
+searches report its value, and reads the margin attained at the returned
+point; ``unbounded`` is its verdict (True, inf).  Post-solve utilities
 compute numerical ranks of nested principal submatrices of the realized
 moment matrix and the flatness verdicts used for finite-convergence
 certificates.
@@ -84,7 +84,7 @@ matrix and flatness are read from the problem, not from the split blocks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Tuple
 
@@ -129,6 +129,7 @@ class SdpSolution:
     moment_matrix: Optional[np.ndarray]
     moment_degrees: Optional[np.ndarray]
     iterations: int = 0
+    stop: Optional[str] = None  # why the interior point stopped (IpmResult.stop)
     schur_rank_deficient: int = 0  # Schur solves that dropped a direction
     num_orbits: int = 0  # variables the solver saw: one per variable orbit
     # The solver's block for each of the problem's blocks: its size and its
@@ -689,60 +690,39 @@ def _solve_lifted(prog: ConeProgram, lift: Lift, problem: SdpProblem):
     return res, _accepted(res, problem, lift.residual(res.y))
 
 
-def _margin(problem: SdpProblem):
-    """Solve the margin program max { t : every block - t*I PSD } of a problem
-    without objective: its margin (inf if unbounded), result and residuals."""
-    prog, _, lift = _build_cone_program(problem, margin=True)
-    res, resid = _solve_lifted(prog, lift, problem)
-    margin = math.inf if res.status == "unbounded" else float(res.y[-1])
-    return margin, res, resid  # t follows the orbit variables
-
-
-def _margin_verdict(problem: SdpProblem, exc: SolverError) -> SdpSolution:
-    """INFEASIBLE if the margin program of ``problem``, objective dropped, is
-    accepted with margin below -DEFAULT_EPS_FEAS; else ``exc`` raised again,
-    its message extended by the margin or by the margin solve's failure."""
-    try:
-        margin, res, resid = _margin(replace(problem, objective={}))
-    except SolverError as err:
-        raise SolverError(f"{exc}; margin program: {err}") from exc
-    if not margin < -DEFAULT_EPS_FEAS:
-        raise SolverError(f"{exc}; margin program gives {margin:.3e}") from exc
-    cert = {"reason": f"margin program gives {margin:.6e}", "margin": margin,
-            "iterations": res.iterations, "residuals": resid}
+def _infeasible(problem: SdpProblem, cert: dict, **fields) -> SdpSolution:
     return SdpSolution(SolveStatus.INFEASIBLE, math.nan, np.zeros(problem.num_vars),
-                       None, None, certificate=cert, problem=problem)
+                       None, None, certificate=cert, problem=problem, **fields)
 
 
 def solve(problem: SdpProblem) -> SdpSolution:
     """Solve an assembled moment SDP with the interior-point method.
 
     The returned objective is the moment-side value; the dual objective is in
-    ``residuals["dual_objective"]``.  A solve that the acceptance rule
-    rejects is decided by the margin program (see the module notes).
+    ``residuals["dual_objective"]``.  An infeasible program returns its
+    Farkas certificate; a solve that the acceptance rule rejects raises
+    SolverError (see the module notes).
     """
     mi = problem.moment_block_index()
     try:
         prog, sign, lift = _build_cone_program(problem)
     except InconsistentEqualities as exc:
-        cert = {"reason": str(exc), "row": exc.row, "residual": exc.residual,
-                "margin": -math.inf}
-        return SdpSolution(SolveStatus.INFEASIBLE, math.nan, np.zeros(problem.num_vars),
-                           None, None, certificate=cert, problem=problem)
-    try:
-        res, residuals = _solve_lifted(prog, lift, problem)
-    except SolverError as exc:
-        return _margin_verdict(problem, exc)
+        return _infeasible(problem, {"reason": str(exc), "row": exc.row,
+                                     "residual": exc.residual, "margin": -math.inf})
+    res, residuals = _solve_lifted(prog, lift, problem)
+    if res.status == "infeasible":
+        return _infeasible(problem, res.certificate, iterations=res.iterations,
+                           stop=res.stop)
     status = SolveStatus(res.status)
     y = res.y[lift.label]
-    mom = problem.blocks[mi].materialize(y) if status != SolveStatus.INFEASIBLE else None
     return SdpSolution(
         status=status,
         objective=float(sign * res.pobj),
         y=y,
-        moment_matrix=mom,
+        moment_matrix=problem.blocks[mi].materialize(y),
         moment_degrees=problem.blocks[mi].row_degrees,
         iterations=res.iterations,
+        stop=res.stop,
         schur_rank_deficient=res.schur_rank_deficient,
         num_orbits=len(lift.y0),
         solver_blocks=[_block_summary(blk) for blk in prog.blocks[:len(problem.blocks)]],
@@ -755,18 +735,23 @@ def solve(problem: SdpProblem) -> SdpSolution:
 def feasibility(problem: SdpProblem) -> Tuple[bool, float]:
     """Decide feasibility via the margin program max { t : blocks >= t*I }.
 
-    The input must have no objective.  Feasible iff the optimal margin is
-    >= -DEFAULT_EPS_FEAS; the margin is returned alongside (-inf for
-    inconsistent equalities).  The equality constraints must pin the
-    normalization (e.g. L(1) = 1); otherwise the margin program is unbounded
-    or its supremum need not be attained, and the solve may raise SolverError.
+    The input must have no objective.  Feasible iff the margin attained at
+    the returned point, t less the spectral norm of its LMI residual R
+    (every block is then >= (t - |R|_2) I), is >= -DEFAULT_EPS_FEAS; the
+    margin is returned alongside (inf if unbounded, -inf for inconsistent
+    equalities).  The equality constraints must pin the normalization (e.g.
+    L(1) = 1); otherwise the margin program is unbounded or its supremum
+    need not be attained, and the solve may raise SolverError.
     """
     if problem.objective:
         raise ValueError("feasibility expects a problem without objective")
     try:
-        margin, _, _ = _margin(problem)
+        prog, _, lift = _build_cone_program(problem, margin=True)
     except InconsistentEqualities:
         return False, -math.inf
+    res, _ = _solve_lifted(prog, lift, problem)
+    # t follows the orbit variables
+    margin = math.inf if res.status == "unbounded" else float(res.y[-1]) - res.lmi_norm
     return margin >= -DEFAULT_EPS_FEAS, margin
 
 

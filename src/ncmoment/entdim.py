@@ -49,14 +49,15 @@ class CorrelationError(ValueError):
 
 
 class InfeasibleCorrelationError(RuntimeError):
-    """The table lies outside the level-r relaxation (within tolerance)."""
+    """The table lies outside the level-r relaxation (within tolerance);
+    ``margin`` bounds the value of its margin program from above."""
 
     def __init__(self, r: int, margin: float):
         self.r = r
         self.margin = margin
         super().__init__(
             f"correlation is not within tolerance of the level-{r} relaxation "
-            f"of the commuting-model correlation set (feasibility margin "
+            f"of the commuting-model correlation set (margin bound "
             f"{margin:.3e})"
         )
 

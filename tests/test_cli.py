@@ -138,9 +138,11 @@ def test_corr_bound_level_one(classical_corr_file, tmp_path):
         "block_sizes": [6] + [1] * 8,
         "solver_blocks": [{"size": size, "rows_by_multiplicity": {"1": size}}
                           for size in [6] + [1] * 8]}
-    # Schur solves that dropped a direction, reported next to iterations
+    # Schur solves that dropped a direction, reported next to iterations,
+    # and why the interior point stopped
     assert (0 <= rep["solver"]["schur_rank_deficient"]
             <= rep["solver"]["iterations"])
+    assert rep["solver"]["stop"] == "converged"
 
 
 def test_command_is_the_parsed_argv(classical_corr_file, tmp_path, monkeypatch):

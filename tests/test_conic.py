@@ -75,30 +75,52 @@ def test_cone_infeasibility_detected():
     assert sol.certificate["margin"] == -1.0  # the pinned block's eigenvalue
 
 
-def test_infeasible_graph_program_decided_by_margin():
+def _counting_ipm(monkeypatch):
+    """The iterations of every interior-point solve that conic runs."""
+    counts, solve_ipm = [], conic.solve_ipm
+
+    def counting(prog):
+        res = solve_ipm(prog)
+        counts.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(conic, "solve_ipm", counting)
+    return counts
+
+
+def test_infeasible_graph_program_decided_by_margin(monkeypatch):
     # A projector has L(x_i) <= 1, so L(x_i) = 2 admits no moment matrix.
-    # The objective solve stops at numerical_limit; its margin program,
-    # objective dropped, decides.
+    # The objective solve itself ends with a Farkas certificate X^ (PSD,
+    # <C, X^> = -1, A*(X^) = 0): for any feasible point of the margin
+    # program max { t : blocks >= t I }, 0 <= <blocks - t I, X^> gives
+    # t <= <C, X> / tr X, so the certificate's margin bounds its value
+    # (-2.34786663) from above.
+    counts = _counting_ipm(monkeypatch)
     prob = qgraph.build_stab_problem(graphs.cycle(5), 2)
     prob = dataclasses.replace(prob, constraints=prob.constraints + [
         LinearConstraint({prob.index.var_of((vertex(i),)): 1.0}, 2.0, Relation.EQ)
         for i in range(5)
     ])
     sol = conic.solve(prob)
+    assert len(counts) == 1
     assert sol.status == SolveStatus.INFEASIBLE
-    assert abs(sol.certificate["margin"] + 2.34786663) <= 1e-6
-    assert sol.certificate["iterations"] > 0
-    assert max(sol.certificate["residuals"].values()) <= 1e-8
+    assert sol.stop == "farkas"
+    assert -2.34786663 <= sol.certificate["margin"] < -1e-6
+    assert sol.certificate["residual"] <= _ipm.TOL
+    assert sol.iterations == counts[0]
 
 
 def test_rejection_reports_the_margin_solve(monkeypatch):
-    # The margin solve is capped too, and its own failure joins the message.
+    # A capped objective solve is rejected at once: no second solve runs and
+    # the message names no margin program.
     monkeypatch.setattr(_ipm, "MAX_ITER", 3)
+    counts = _counting_ipm(monkeypatch)
     prob = qgraph.build_stab_problem(graphs.cycle(5), 1)
     with pytest.raises(conic.SolverError,
-                       match=f"{prob.description}: .*numerical_limit.*; "
-                             "margin program: .*numerical_limit"):
+                       match=f"{prob.description}: .*numerical_limit") as err:
         conic.solve(prob)
+    assert counts == [3]
+    assert "margin program" not in str(err.value)
 
 
 @pytest.mark.parametrize("search", [

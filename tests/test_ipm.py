@@ -1,7 +1,7 @@
 """The interior-point method: size-grouped kernels against per-block
-references, and the Schur solve (svec Gram rows and the eigendecomposition
-of the equilibrated Schur matrix that drops its numerically null
-directions)."""
+references, the Schur solve (svec Gram rows and the eigendecomposition of
+the equilibrated Schur matrix that drops its numerically null directions),
+and the verdicts of the self-dual embedding on tiny programs."""
 
 import numpy as np
 import pytest
@@ -222,6 +222,46 @@ def test_lifted_objective_keeps_its_constant():
     assert abs(res.dobj - res.pobj) <= 1e-7 * (1 + abs(res.pobj))
 
 
+def _scalar_program(objective, consts, coeffs):
+    """max objective * y over the 1x1 blocks [consts[i] + coeffs[i] y]."""
+    z = np.zeros(1, dtype=int)
+    return ConeProgram(1, np.array([objective]), [
+        BlockData(1, np.array([[c]]), z, z, z, np.array([a]))
+        for c, a in zip(consts, coeffs)]).finalize()
+
+
+def test_infeasible_lmi_gives_a_farkas_certificate():
+    # [y] >= 0 and [-1 - y] >= 0: X = (1, 1) / 1 has A*(X) = 1 - 1 = 0 and
+    # <C, X> = -1, and the margin program's value is -1/2 (at y = -1/2).
+    prog = _scalar_program(0.0, [0.0, -1.0], [1.0, -1.0])
+    res = solve_ipm(prog)
+    assert (res.status, res.stop) == ("infeasible", "farkas")
+    x = np.array([M[0, 0] for M in res.X])
+    xhat = x / -(x @ np.array([0.0, -1.0]))  # X / (-<C, X>)
+    assert (xhat >= 0).all()
+    assert abs(xhat @ np.array([1.0, -1.0])) <= _ipm.TOL  # A*(X^)
+    assert res.certificate["residual"] <= _ipm.TOL
+    assert abs(res.certificate["margin"] + 0.5) <= 1e-6
+
+
+def test_unbounded_lmi_gives_its_ray():
+    # max y over [y] >= 0: y itself is an improving ray.
+    res = solve_ipm(_scalar_program(1.0, [0.0], [1.0]))
+    assert (res.status, res.stop) == ("unbounded", "ray")
+    assert res.y[0] > 0  # b'y > 0 and A(y) = [y] >= 0
+    assert res.certificate["residual"] <= _ipm.TOL
+
+
+def test_pinned_indefinite_block_is_infeasible():
+    # No free variable: the margin is the constant block's least eigenvalue.
+    z = np.zeros(0, dtype=int)
+    prog = ConeProgram(0, np.zeros(0), [
+        BlockData(2, np.diag([1.0, -2.0]), z, z, z, np.zeros(0))]).finalize()
+    res = solve_ipm(prog)
+    assert (res.status, res.stop, res.iterations) == ("infeasible", "farkas", 0)
+    assert res.certificate["margin"] == -2.0
+
+
 def _program(duplicate):
     """max y0 + z over [[1, y0, z], [y0, 1, y0], [z, y0, 1]] >= 0, z <= 1/2.
 
@@ -237,7 +277,7 @@ def _program(duplicate):
     return ConeProgram(nvars, objective, [moment, cap]).finalize()
 
 
-def test_singular_schur_takes_qr_fallback(dropped):
+def test_singular_schur_drops_the_null_direction(dropped):
     # The split program's Schur matrix is singular: the solve drops the
     # direction z1 - z2 and still reaches the merged program's value.
     merged = solve_ipm(_program(duplicate=False))
@@ -250,14 +290,14 @@ def test_singular_schur_takes_qr_fallback(dropped):
     assert abs(split.pobj - merged.pobj) <= 1e-7
 
 
-def test_theta_c5_uses_cholesky_path(dropped):
+def test_theta_c5_keeps_every_direction(dropped):
     # A regular Schur matrix keeps every direction on every iteration.
     res = qgraph.theta(graphs.cycle(5))
     assert dropped and sum(dropped) == 0
     assert res.solution.schur_rank_deficient == 0
 
 
-def test_fallback_step_has_no_null_space_component():
+def test_dropped_step_has_no_null_space_component():
     # The null vector of J is v; that of K = D^-1 J'J D^-1 is u = D v.  The
     # step keeps D dt orthogonal to u, and J'J dt = D K D dt is g less its
     # component along D u in the matching metric.
@@ -293,7 +333,7 @@ def test_zero_column_gets_a_zero_step():
     assert np.allclose(dt[:3], want, rtol=1e-10, atol=0)
 
 
-def test_column_scaling_keeps_the_cholesky_path():
+def test_column_scaling_keeps_every_direction():
     # Columns scaled by 1e6 and 1e-6 put the rcond of H = J'J near 4e-25,
     # but the equilibrated K = D^-1 H D^-1 is as well conditioned as J0'J0,
     # so the solve keeps every direction.
