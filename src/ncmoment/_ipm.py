@@ -11,6 +11,13 @@ over the program on the free coordinates of their solution set, so every
 coordinate is aligned with a moment variable.  The search direction is the
 Nesterov-Todd direction with a Mehrotra predictor-corrector step.
 
+One factorization per iterate.  The NT scaling of a point comes from a
+Cholesky factor L of S and an eigendecomposition of L' X L (Todd, Toh &
+Tutuncu, SIAM J. Optim. 8, 1998), the factors that the neighbourhood guard
+needs to check a trial point; the accepted point's scaling is the next
+iteration's.  A step that no shrink makes acceptable ends the solve with
+``stop`` ``no_step``.
+
 The embedding.  The program is solved in its homogeneous self-dual
 embedding (Ye, Todd & Mizuno, Math. Oper. Res. 19, 1994; de Klerk, Roos &
 Terlaky, Oper. Res. Lett. 20, 1997): with tau, kappa >= 0, each full step
@@ -38,20 +45,20 @@ orthogonally similar to the direct sum of mult copies of each of its parts,
 and it must vanish between rows of different multiplicity.  The solver
 counts every copy: the adjoint and the Schur rows weight each row by its
 multiplicity (the Schur rows by its square root), as do the duality gap, the
-barrier size ``ntot`` and the dual objective.  Step lengths, the
-neighbourhood guard and the Cholesky repair read eigenvalues, which the
-copies only repeat, so they need no weight.  Blocks without multiplicities
-take the unweighted kernels unchanged.
+barrier size ``ntot`` and the dual objective.  Step lengths and the
+neighbourhood guard read eigenvalues, which the copies only repeat, so they
+need no weight.  Blocks without multiplicities take the unweighted kernels
+unchanged.
 
 Size groups.  ``ConeProgram.finalize`` groups the blocks by size; X, S and
 every per-iteration kernel work on one stacked (k, n, n) array per group:
 one coordinate-form owner map gives S(y) and the adjoint (each one
-``np.bincount``), and the Cholesky factors, the NT-scaling SVD, the step
-lengths and the neighbourhood guard are one stacked LAPACK call each.  An
-iteration's call count thus grows with the number of distinct block sizes,
-not with the number of blocks; 1x1 blocks (inequalities) are simply the
-size-1 group.  Step lengths are read in the NT-scaled space, where both
-iterates sit at the same diagonal point.
+``np.bincount``), and the NT scaling (which is the neighbourhood guard) and
+the step lengths are stacked LAPACK calls.  An iteration's call count thus
+grows with the number of distinct block sizes, not with the number of
+blocks; 1x1 blocks (inequalities) are simply the size-1 group.  Step
+lengths are read in the NT-scaled space, where both iterates sit at the
+same diagonal point.
 
 Schur complement.  With the NT factor r of each block, the Schur matrix is
 H = J'J, where J stacks the rows svec(r' E_a r) of every block (upper
@@ -210,7 +217,7 @@ class IpmResult:
     certificate: Optional[dict] = None
     schur_rank_deficient: int = 0  # Schur solves that dropped a direction
     adjoint: Optional[np.ndarray] = None  # objective plus adjoints at X
-    stop: str = "converged"  # or farkas, ray, iteration_cap, no_step, scaling_failure
+    stop: str = "converged"  # or farkas, ray, iteration_cap, no_step
     lmi_norm: float = 0.0  # largest |eigenvalue| of C + A(y) - S
 
 
@@ -222,44 +229,21 @@ def _sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + _T(M))
 
 
-def _repair_psd(M: np.ndarray, mu: float) -> np.ndarray:
-    """Shift a marginally indefinite symmetric matrix back into the cone."""
-    M = 0.5 * (M + M.T)
-    lam = np.linalg.eigvalsh(M)[0]
-    shift = max(0.0, -lam) + 1e-12 * (1.0 + abs(mu))
-    return M + shift * np.eye(M.shape[0])
+def _nt_scaling(X: np.ndarray, S: np.ndarray):
+    """Nesterov-Todd factors r, scaled points lam and lambda_min(X S) of a stack.
 
-
-def _chol_repaired(M: np.ndarray, mu: float) -> np.ndarray:
-    """Lower Cholesky factors of a stack; LinAlgError if the repair fails.
-
-    When the stacked factorization fails, the blocks that fail on their own
-    are repaired in place with ``_repair_psd``; the others stay untouched.
+    With S = L L' and L' X L = Q diag(lam^2) Q', the factor
+    r = L^-T Q diag(lam)^{1/2} satisfies r' S r = diag(lam) = r^-1 X r^-T:
+    both cone variables are mapped to the same diagonal point, which keeps
+    the scaled Newton system well behaved on degenerate instances.  The
+    third output is the least lam^2 over the stack; below zero X is not PD,
+    and r is no scaling.  Raises LinAlgError when S is not PD.
     """
-    try:
-        return np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        pass
-    for j in range(len(M)):
-        try:
-            np.linalg.cholesky(M[j])
-        except np.linalg.LinAlgError:
-            M[j] = _repair_psd(M[j], mu)
-    return np.linalg.cholesky(M)
-
-
-def _nt_scaling(Ls: np.ndarray, Lx: np.ndarray):
-    """Nesterov-Todd factors r and scaled points lam of a stack.
-
-    With X = L_x L_x', S = L_s L_s' and the SVD L_s' L_x = U diag(lam) V',
-    the factor r = L_x V diag(lam)^{-1/2} satisfies r' S r = diag(lam) and
-    r^{-1} X r^{-T} = diag(lam): both cone variables are mapped to the same
-    diagonal point, which keeps the scaled Newton system well behaved on
-    degenerate instances.
-    """
-    _, lam, Vt = np.linalg.svd(_T(Ls) @ Lx)
-    lam = np.maximum(lam, 1e-150)
-    return Lx @ (_T(Vt) * lam[:, None, :] ** -0.5), lam
+    L = np.linalg.cholesky(S)
+    lam2, Q = np.linalg.eigh(_T(L) @ X @ L)
+    lam = np.sqrt(np.maximum(lam2, 0.0))
+    r = np.linalg.solve(_T(L), Q * np.sqrt(lam)[:, None, :])
+    return r, lam, float(lam2[:, 0].min())
 
 
 def _max_step(lam: np.ndarray, D: np.ndarray) -> float:
@@ -274,15 +258,6 @@ def _max_step(lam: np.ndarray, D: np.ndarray) -> float:
     if low >= -1e-14:
         return np.inf
     return -1.0 / low
-
-
-def _centered(X: np.ndarray, S: np.ndarray, floor: float) -> bool:
-    """Whether S is PD and lambda_min(L' X L) >= floor, S = L L', per block."""
-    try:
-        L = np.linalg.cholesky(S)
-    except np.linalg.LinAlgError:
-        return False
-    return np.linalg.eigvalsh(_T(L) @ X @ L)[:, 0].min() >= floor
 
 
 def _coefficients(group: SizeGroup) -> np.ndarray:
@@ -386,6 +361,9 @@ def solve_ipm(prog: ConeProgram) -> IpmResult:
          [:, None, None] * np.eye(g.size) for g in groups]
     tau = 1.0
     kappa = sum(g.inner(Xg, Sg) for g, Xg, Sg in zip(groups, X, S)) / ntot
+    # Nesterov-Todd scaling per group (see _nt_scaling); later the
+    # neighbourhood guard's factors of each accepted point.
+    rs, lams, _ = zip(*map(_nt_scaling, X, S))
 
     best, best_quality = None, np.inf
     status, stop, certificate = "numerical_limit", "iteration_cap", None
@@ -411,8 +389,7 @@ def solve_ipm(prog: ConeProgram) -> IpmResult:
         quality = max(relgap, err_lmi, err_adj)
 
         def snapshot():
-            # New stacks (_chol_repaired writes into X and S); unstacked
-            # into blocks once, on return.
+            # Stacks divided by tau; unstacked into blocks once, on return.
             return IpmResult("numerical_limit", y / tau, [Xg / tau for Xg in X],
                              [Sg / tau for Sg in S], pobj, dobj, it, gap / ntot,
                              err_lmi, err_adj)
@@ -447,12 +424,6 @@ def solve_ipm(prog: ConeProgram) -> IpmResult:
                 best.certificate = certificate
                 break
 
-        try:  # Nesterov-Todd scaling per group (see _nt_scaling)
-            rs, lams = zip(*[_nt_scaling(_chol_repaired(Sg, mu), _chol_repaired(Xg, mu))
-                             for Xg, Sg in zip(X, S)])
-        except np.linalg.LinAlgError:
-            stop = "scaling_failure"
-            break
         Rs = [_T(r) @ R @ r for r, R in zip(rs, R_lmi)]  # scaled lmi residuals
 
         def directions(sigma, corr):
@@ -544,21 +515,29 @@ def solve_ipm(prog: ConeProgram) -> IpmResult:
         # Wide-neighborhood guard: shrink the step until every block keeps
         # lambda_min(X S), and tau kappa, above a fraction of the new barrier
         # parameter; letting one complementarity pair crash to the boundary
-        # wedges all later iterations.
+        # wedges all later iterations.  The scaling of the accepted point
+        # is the next iteration's.
         gamma = 1e-3
         for _ in range(12):
-            Xn = [X[gi] + a * dX[gi] for gi in range(len(groups))]
-            Sn = [S[gi] + a * dS[gi] for gi in range(len(groups))]
+            Xn = [Xg + a * dXg for Xg, dXg in zip(X, dX)]
+            Sn = [Sg + a * dSg for Sg, dSg in zip(S, dS)]
             tk = (tau + a * dtau) * (kappa + a * dkappa)
             gap_new = tk + sum(g.inner(Xg, Sg) for g, Xg, Sg in zip(groups, Xn, Sn))
             mu_new = gap_new / (ntot + 1)
-            if 0 < mu_new <= 10.0 * mu + 10.0 and tk >= gamma * mu_new and all(
-                    _centered(Xg, Sg, gamma * mu_new) for Xg, Sg in zip(Xn, Sn)):
-                break
+            if 0 < mu_new <= 10.0 * mu + 10.0 and tk >= gamma * mu_new:
+                try:
+                    scaled = list(map(_nt_scaling, Xn, Sn))
+                except np.linalg.LinAlgError:  # S left the cone
+                    scaled = None
+                if scaled and min(low for _, _, low in scaled) >= gamma * mu_new:
+                    break
             a *= 0.7
+        else:
+            stop = "no_step"
+            break
         y, tau, kappa = y + a * dy, tau + a * dtau, kappa + a * dkappa
-        X = [Xg + a * dXg for Xg, dXg in zip(X, dX)]
-        S = [Sg + a * dSg for Sg, dSg in zip(S, dS)]
+        X, S = Xn, Sn
+        rs, lams, _ = zip(*scaled)
 
     res = best
     if (status == "numerical_limit" and max(res.err_lmi, res.err_adj) <= 10 * TOL

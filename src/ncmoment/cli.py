@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from . import __version__, conic, corrlab, graphs, qgraph
+from . import __version__, conic, corrlab, graphs, ncwords, qgraph
 from .entdim import (
     Correlation,
     CorrelationError,
@@ -343,7 +343,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except (CorrelationError, graphs.GraphFormatError, conic.SdpaFormatError,
             corrlab.ValidationError, ValueError, OSError, conic.SolverError,
-            qgraph.BracketError, corrlab.ResourceError) as e:
+            qgraph.BracketError, corrlab.ResourceError, ncwords.BasisSizeError,
+            graphs.CliqueCapError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

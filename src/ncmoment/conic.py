@@ -86,6 +86,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import Optional, Tuple
 
 import numpy as np
@@ -224,9 +225,11 @@ class _ConstraintKeys:
             by_len.setdefault(len(con.terms), []).append(con)
         self.groups = []
         for size, cons in by_len.items():
-            V = np.array([list(c.terms) for c in cons], dtype=np.int64)
-            C = np.array([list(c.terms.values()) for c in cons], dtype=float)
             shape = (len(cons), size)
+            V = np.fromiter(chain.from_iterable(c.terms for c in cons), np.int64,
+                            len(cons) * size)
+            C = np.fromiter(chain.from_iterable(c.terms.values() for c in cons),
+                            float, len(cons) * size)
             data = (V.reshape(shape), np.round(C, 12).reshape(shape),
                     np.array([c.relation == Relation.EQ for c in cons]),
                     np.round(np.array([c.rhs for c in cons], dtype=float), 12))

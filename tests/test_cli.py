@@ -178,6 +178,17 @@ def test_corr_bound_invalid_table(tmp_path):
     assert rc == 1
 
 
+def test_corr_bound_basis_cap_is_an_error(tmp_path, capsys):
+    # A level-3 basis over the (4,4,4,4) scenario outgrows BASIS_CAP: the
+    # build stops early and the run exits 1 with a message, no traceback.
+    corr = tmp_path / "uniform.json"
+    corr.write_text(Correlation(Scenario(4, 4, 4, 4),
+                                np.full((4, 4, 4, 4), 1 / 16)).to_json())
+    rc = main(["corr-bound", "--level", "3", "--input", str(corr)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_corr_bound_export_sdpa(classical_corr_file, tmp_path):
     out = str(tmp_path / "rep.json")
     sdpa = str(tmp_path / "prob.dat-s")

@@ -1,13 +1,14 @@
 """The interior-point method: size-grouped kernels against per-block
-references, the Schur solve (svec Gram rows and the eigendecomposition of
-the equilibrated Schur matrix that drops its numerically null directions),
-and the verdicts of the self-dual embedding on tiny programs."""
+references, the one NT-scaling factorization per iterate, the Schur solve
+(svec Gram rows and the eigendecomposition of the equilibrated Schur matrix
+that drops its numerically null directions), and the verdicts of the
+self-dual embedding on tiny programs."""
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from ncmoment import _ipm, conic, graphs, qgraph
+from ncmoment import _ipm, conic, corrlab, entdim, graphs, qgraph
 from ncmoment._ipm import BlockData, ConeProgram, solve_ipm
 from ncmoment.momentize import LinearConstraint
 
@@ -122,7 +123,7 @@ def test_stacked_step_matches_per_block_reference(size):
     rng = np.random.default_rng(size)
     k = 4
     X, S = _pd_stack(rng, k, size), _pd_stack(rng, k, size)
-    r, lam = _ipm._nt_scaling(np.linalg.cholesky(S), np.linalg.cholesky(X))
+    r, lam, _ = _ipm._nt_scaling(X, S)
     rt = np.swapaxes(r, 1, 2)
     sym = rng.standard_normal((k, size, size))
     sym = sym + np.swapaxes(sym, 1, 2)
@@ -145,19 +146,80 @@ def test_stacked_step_matches_per_block_reference(size):
     assert np.isfinite(_ipm._max_step(lam, mixed))
 
 
-def test_failed_cholesky_repairs_only_that_block():
+def test_nt_scaling_needs_a_pd_slack():
     rng = np.random.default_rng(5)
-    M = _pd_stack(rng, 3, 4)
-    lam, U = np.linalg.eigh(M[1])
-    M[1] = (U * np.r_[-1e-9, lam[1:]]) @ U.T  # marginally indefinite
-    before = M.copy()
-    L = _ipm._chol_repaired(M, 1.0)
-    assert L is not None
-    assert np.array_equal(M[0], before[0]) and np.array_equal(M[2], before[2])
-    assert not np.array_equal(M[1], before[1])
-    assert np.linalg.eigvalsh(M[1])[0] > 0
-    assert np.abs(M[1] - before[1]).max() <= 1e-8
-    assert np.allclose(L @ np.swapaxes(L, 1, 2), M, rtol=0, atol=1e-12)
+    X, S = _pd_stack(rng, 3, 4), _pd_stack(rng, 3, 4)
+    r, lam, low = _ipm._nt_scaling(X, S)
+    rt = np.swapaxes(r, 1, 2)
+    diag = np.stack([np.diag(v) for v in lam])
+    assert np.allclose(rt @ S @ r, diag, rtol=0, atol=1e-9 * lam.max())
+    assert np.allclose(np.linalg.solve(r, np.linalg.solve(r, X).swapaxes(1, 2)),
+                       diag, rtol=0, atol=1e-9 * lam.max())
+    want = min(np.linalg.eigvals(X[b] @ S[b]).real.min() for b in range(3))
+    assert abs(low - want) <= 1e-10 * lam.max() ** 2
+    lam_s, U = np.linalg.eigh(S[1])
+    S[1] = (U * np.r_[-1e-9, lam_s[1:]]) @ U.T  # one marginally indefinite S
+    with pytest.raises(np.linalg.LinAlgError):
+        _ipm._nt_scaling(X, S)
+
+
+def _scaling_fails_after_start(monkeypatch, groups):
+    """Let ``_nt_scaling`` factor the starting point's ``groups`` stacks and
+    raise LinAlgError on every later call."""
+    nt_scaling, calls = _ipm._nt_scaling, []
+
+    def failing(X, S):
+        calls.append(None)
+        if len(calls) > groups:
+            raise np.linalg.LinAlgError("not PD")
+        return nt_scaling(X, S)
+
+    monkeypatch.setattr(_ipm, "_nt_scaling", failing)
+
+
+def test_failed_scaling_stops_without_a_step(monkeypatch):
+    # Past the starting point every trial step fails to factor, so the guard
+    # runs out of shrinks: the solve stops at its best point, unaccepted.
+    prog = _mixed_program([0, 1, 2, 3, 4])
+    _scaling_fails_after_start(monkeypatch, len(prog.groups))
+    res = solve_ipm(prog)
+    assert (res.status, res.stop, res.iterations) == ("numerical_limit", "no_step", 1)
+    monkeypatch.undo()
+    prob = qgraph.build_stab_problem(graphs.cycle(5), 1)
+    _scaling_fails_after_start(monkeypatch,
+                               len(conic._build_cone_program(prob)[0].groups))
+    with pytest.raises(conic.SolverError, match="numerical_limit after 1 iterations"):
+        conic.solve(prob)
+
+
+def test_lifted_chsh_level_two_takes_no_svd(monkeypatch):
+    # Two size groups (8 blocks of size 6, one of size 26).  Each iterate is
+    # factored once, by the scaling that the neighbourhood guard computes:
+    # no SVD runs, and every Cholesky is the scaling's.
+    P = corrlab.realize(corrlab.tsirelson_chsh())
+    prog = conic._build_cone_program(entdim.build_xi_problem(P, 2))[0]
+    assert [g.size for g in prog.groups] == [6, 26]
+    counts = {"cholesky": 0, "scaling": 0}
+    cholesky, nt_scaling = np.linalg.cholesky, _ipm._nt_scaling
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("SVD in the interior point")
+
+    def counted_cholesky(M):
+        counts["cholesky"] += 1
+        return cholesky(M)
+
+    def counted_scaling(X, S):
+        counts["scaling"] += 1
+        return nt_scaling(X, S)
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "svd", no_svd)
+        m.setattr(np.linalg, "cholesky", counted_cholesky)
+        m.setattr(_ipm, "_nt_scaling", counted_scaling)
+        res = solve_ipm(prog)
+    assert (res.status, res.stop) == ("optimal", "converged")
+    assert counts["cholesky"] == counts["scaling"] >= 2 * res.iterations
 
 
 def _mixed_data(order):
