@@ -82,6 +82,7 @@ on the kept space.  The module needs numpy alone.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -221,12 +222,8 @@ class IpmResult:
     lmi_norm: float = 0.0  # largest |eigenvalue| of C + A(y) - S
 
 
-def _T(M: np.ndarray) -> np.ndarray:
-    return np.swapaxes(M, -1, -2)
-
-
 def _sym(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + _T(M))
+    return 0.5 * (M + M.mT)
 
 
 def _nt_scaling(X: np.ndarray, S: np.ndarray):
@@ -240,9 +237,9 @@ def _nt_scaling(X: np.ndarray, S: np.ndarray):
     and r is no scaling.  Raises LinAlgError when S is not PD.
     """
     L = np.linalg.cholesky(S)
-    lam2, Q = np.linalg.eigh(_T(L) @ X @ L)
+    lam2, Q = np.linalg.eigh(L.mT @ X @ L)
     lam = np.sqrt(np.maximum(lam2, 0.0))
-    r = np.linalg.solve(_T(L), Q * np.sqrt(lam)[:, None, :])
+    r = np.linalg.solve(L.mT, Q * np.sqrt(lam)[:, None, :])
     return r, lam, float(lam2[:, 0].min())
 
 
@@ -283,13 +280,20 @@ def _gram_rows_scaled(G: np.ndarray, r: np.ndarray) -> np.ndarray:
     equals that of the full vec rows; only the upper triangle is formed.
     """
     k, n, _, nv = G.shape
-    tmp = (_T(r) @ G.reshape(k, n, n * nv)).reshape(k, n, n, nv)  # r' G
+    tmp = (r.mT @ G.reshape(k, n, n * nv)).reshape(k, n, n, nv)  # r' G
     rows = np.concatenate(
-        [_T(r[:, :, i:]) @ tmp[:, i] for i in range(n)], axis=1
+        [r[:, :, i:].mT @ tmp[:, i] for i in range(n)], axis=1
     )  # (k, size(size+1)/2, nv): entries (i, j >= i) in row-major order
-    iu, ju = np.triu_indices(n)
-    rows[:, iu != ju] *= np.sqrt(2.0)
+    rows[:, _off_diagonal(n)] *= np.sqrt(2.0)
     return rows.reshape(-1, nv)
+
+
+@functools.cache
+def _off_diagonal(n: int) -> np.ndarray:
+    """Mask of the off-diagonal entries among the upper triangle of a size-n
+    block, in row-major order."""
+    iu, ju = np.triu_indices(n)
+    return iu != ju
 
 
 def _schur_solver(J: np.ndarray):
@@ -424,7 +428,7 @@ def solve_ipm(prog: ConeProgram) -> IpmResult:
                 best.certificate = certificate
                 break
 
-        Rs = [_T(r) @ R @ r for r, R in zip(rs, R_lmi)]  # scaled lmi residuals
+        Rs = [r.mT @ R @ r for r, R in zip(rs, R_lmi)]  # scaled lmi residuals
 
         def directions(sigma, corr):
             # Scaled-space central equation: lam o (Dx + Ds) = rhs with the
@@ -444,7 +448,7 @@ def solve_ipm(prog: ConeProgram) -> IpmResult:
                     rhs -= 0.5 * (Dxp @ Dsp + Dsp @ Dxp)
                 core_g = rhs / (0.5 * (lam[:, :, None] + lam[:, None, :]))
                 core.append(core_g)  # L_V^{-1}(rhs), symmetric
-                M = r @ (core_g - eta * Rs[gi]) @ _T(r)
+                M = r @ (core_g - eta * Rs[gi]) @ r.mT
                 gy += g.adjoint(M)
                 cm += g.inner(M, g.const)
             p = solve_schur(gy)
@@ -458,9 +462,9 @@ def solve_ipm(prog: ConeProgram) -> IpmResult:
             for gi, g in enumerate(groups):
                 r = rs[gi]
                 dSg = dtau * g.const + g.linear(dy) + eta * R_lmi[gi]
-                Dsg = _T(r) @ dSg @ r
+                Dsg = r.mT @ dSg @ r
                 Dxg = _sym(core[gi] - Dsg)
-                dX.append(r @ Dxg @ _T(r))
+                dX.append(r @ Dxg @ r.mT)
                 dS.append(dSg)
                 Dxs.append(Dxg)
                 Dss.append(_sym(Dsg))
@@ -468,9 +472,11 @@ def solve_ipm(prog: ConeProgram) -> IpmResult:
 
         def step(dtau, dkappa, Dxs, Dss):
             # One step length for all; the cone bounds are read in the scaled
-            # space, where both iterates are diag(lam).
+            # space, where both iterates are diag(lam): one stacked call per
+            # group for both directions.
             return min(1.0, 0.98 * min(
-                [_max_step(lam, D) for Ds in (Dxs, Dss) for lam, D in zip(lams, Ds)]
+                [_max_step(np.concatenate([lam, lam]), np.concatenate([Dx, Ds]))
+                 for lam, Dx, Ds in zip(lams, Dxs, Dss)]
                 + [-v / dv for v, dv in ((tau, dtau), (kappa, dkappa)) if dv < 0]))
 
         try:

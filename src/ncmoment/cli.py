@@ -7,6 +7,7 @@ nonclassical verdict), 1 errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -284,7 +285,9 @@ def cmd_sync(args) -> int:
     raise ValueError("sync needs one of --gram, --realize, --random-family")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     ap = argparse.ArgumentParser(
         prog="ncmoment",
         description="Tracial moment SDP bounds for entanglement dimension "

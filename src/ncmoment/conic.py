@@ -20,25 +20,35 @@ moment matrix and the flatness verdicts used for finite-convergence
 certificates.
 
 Symmetry.  A builder may attach symbol maps (``SdpProblem.symmetries``).
-Before the solve each one is turned into a variable permutation and checked,
-else SymmetryError.  The map permutes the rows of every block (rho, by
-mapping and reducing the row words); sigma is read off the one-term entries,
-the variable at (i, j) going to the one at (rho i, rho j).  Then every
-block's entry form at (rho i, rho j) must be sigma applied to its form at
-(i, j), compared in one vectorized pass per block, and sigma must map the
-constraint set and the objective onto themselves.  The
-variables of one orbit of the group these permutations generate are merged
-into one, so the solver sees one variable per orbit and y = z[label]; a
-problem without symmetries has singleton orbits.  Because the program is
-invariant, the group average of any feasible point is feasible with the
-same objective, so the optimum over the merged (fixed) subspace is the full
-optimum.  The dual side carries over too: averaging a dual solution of the
-merged program over the group, and spreading each equality multiplier over
-the orbit of its row, gives a dual solution of the full program with the
-same dual objective.  So the dual objective and the certificates of the
-merged program hold for the full one, and its residuals are those of the
-averaged point, summed over each orbit.  The orbit images of an inequality
-become one 1x1 block whose multiplicity counts its distinct rows.
+An image is a symbol or an affine polynomial, such as x -> 1 - x for an
+answer relabeling in the Collins-Gisin alphabet.  Before the solve each map
+phi is turned into the linear map S of the moment variables that it induces,
+(S y)_v = L_y(phi(w_v)), and checked, else SymmetryError.  Every block's row
+words are mapped, reduced and expanded over the rows of an image block of
+its size, giving a row transform T (a permutation rho when symbols go to
+symbols; localizing blocks may trade places, as loc[x] and loc[1 - x] do).
+The moment block is its own image, and S is read off its one-term entries:
+the variable at (i, j) goes to the form of T M T' at (i, j).  Then one
+vectorized pass over all blocks checks that S applied to each block's form
+at (i, j) is the form of T E T' at (i, j), E the image block's forms, so
+every block at S y is congruent to its image at y; and S must map the
+constraint set (rows compared up to scale) and the objective onto
+themselves.  The maps must generate a finite group: images affine in the
+alphabet, every map invertible, and the images of the symbols under the
+group few (``_check_group``).
+
+The solver works on the fixed subspace of that group.  The variables of one
+orbit of the group that the symbol permutations generate are merged into
+one, so the solver sees one variable per orbit and y = z[label]; a problem
+without symmetries has singleton orbits.  Every other map adds its rows
+y = S y, written over the merged variables, to the merged equality rows of
+the lift below.  Because the program is invariant, the group average of a
+feasible point is feasible, has the same objective and lies in the fixed
+subspace.  So the restricted program's optimum is the full optimum, its dual
+objective bounds the full optimum by weak duality, and its Farkas
+certificates hold for the full program: a feasible point of the full program
+would average to one of the restricted program.  The orbit images of an
+inequality become one 1x1 block whose multiplicity counts its distinct rows.
 Correctness rests on the checks alone; a missed symmetry costs only speed.
 
 The lift.  The merged equality rows are solved once, by sparse substitution
@@ -57,7 +67,9 @@ so it is the solver's value less u' times its adjoint residual in z.
 
 Symmetry-adapted blocks.  When merging reduced the variable count, each
 PSD block of size >= 2 is then replaced, where possible, by a smaller one
-(Murota, Kanno, Kojima & Kojima, Japan J. Indust. Appl. Math. 27, 2010).
+(Murota, Kanno, Kojima & Kojima, Japan J. Indust. Appl. Math. 27, 2010);
+when the merging permutation is one involution no part can repeat, and the
+blocks are kept (``_one_involution``).
 The merged coefficient matrices E_v (the constant and a margin program's -I
 included) span a *-algebra that one orthogonal P block-diagonalizes:
 P' E_v P = diag(I_d1 (x) M_1(E_v), I_d2 (x) M_2(E_v), ...).  P is found
@@ -86,23 +98,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
 from typing import Optional, Tuple
 
 import numpy as np
 
 from ._ipm import BlockData, ConeProgram, solve_ipm
+from ._symmetry import (SPLIT_SEED, _coalesce, _congruence, _ConstraintKeys, _expand,
+                        _Forms, _groups, _image_terms, _is_permutation, _key_rows,
+                        _row_transform, _same, _splitmix)
 from .momentize import CompiledBlock, LinearConstraint, Relation, SdpProblem, _combine
-from .ncwords import reduce_word
 
 DEFAULT_EPS_FEAS = 1e-6
 DEFAULT_TAU_RANK = 1e-6
 # Largest residual of a numerical_limit outcome that still counts as a bound.
 ACCEPT_TOL = 1e-5
-# Symmetry-adapted blocks: seed of the random algebra elements, relative
-# eigenvalue gap between clusters, verification tolerance relative to the
-# coefficient scale, and the doubles per chunk of the verification.
-SPLIT_SEED = 2010
+# Symmetry-adapted blocks: relative eigenvalue gap between clusters (the
+# random algebra elements take SPLIT_SEED), verification tolerance relative
+# to the coefficient scale, and the doubles per chunk of the verification.
 CLUSTER_GAP = 1e-8
 SPLIT_TOL = 1e-9
 SPLIT_CHUNK = 1 << 19
@@ -196,129 +208,208 @@ def _merged(terms: dict, label: list) -> dict:
     return out
 
 
-def _key_rows(V: np.ndarray, C: np.ndarray, eq: np.ndarray,
-              rhs: np.ndarray) -> np.ndarray:
-    """One byte key per constraint of equal term count, equal exactly when
-    the ``LinearConstraint.key``s are: terms sorted by variable, and an
-    equality scaled so that its first coefficient is positive.
+def _variable_permutation(problem: SdpProblem, perm: dict, forms: _Forms) -> tuple:
+    """Variable map S induced by the symbol map ``perm``, as (start, cols,
+    vals) (see ``_expand``); S is a permutation when ``perm`` sends symbols
+    to symbols.
 
-    V and C hold the variables and (rounded) coefficients, one row per
-    constraint.
+    Each block's row words are mapped, reduced and expanded over the rows
+    of its image block, giving a row transform T.  S is read off the moment
+    block, which is its own image: the variable of a one-term entry (i, j)
+    goes to the form of T M T' at (i, j); a variable with no such entry is
+    held fixed.  The image of every other block is the first block of its
+    size, itself first, whose value at a point agrees; then one vectorized
+    pass checks that every block's entry form at (i, j) mapped through S is
+    the form of T E T' at (i, j), E its image's forms.  Raises SymmetryError
+    unless every block has an image, no two the same, and S maps the
+    constraint set and the objective onto themselves.
     """
-    idx = np.argsort(V, axis=1)
-    V, C = np.take_along_axis(V, idx, 1), np.take_along_axis(C, idx, 1)
-    sgn = np.where(eq & (C[:, :1] < 0).any(axis=1), -1.0, 1.0)
-    rows = np.column_stack([eq, sgn * rhs, V, sgn[:, None] * C]) + 0.0  # no -0.0
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-
-
-class _ConstraintKeys:
-    """The constraint set keyed once per problem, for images under sigma.
-
-    Constraints are grouped by term count; each group keeps its variables,
-    coefficients and the sorted keys of its members.
-    """
-
-    def __init__(self, constraints: list):
-        by_len: dict = {}
-        for con in constraints:
-            by_len.setdefault(len(con.terms), []).append(con)
-        self.groups = []
-        for size, cons in by_len.items():
-            shape = (len(cons), size)
-            V = np.fromiter(chain.from_iterable(c.terms for c in cons), np.int64,
-                            len(cons) * size)
-            C = np.fromiter(chain.from_iterable(c.terms.values() for c in cons),
-                            float, len(cons) * size)
-            data = (V.reshape(shape), np.round(C, 12).reshape(shape),
-                    np.array([c.relation == Relation.EQ for c in cons]),
-                    np.round(np.array([c.rhs for c in cons], dtype=float), 12))
-            self.groups.append((cons, data, np.sort(_key_rows(*data))))
-
-    def outside(self, sigma: np.ndarray) -> Optional[LinearConstraint]:
-        """A constraint whose image under sigma is no constraint, or None."""
-        for cons, (V, C, eq, rhs), keys in self.groups:
-            img = _key_rows(sigma[V], C, eq, rhs)
-            pos = np.minimum(np.searchsorted(keys, img), len(keys) - 1)
-            miss = np.flatnonzero(keys[pos] != img)
-            if miss.size:
-                return cons[miss[0]]
-        return None
-
-
-def _variable_permutation(problem: SdpProblem, perm: dict,
-                          keys: _ConstraintKeys) -> np.ndarray:
-    """Variable permutation sigma induced by the symbol map ``perm``.
-
-    Each block's row words are mapped and reduced, giving a row permutation
-    rho; sigma sends the variable of each one-term entry (i, j) to the one at
-    (rho i, rho j) and holds every other variable fixed.  Raises
-    SymmetryError unless sigma is a bijection, every block's entry form at
-    (rho i, rho j) is sigma applied to its form at (i, j), and sigma maps the
-    constraint set (``keys``) and the objective onto themselves.
-    Coefficients are compared rounded to 12 digits.
-    """
-    n = problem.num_vars
+    n, blocks = problem.num_vars, problem.blocks
     if problem.index is None:
         raise SymmetryError("symmetries need the problem's word index")
-    rw = problem.index.rw
-    sigma = np.full(n, -1, dtype=np.int64)
-    forms = []
-    for blk in problem.blocks:
-        s = blk.size
-        where = {w: i for i, w in enumerate(blk.row_words)}
-        rho = np.array([
-            where.get(reduce_word(tuple(perm.get(a, a) for a in w), rw), -1)
-            for w in blk.row_words
-        ], dtype=np.int64)
-        if (rho < 0).any() or len(set(rho.tolist())) != s:
-            raise SymmetryError(f"{blk.label}: row words do not map onto themselves")
-        # Entries by position, each form by variable: the k-th term at
-        # (i, j) is matched with the k-th term at (rho i, rho j).
-        pos = blk.rows * s + blk.cols
-        o = np.argsort(pos * n + blk.var_ids, kind="stable")
-        pos, var, coef = pos[o], blk.var_ids[o], np.round(blk.coefs[o], 12)
-        ri, rj = rho[blk.rows[o]], rho[blk.cols[o]]
-        img = np.minimum(ri, rj) * s + np.maximum(ri, rj)
-        terms = np.bincount(pos, minlength=s * s)
-        if not np.array_equal(terms[img], terms[pos]):
-            raise SymmetryError(f"{blk.label}: entry forms do not map onto themselves")
-        start = np.cumsum(terms) - terms
-        match = start[img] + np.arange(pos.size) - start[pos]
-        one = terms[pos] == 1
-        sigma[var[one]] = var[match[one]]
-        forms.append((blk.label, pos, var, coef, match))
-    sigma = np.where(sigma < 0, np.arange(n), sigma)  # fixed, then checked
-    if not np.array_equal(np.sort(sigma), np.arange(n)):
-        raise SymmetryError("the induced variable map is not a bijection")
-    for label, pos, var, coef, match in forms:
-        o = np.argsort(pos * n + sigma[var], kind="stable")
-        if not (np.array_equal(sigma[var[o]], var[match])
-                and np.array_equal(coef[o], coef[match])):
-            raise SymmetryError(f"{label}: entry forms do not map onto themselves")
-    con = keys.outside(sigma)
+    images = {a: _image_terms(b) for a, b in perm.items()}
+
+    def transform(k, k2):
+        return _row_transform(blocks[k].row_words, blocks[k2].row_words, images,
+                              problem.index.rw)
+
+    mi = forms.mi
+    mom, r0 = blocks[mi], forms.roff[mi]
+    T = transform(mi, mi)
+    if T is None:
+        raise SymmetryError(f"{mom.label}: row words do not map onto themselves")
+    moment = _congruence((T[0] + r0, T[1] + r0, T[2]), forms, forms.entries[0])
+    mkey, mval = _coalesce(moment[0] * n + moment[1], moment[2])
+    v, at, c = forms.one
+    lo, hi = np.searchsorted(mkey, at * n), np.searchsorted(mkey, (at + 1) * n)
+    cnt = hi - lo
+    idx = np.arange(cnt.sum()) + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
+    count = np.ones(n, dtype=np.int64)
+    count[v] = cnt
+    moved = np.repeat(forms.covered, count)
+    cols, vals = np.empty(moved.size, dtype=np.int64), np.ones(moved.size)
+    cols[moved], vals[moved] = mkey[idx] % n, mval[idx] / np.repeat(c, cnt)
+    cols[~moved] = np.flatnonzero(~forms.covered)
+    rows = np.repeat(np.arange(n), count)
+    smap = (np.r_[0, np.cumsum(count)], cols, vals)
+
+    # Block images: value at S y = T (value at y) T', compared at once for
+    # the blocks of one class (one size, one list of row words).
+    W = forms.stacks(np.bincount(rows, vals * forms.point[cols], n))
+    parts, taken = [], set()
+    for (size, src), Ws in zip(forms.classes, W):
+        tol = 1e-9 * (1.0 + np.abs(Ws).max())
+        fits, mapped = [], False  # (source, image, T) whose values agree
+        for (size2, dst), V in zip(forms.classes, forms.values):
+            T = transform(src[0], dst[0]) if size2 == size else None
+            if T is None:
+                continue
+            mapped = True
+            Tm = np.bincount(T[0] * size + T[1], T[2], size * size).reshape(size, size)
+            err = np.abs(Ws[:, None] - (Tm @ V @ Tm.T)[None]).max(axis=(2, 3))
+            fits += [(src[a], dst[b], T) for a, b in zip(*np.nonzero(err <= tol))]
+        for k in src:
+            pick = sorted((k2 != k, k2, T) for k1, k2, T in fits
+                          if k1 == k and k2 not in taken)
+            if not pick:
+                raise SymmetryError(f"{blocks[k].label}: " + (
+                    "entry forms do not map onto themselves" if mapped
+                    else "row words do not map onto a block"))
+            _, k2, T = pick[0]
+            parts.append((T[0] + forms.roff[k], T[1] + forms.roff[k2], T[2]))
+            taken.add(k2)
+
+    # Every block in one pass: S applied to its forms against T E T', the
+    # moment block's (keys from off[mi] * n on) put in among the others'.
+    pos, var, coef = _expand(smap, *forms.upper)
+    lkey, lval = _coalesce(pos * n + var, coef)
+    rkey, rval = mkey, mval
+    if parts:
+        T = [np.concatenate(x) for x in zip(*parts)]
+        o = np.argsort(T[1], kind="stable")
+        pos, var, coef = _congruence(tuple(x[o] for x in T), forms, forms.entries[1])
+        okey, oval = _coalesce(pos * n + var, coef)
+        cut = np.searchsorted(okey, forms.off[mi] * n)
+        rkey = np.concatenate([okey[:cut], mkey, okey[cut:]])
+        rval = np.concatenate([oval[:cut], mval, oval[cut:]])
+    if not _same(lkey, lval, rkey, rval):
+        for k, blk in enumerate(blocks):  # name the first block that fails
+            lk, rk = (np.searchsorted(key, forms.off[k:k + 2] * n) for key in (lkey, rkey))
+            if not _same(lkey[slice(*lk)], lval[slice(*lk)], rkey[slice(*rk)],
+                         rval[slice(*rk)]):
+                raise SymmetryError(f"{blk.label}: entry forms do not map onto themselves")
+    con = forms.keys.outside(smap)
     if con is not None:
         raise SymmetryError(f"constraint {con.terms} maps outside the constraint set")
-    objective = {v: round(c, 12) for v, c in problem.objective.items()}
-    if {int(sigma[v]): c for v, c in objective.items()} != objective:
+    c = forms.objective
+    if np.abs(np.bincount(cols, vals * c[rows], n) - c).max() > 1e-12 * (
+            1.0 + np.abs(c).max()):
         raise SymmetryError("the objective changes")
-    return sigma
+    return smap
 
 
-def _orbit_labels(problem: SdpProblem) -> np.ndarray:
-    """Orbit label of every variable under the group of ``problem.symmetries``.
+def _orbit_labels(problem: SdpProblem, forms: Optional[_Forms] = None) -> np.ndarray:
+    """Orbit label of every variable under the group that the symbol
+    permutations of ``problem.symmetries`` generate.
 
     Labels are 0..m-1, numbered by each orbit's least variable; without
-    symmetries every variable is its own orbit.
+    such symmetries every variable is its own orbit.  ``forms`` is the
+    problem's ``_Forms``, built here when not given.
     """
-    if not problem.symmetries:
-        return np.arange(problem.num_vars)
-    keys = _ConstraintKeys(problem.constraints)
+    n = problem.num_vars
+    perms = [p for p in problem.symmetries if _is_permutation(p)]
+    if not perms:
+        return np.arange(n)
+    forms = forms if forms is not None else _Forms(problem)
     maps = []
-    for perm in problem.symmetries:
-        sigma = _variable_permutation(problem, perm, keys)
+    for perm in perms:
+        start, sigma, vals = _variable_permutation(problem, perm, forms)
+        if not (np.array_equal(start, np.arange(n + 1)) and (vals == 1.0).all()
+                and np.array_equal(np.sort(sigma), np.arange(n))):
+            raise SymmetryError("the induced variable map is not a permutation")
         maps += [sigma, np.argsort(sigma)]
     return np.unique(_least_labels(np.array(maps)), return_inverse=True)[1]
+
+
+def _one_involution(maps: list) -> bool:
+    """Whether the symbol permutations among ``maps`` are one involution.
+    The group it generates has only one-dimensional real irreducible
+    representations, so no part of a block repeats and ``_split_block``
+    cannot reduce one."""
+    perms = [p for p in maps if _is_permutation(p)]
+    if len(perms) != 1:
+        return False
+    image = {a: _image_terms(b)[0][0][0] for a, b in perms[0].items()}
+    return all(image.get(b, b) == a for a, b in image.items())
+
+
+def _check_group(problem: SdpProblem):
+    """SymmetryError unless the symbol maps generate a finite group.
+
+    Every image must be affine in the alphabet (the moment block's one-letter
+    rows), every map invertible on span{1, alphabet}, and the images of the
+    symbols under the group, collected breadth first, at most twice as many
+    as the symbols: a permutation keeps them in the alphabet, and a
+    relabeling of answers moves them among the answer operators.  The group
+    acts faithfully on these images, so it is finite.
+    """
+    mom = problem.blocks[problem.moment_block_index()]
+    alphabet = sorted({w[0] for w in mom.row_words if len(w) == 1}
+                      | {a for perm in problem.symmetries for a in perm})
+    col = {a: k + 1 for k, a in enumerate(alphabet)}
+    d = len(alphabet) + 1
+    gens = []
+    for perm in problem.symmetries:
+        A = np.eye(d)
+        for a, image in perm.items():
+            A[:, col[a]] = 0.0
+            for w, c in _image_terms(image):
+                if len(w) > 1 or (w and w[0] not in col):
+                    raise SymmetryError(f"the image of {a} is not affine in the alphabet")
+                A[col[w[0]] if w else 0, col[a]] += c
+        if np.linalg.matrix_rank(A) < d:
+            raise SymmetryError("a symbol map is not invertible")
+        gens.append(A)
+    seen = {tuple(x) for x in np.eye(d)[1:]}
+    new = np.eye(d)[:, 1:]
+    while new.shape[1]:
+        img = np.round(np.concatenate([A @ new for A in gens], axis=1), 12) + 0.0
+        fresh = {tuple(x) for x in img.T} - seen
+        seen |= fresh
+        if len(seen) > 2 * (d - 1):
+            raise SymmetryError("the symbol maps generate more than "
+                                f"{2 * (d - 1)} images of the symbols")
+        new = np.array(sorted(fresh)).reshape(-1, d).T
+
+
+def _fixed_rows(problem: SdpProblem, label: np.ndarray,
+                forms: Optional[_Forms] = None) -> list:
+    """The rows y = S y over the merged variables y = z[label], for every
+    symbol map of ``problem.symmetries`` that is no permutation (see the
+    module notes); ``forms`` as in ``_orbit_labels``."""
+    maps = [p for p in problem.symmetries if not _is_permutation(p)]
+    if not maps:
+        return []
+    _check_group(problem)
+    forms = forms if forms is not None else _Forms(problem)
+    n, m = problem.num_vars, int(label.max()) + 1
+    parts = []
+    for perm in maps:
+        start, cols, vals = _variable_permutation(problem, perm, forms)
+        v = np.repeat(np.arange(n), np.diff(start))
+        key, val = _coalesce(
+            np.concatenate([np.arange(n) * m + label, v * m + label[cols]]),
+            np.concatenate([np.ones(n), -vals]))
+        parts.append((key // m + len(parts) * n, key % m, val))
+    row, var, val = (np.concatenate(x) for x in zip(*parts))
+    ids, row = np.unique(row, return_inverse=True)
+    cut = np.searchsorted(row, np.arange(len(ids) + 1))
+    one, zero = np.ones(len(ids), dtype=bool), np.zeros(len(ids))
+    keep = np.sort(np.concatenate([  # one row of each set of multiples
+        rid[np.unique(_key_rows(V, C, one[rid], zero[rid]), return_index=True)[1]]
+        for rid, V, C in _groups(row, var, val, len(ids)).values()]))
+    return [LinearConstraint(dict(zip(var[cut[r]:cut[r + 1]].tolist(),
+                                      val[cut[r]:cut[r + 1]].tolist())), 0.0) for r in keep]
 
 
 def _least_labels(nbr: np.ndarray) -> np.ndarray:
@@ -358,7 +449,7 @@ def _split_basis(n: int, coeffs: tuple, nvars: int) -> Optional[list]:
     """
     vids, rows, cols, vals = coeffs
     A, B = (np.bincount(rows * n + cols, c[vids] * vals, n * n).reshape(n, n)
-            for c in np.random.default_rng(SPLIT_SEED).standard_normal((2, nvars)))
+            for c in _splitmix(2 * nvars, SPLIT_SEED).reshape(2, nvars))
     lam, Q = np.linalg.eigh(A)
     cut = np.flatnonzero(np.diff(lam) > CLUSTER_GAP * np.abs(lam).max()) + 1
     if len(cut) == n - 1:
@@ -588,7 +679,8 @@ def _build_cone_program(
     the orbits and the last free coordinate.
     """
     n = problem.num_vars
-    label = _orbit_labels(problem)
+    forms = _Forms(problem) if problem.symmetries else None
+    label = _orbit_labels(problem, forms)
     lab = label.tolist()
     m = int(label.max()) + 1
     sign = 1.0 if problem.sense == "max" else -1.0
@@ -638,7 +730,7 @@ def _build_cone_program(
             blk.vals = np.concatenate([blk.vals, -np.ones(sz)])
         objective = np.append(objective, 1.0)
     nv = len(objective)
-    if m < n:
+    if m < n and not _one_involution(problem.symmetries):
         blocks = [blk if blk.size < 2 else _split_block(blk, nv) or blk
                   for blk in blocks]
 
@@ -648,6 +740,7 @@ def _build_cone_program(
         if (merged.terms or merged.rhs) and merged.key() not in seen:
             seen.add(merged.key())
             eqs.append(merged)
+    eqs += _fixed_rows(problem, label, forms)
     prog, lift = _lifted_program(objective, blocks, eqs, label)
     return prog, sign, lift
 

@@ -13,12 +13,21 @@ The alphabet is the Collins–Gisin one: the last answer of every question has
 no symbol, and its operator is one minus the other answers' symbols.  So
 completeness holds by construction and needs no sum-rule equalities, and
 the eliminated operators enter as localizing generators and data polynomials.
+
+The program does not change under the relabelings of parties, questions and
+answers that fix the table.  ``build_xi_problem`` finds them (``_stabilizer``,
+a search of at most ``BASIS_CAP`` steps) and attaches generators as symbol
+maps: a kept symbol goes to the operator of its relabelled answer, which is
+one minus the other answers' symbols when that answer has none.  The solver
+checks them and solves on their fixed subspace (see :mod:`ncmoment.conic`).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import permutations
+from math import factorial, lcm
 
 import numpy as np
 
@@ -223,6 +232,133 @@ class EntDimResult:
     )
 
 
+class _Cap(Exception):
+    pass
+
+
+def _stabilizer(P: Correlation) -> list:
+    """The relabelings that fix the table, or none when the search would
+    take more than ``BASIS_CAP`` steps.
+
+    A relabeling permutes the questions of each party (pS, pT), the answers
+    of each question (sig[s], tau[t]) and, where the two parties have the
+    same counts, may swap the parties; it is returned as the permutation g
+    of the answer operators, Alice's (s, a) at s * nA + a, then Bob's.  It
+    fixes P when P(a, b | s, t) = U(sig_s(a), tau_t(b) | pS(s), pT(t)), with
+    U = P, or P with the parties swapped; entries are compared rounded to
+    12 digits, as the solver compares constraints.  Which answer
+    permutations carry each (s, t) block onto each block is tabulated
+    first; then the answer permutations are chosen question by question,
+    alternating between the parties, among those that fit every block of
+    the questions chosen so far.  A step is one tabulated pair of answer
+    permutations per pair of blocks, one pair of question permutations, or
+    one answer permutation chosen.
+    """
+    sc = P.scenario
+    nA, nB, nS, nT = sc.nA, sc.nB, sc.nS, sc.nT
+    table = np.round(P.table, 12)
+    views = [table] + ([table.transpose(1, 0, 3, 2)] if (nA, nS) == (nB, nT) else [])
+    budget = [BASIS_CAP]
+
+    def spend(steps):
+        budget[0] -= steps
+        if budget[0] < 0:
+            raise _Cap
+
+    found, chosen = [], ({}, {})
+
+    def search(k, fit):
+        if k == len(slots):
+            found.append((dict(chosen[0]), dict(chosen[1])))
+            return
+        q, side = slots[k]
+        ok = np.ones(len(pb) if side else len(pa), dtype=bool)
+        for other, idx in chosen[1 - side].items():
+            ok &= fit[other, q, idx] if side else fit[q, other, :, idx]
+        for idx in np.flatnonzero(ok).tolist():
+            spend(1)
+            chosen[side][q] = idx
+            search(k + 1, fit)
+            del chosen[side][q]
+
+    out = []
+    try:
+        spend(len(views) * (factorial(nA) * factorial(nB) * (nS * nT) ** 2
+                            + factorial(nS) * factorial(nT)))
+        pa = np.array(list(permutations(range(nA))))
+        pb = np.array(list(permutations(range(nB))))
+        # fits[u][s, t, s2, t2, i, j]: pa[i], pb[j] carry block (s, t) of the
+        # table onto block (s2, t2) of view u
+        blocks = table.transpose(2, 3, 0, 1)[:, :, None, None, None, None]
+        fits = [(U[pa[:, None, :, None], pb[None, :, None, :]].transpose(4, 5, 0, 1, 2, 3)
+                 == blocks).all(axis=(-2, -1)) for U in views]
+        slots = sorted([(s, 0) for s in range(nS)] + [(t, 1) for t in range(nT)])
+        for swap, fit in enumerate(fits):
+            for ps in permutations(range(nS)):
+                for pt in permutations(range(nT)):
+                    found.clear()
+                    search(0, fit[np.arange(nS)[:, None], np.arange(nT),
+                                  np.array(ps)[:, None], np.array(pt)])
+                    for sig, tau in found:
+                        alice_ = [(nS * nA if swap else 0) + ps[s] * nA + pa[sig[s]][a]
+                                  for s in range(nS) for a in range(nA)]
+                        bob_ = [(0 if swap else nS * nA) + pt[t] * nB + pb[tau[t]][b]
+                                for t in range(nT) for b in range(nB)]
+                        out.append(tuple(alice_ + bob_))
+    except _Cap:
+        return []
+    return out
+
+
+def _order(g: tuple) -> int:
+    """Order of the permutation g: the lcm of its cycle lengths."""
+    seen, out = set(), 1
+    for i in range(len(g)):
+        k, j = 0, i
+        while j not in seen:
+            seen.add(j)
+            j, k = g[j], k + 1
+        out = lcm(out, max(k, 1))
+    return out
+
+
+def _relabelings(P: Correlation) -> list:
+    """Symbol maps of generators of the table's stabilizer (``_stabilizer``).
+
+    Generators are picked greedily, each one that the earlier ones do not
+    generate: those that map symbols to symbols first, and the others by
+    decreasing order, so that few generators (fewer checks in the solver)
+    are needed; Tsirelson's table needs two.  A kept symbol goes to
+    the operator of its image answer, which is ``1 - sum`` for a last
+    answer (``_outcome``); z is fixed.
+    """
+    sc = P.scenario
+    group = _stabilizer(P)
+    last = {s * sc.nA + sc.nA - 1 for s in range(sc.nS)} | {
+        sc.nS * sc.nA + t * sc.nB + sc.nB - 1 for t in range(sc.nT)}
+    group.sort(key=lambda g: ({g[i] for i in last} != last, -_order(g)))
+    ident = tuple(range(sc.nS * sc.nA + sc.nT * sc.nB))
+    gens, closure = [], {ident}
+    for g in group:
+        if g in closure:
+            continue
+        gens.append(g)
+        new = list(closure)
+        while new:
+            new = [x for x in {tuple(h[i] for i in x) for x in new for h in gens}
+                   if x not in closure]
+            closure.update(new)
+
+    def operator(i):
+        party, n, i = (alice, sc.nA, i) if i < sc.nS * sc.nA else (
+            bob, sc.nB, i - sc.nS * sc.nA)
+        q, ans = divmod(i, n)
+        return party(q, ans) if ans < n - 1 else _outcome(party, q, ans, n)
+
+    return [{operator(i): operator(g[i]) for i in range(len(g)) if i not in last}
+            for g in gens]
+
+
 def build_xi_problem(P: Correlation, r: int) -> SdpProblem:
     """Level-r program of ``P``; raises ValueError above ``R_CAP``."""
     if r > R_CAP:
@@ -256,6 +392,7 @@ def build_xi_problem(P: Correlation, r: int) -> SdpProblem:
         description=f"entanglement dimension bound, level {r}", r=r,
         metadata={"scenario": (sc.nA, sc.nB, sc.nS, sc.nT),
                   "data_constraints_dropped": dropped_data},
+        symmetries=_relabelings(P),
     )
 
 

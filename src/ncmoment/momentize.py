@@ -114,13 +114,15 @@ class LinearConstraint:
     relation: Relation = Relation.EQ
 
     def key(self):
-        items = sorted((v, round(c, 12)) for v, c in self.terms.items())
-        if self.relation == Relation.EQ and items and items[0][1] < 0:
-            items = [(v, -c) for v, c in items]
-            rhs = -self.rhs
-        else:
-            rhs = self.rhs
-        return (self.relation, tuple(items), round(rhs, 12))
+        """Equal for rows that cut out the same set: terms sorted by
+        variable, and the row divided by its first nonzero coefficient (an
+        inequality by its absolute value)."""
+        items = sorted(self.terms.items())
+        d = next((c for _, c in items if c), 1.0)
+        if self.relation != Relation.EQ:
+            d = abs(d)
+        return (self.relation, tuple((v, round(c / d, 12)) for v, c in items),
+                round(self.rhs / d, 12))
 
 
 def _combine(terms: dict, vid: Optional[int], coeff: float):
@@ -364,9 +366,9 @@ class SdpProblem:
     description: str = ""
     r: int = 0
     metadata: dict = field(default_factory=dict)
-    # Symbol maps (Symbol -> Symbol, symbols left out stay fixed) that map the
-    # program onto itself; the solver checks them and merges the variable
-    # orbits of the group they generate.
+    # Symbol maps (Symbol -> Symbol or an affine NcPolynomial, symbols left
+    # out stay fixed) that map the program onto itself; the solver checks
+    # them and solves on the fixed subspace of the group they generate.
     symmetries: list = field(default_factory=list)
 
     @property

@@ -260,3 +260,28 @@ def test_sync_gram_and_realize(tmp_path):
 def test_unknown_parameter_rejected(c5_file, capsys):
     with pytest.raises(SystemExit):
         main(["graph-bound", "--param", "bogus", "--input", c5_file])
+
+
+def test_corr_bound_loads_neither_numpy_random_nor_scipy(tmp_path):
+    # A corr-bound run imports only what it uses: numpy.random costs about
+    # 12 ms and a few MB the first time it is touched, and scipy more.
+    import subprocess
+    import sys
+
+    from ncmoment.corrlab import realize, tsirelson_chsh
+
+    path = tmp_path / "tsirelson.json"
+    path.write_text(realize(tsirelson_chsh()).to_json())
+    code = (
+        "import sys\n"
+        "from ncmoment import cli\n"
+        f"assert cli.main(['corr-bound', '--level', '2', '--input', {str(path)!r}, "
+        f"'--out', {str(tmp_path / 'rep.json')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'numpy.random' or m == 'scipy'"
+        " or m.startswith(('numpy.random.', 'scipy.'))))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -413,7 +413,7 @@ def test_merged_searches_keep_the_unmerged_iterations(name, monkeypatch):
     merged = SEARCHES[name]()
     merged_counts = counts[:]
     counts.clear()
-    monkeypatch.setattr(conic, "_orbit_labels", lambda p: np.arange(p.num_vars))
+    monkeypatch.setattr(conic, "_orbit_labels", lambda p, forms=None: np.arange(p.num_vars))
     full = SEARCHES[name]()
     assert abs(merged.value - full.value) <= 1e-9
     assert merged_counts == counts
@@ -618,7 +618,11 @@ def test_programs_without_symmetry_keep_their_cone_data(monkeypatch):
 
     calls = []
     monkeypatch.setattr(conic, "_split_block", lambda *a: calls.append(a))
-    prob = entdim.build_xi_problem(corrlab.realize(corrlab.tsirelson_chsh()), 2)
+    # only the identity relabeling fixes this table (Tsirelson's carries
+    # sixteen relabelings, so its program is no longer asymmetric)
+    P = corrlab.random_classical(entdim.Scenario(2, 2, 2, 2), 3, seed=5)
+    prob = entdim.build_xi_problem(P, 2)
+    assert prob.symmetries == []
     prog, _, lift = conic._build_cone_program(prob)
     assert calls == []
     assert len(lift.y0) == prob.num_vars
@@ -647,3 +651,41 @@ def test_lift_does_not_depend_on_row_order_or_scale():
         base, other = conic.solve(prob), conic.solve(moved)
         assert other.iterations == base.iterations
         assert abs(other.objective - base.objective) <= 1e-9
+
+
+def test_scaled_equalities_keep_the_symmetry_check():
+    # The five rows L(x_i) = 1 of C5, scaled by 1..5, cut out the same set:
+    # the rotations still map the constraint set onto itself.
+    prob = qgraph.build_col_problem(graphs.cycle(5), 2)
+    ones = [c for c in prob.eq_constraints
+            if c.rhs == 1.0 and len(c.terms) == 1 and 0 not in c.terms]
+    assert len(ones) == 5
+    scale = {id(c): k for k, c in enumerate(ones, start=1)}
+    cons = [LinearConstraint({v: scale[id(c)] * x for v, x in c.terms.items()},
+                             scale[id(c)] * c.rhs) if id(c) in scale else c
+            for c in prob.constraints]
+    sol = conic.solve(dataclasses.replace(prob, constraints=cons))
+    assert sol.num_orbits < prob.num_vars
+    assert abs(sol.objective - 2.5) <= 1e-6
+    # inequalities match up to a positive scale only
+    keys = conic._ConstraintKeys([LinearConstraint({0: 2.0, 1: 4.0}, 2.0, Relation.GE)])
+    assert keys.outside(np.array([0, 1])) is None
+    assert LinearConstraint({0: 1.0, 1: 2.0}, 1.0, Relation.GE).key() == \
+        LinearConstraint({0: 2.0, 1: 4.0}, 2.0, Relation.GE).key()
+    assert LinearConstraint({0: -1.0, 1: -2.0}, -1.0, Relation.GE).key() != \
+        LinearConstraint({0: 1.0, 1: 2.0}, 1.0, Relation.GE).key()
+    # a zero coefficient does not set the scale
+    assert LinearConstraint({0: 0.0, 1: 2.0}, 4.0).key() == \
+        LinearConstraint({0: 0.0, 1: 1.0}, 2.0).key()
+
+
+@pytest.mark.parametrize("image,match", [
+    (2.0, "images of the symbols"),  # x0 -> 2 x0 has infinite order
+    (0.0, "not invertible"),  # x0 -> 0
+])
+def test_symbol_maps_must_generate_a_finite_group(image, match):
+    prob = two_projector_problem([(vertex(0),), (vertex(1),)])
+    x0 = vertex(0)
+    scaled = {x0: NcPolynomial.from_word((x0,), image) if image else NcPolynomial.zero()}
+    with pytest.raises(SymmetryError, match=match):
+        conic.solve(dataclasses.replace(prob, symmetries=[scaled]))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -327,3 +329,86 @@ def test_flatness_attached_with_entdim_delta():
     res = xi_q(P, 2)
     assert res.flatness.entdim_delta == 2  # ceil(2/3) + 1
     assert res.flatness.r == 2
+
+
+# ---------------------------------------------------------------------------
+# Relabelings that fix the table
+# ---------------------------------------------------------------------------
+
+
+def _partially_entangled():
+    """cos(pi/8)|00> + sin(pi/8)|11>, Alice measuring Z, X and Bob
+    (Z +- X)/sqrt 2: fixed by one relabeling besides the identity."""
+    Z = np.diag([1.0, -1.0]).astype(complex)
+    X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    eye = np.eye(2, dtype=complex)
+    psi = np.zeros(4, dtype=complex)
+    psi[0], psi[3] = np.cos(np.pi / 8), np.sin(np.pi / 8)
+    A, B = [Z, X], [(Z + X) / np.sqrt(2.0), (Z - X) / np.sqrt(2.0)]
+    E = np.array([[(eye + (-1) ** a * A[s]) / 2 for a in range(2)] for s in range(2)])
+    F = np.array([[(eye + (-1) ** b * B[t]) / 2 for b in range(2)] for t in range(2)])
+    return corrlab.realize(corrlab.Realization(2, psi, E, F))
+
+
+@pytest.mark.parametrize("label,order", [
+    ("tsirelson", 16), ("pr-box", 16), ("classical", 1), ("two-qubit", 1)])
+def test_stabilizer_orders(label, order):
+    P = {"tsirelson": lambda: corrlab.realize(corrlab.tsirelson_chsh()),
+         "pr-box": corrlab.pr_box,
+         "classical": lambda: corrlab.random_classical(CHSH, 3, seed=5),
+         "two-qubit": lambda: corrlab.realize(
+             corrlab.random_realization(CHSH, d=2, seed=0))}[label]()
+    group = entdim._stabilizer(P)
+    assert len(group) == len(set(group)) == order
+    assert len(build_xi_problem(P, 1).symmetries) == (order > 1) * 2
+
+
+@pytest.mark.parametrize("n,k", [
+    (3, 3),  # about 3 * 10^6 relabelings fix it: the choices run out
+    (4, 4),  # about 10^14: too many block fits to tabulate
+    (2, 8),  # too many question permutations to try
+])
+def test_stabilizer_search_gives_up_at_the_cap(n, k):
+    # a uniform table, with n answers and k questions per party
+    P = Correlation(Scenario(n, n, k, k), np.full((n, n, k, k), 1 / n ** 2))
+    assert entdim._stabilizer(P) == []
+
+
+SYMMETRIC_TABLES = {
+    "tsirelson": lambda: corrlab.realize(corrlab.tsirelson_chsh()),
+    # the PR box at visibility 1/2, a mixture of deterministic strategies
+    "classical": lambda: Correlation(CHSH, 0.5 * corrlab.pr_box().table + 1 / 8),
+    "two-qubit": _partially_entangled,
+}
+
+
+@pytest.mark.parametrize("label,r", [(label, r) for label in SYMMETRIC_TABLES
+                                     for r in (1, 2)] + [("tsirelson", 3)])
+def test_symmetries_keep_the_value(label, r):
+    prob = build_xi_problem(SYMMETRIC_TABLES[label](), r)
+    assert prob.symmetries
+    merged = conic.solve(prob)
+    full = conic.solve(dataclasses.replace(prob, symmetries=[]))
+    assert merged.status == full.status == conic.SolveStatus.OPTIMAL
+    assert abs(merged.objective - full.objective) <= 1e-7
+
+
+def test_answer_flip_on_a_table_it_does_not_fix():
+    prob = build_xi_problem(corrlab.random_classical(CHSH, 3, seed=5), 2)
+    flip = {alice(0, 0): NcPolynomial.one() - NcPolynomial.from_word((alice(0, 0),))}
+    with pytest.raises(conic.SymmetryError, match="constraint"):
+        conic.solve(dataclasses.replace(prob, symmetries=[flip]))
+
+
+def test_missing_block_image_raises():
+    # the answer flips of Tsirelson's table carry loc[x0^0] to
+    # loc[1 - x0^0]; without that block loc[x0^0] has no image
+    prob = build_xi_problem(corrlab.realize(corrlab.tsirelson_chsh()), 2)
+    blocks = [b for b in prob.blocks if b.label != f"loc[{_outcome(0, 1)}]"]
+    assert len(blocks) == len(prob.blocks) - 1
+    with pytest.raises(conic.SymmetryError, match="entry forms"):
+        conic.solve(dataclasses.replace(prob, blocks=blocks))
+
+
+def _outcome(s, a):
+    return entdim._outcome(alice, s, a, 2).reduced(RewriteSystem())
