@@ -222,8 +222,12 @@ class IpmResult:
     lmi_norm: float = 0.0  # largest |eigenvalue| of C + A(y) - S
 
 
+def _T(M: np.ndarray) -> np.ndarray:
+    return np.swapaxes(M, -1, -2)
+
+
 def _sym(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.mT)
+    return 0.5 * (M + _T(M))
 
 
 def _nt_scaling(X: np.ndarray, S: np.ndarray):
@@ -237,9 +241,9 @@ def _nt_scaling(X: np.ndarray, S: np.ndarray):
     and r is no scaling.  Raises LinAlgError when S is not PD.
     """
     L = np.linalg.cholesky(S)
-    lam2, Q = np.linalg.eigh(L.mT @ X @ L)
+    lam2, Q = np.linalg.eigh(_T(L) @ X @ L)
     lam = np.sqrt(np.maximum(lam2, 0.0))
-    r = np.linalg.solve(L.mT, Q * np.sqrt(lam)[:, None, :])
+    r = np.linalg.solve(_T(L), Q * np.sqrt(lam)[:, None, :])
     return r, lam, float(lam2[:, 0].min())
 
 
@@ -280,9 +284,9 @@ def _gram_rows_scaled(G: np.ndarray, r: np.ndarray) -> np.ndarray:
     equals that of the full vec rows; only the upper triangle is formed.
     """
     k, n, _, nv = G.shape
-    tmp = (r.mT @ G.reshape(k, n, n * nv)).reshape(k, n, n, nv)  # r' G
+    tmp = (_T(r) @ G.reshape(k, n, n * nv)).reshape(k, n, n, nv)  # r' G
     rows = np.concatenate(
-        [r[:, :, i:].mT @ tmp[:, i] for i in range(n)], axis=1
+        [_T(r[:, :, i:]) @ tmp[:, i] for i in range(n)], axis=1
     )  # (k, size(size+1)/2, nv): entries (i, j >= i) in row-major order
     rows[:, _off_diagonal(n)] *= np.sqrt(2.0)
     return rows.reshape(-1, nv)
@@ -428,7 +432,7 @@ def solve_ipm(prog: ConeProgram) -> IpmResult:
                 best.certificate = certificate
                 break
 
-        Rs = [r.mT @ R @ r for r, R in zip(rs, R_lmi)]  # scaled lmi residuals
+        Rs = [_T(r) @ R @ r for r, R in zip(rs, R_lmi)]  # scaled lmi residuals
 
         def directions(sigma, corr):
             # Scaled-space central equation: lam o (Dx + Ds) = rhs with the
@@ -448,7 +452,7 @@ def solve_ipm(prog: ConeProgram) -> IpmResult:
                     rhs -= 0.5 * (Dxp @ Dsp + Dsp @ Dxp)
                 core_g = rhs / (0.5 * (lam[:, :, None] + lam[:, None, :]))
                 core.append(core_g)  # L_V^{-1}(rhs), symmetric
-                M = r @ (core_g - eta * Rs[gi]) @ r.mT
+                M = r @ (core_g - eta * Rs[gi]) @ _T(r)
                 gy += g.adjoint(M)
                 cm += g.inner(M, g.const)
             p = solve_schur(gy)
@@ -462,9 +466,9 @@ def solve_ipm(prog: ConeProgram) -> IpmResult:
             for gi, g in enumerate(groups):
                 r = rs[gi]
                 dSg = dtau * g.const + g.linear(dy) + eta * R_lmi[gi]
-                Dsg = r.mT @ dSg @ r
+                Dsg = _T(r) @ dSg @ r
                 Dxg = _sym(core[gi] - Dsg)
-                dX.append(r @ Dxg @ r.mT)
+                dX.append(r @ Dxg @ _T(r))
                 dS.append(dSg)
                 Dxs.append(Dxg)
                 Dss.append(_sym(Dsg))

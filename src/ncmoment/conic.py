@@ -14,7 +14,9 @@ bound on the margin program's value (-inf for inconsistent equalities), and
 ``unbounded`` with an improving ray (see :mod:`ncmoment._ipm`).
 :func:`feasibility` still solves the margin program, since the graph
 searches report its value, and reads the margin attained at the returned
-point; ``unbounded`` is its verdict (True, inf).  Post-solve utilities
+point; ``unbounded`` is its verdict (True, inf).  Both margins are those of
+the program the solver sees; with a symmetry that is no permutation that
+is the restricted program below, and only their sign carries over.  Post-solve utilities
 compute numerical ranks of nested principal submatrices of the realized
 moment matrix and the flatness verdicts used for finite-convergence
 certificates.
@@ -47,7 +49,14 @@ feasible point is feasible, has the same objective and lies in the fixed
 subspace.  So the restricted program's optimum is the full optimum, its dual
 objective bounds the full optimum by weak duality, and its Farkas
 certificates hold for the full program: a feasible point of the full program
-would average to one of the restricted program.  The orbit images of an
+would average to one of the restricted program.  The margin's value does
+not carry over.  The margin program (every block >= tI) is invariant only
+under maps whose row transforms are orthogonal, as permutations' are; under
+an answer flip a block at S y is T B(y) T' >= t TT', not tI.  So with such
+maps the restricted margin can lie strictly below the full one (the PR box
+at level 3: -0.114 against -0.061), and a certificate's margin bounds the
+restricted margin only.  Its sign carries over: a full point with every
+block >= 0, or > 0, averages to a restricted one.  The orbit images of an
 inequality become one 1x1 block whose multiplicity counts its distinct rows.
 Correctness rests on the checks alone; a missed symmetry costs only speed.
 
@@ -67,9 +76,7 @@ so it is the solver's value less u' times its adjoint residual in z.
 
 Symmetry-adapted blocks.  When merging reduced the variable count, each
 PSD block of size >= 2 is then replaced, where possible, by a smaller one
-(Murota, Kanno, Kojima & Kojima, Japan J. Indust. Appl. Math. 27, 2010);
-when the merging permutation is one involution no part can repeat, and the
-blocks are kept (``_one_involution``).
+(Murota, Kanno, Kojima & Kojima, Japan J. Indust. Appl. Math. 27, 2010).
 The merged coefficient matrices E_v (the constant and a margin program's -I
 included) span a *-algebra that one orthogonal P block-diagonalizes:
 P' E_v P = diag(I_d1 (x) M_1(E_v), I_d2 (x) M_2(E_v), ...).  P is found
@@ -98,23 +105,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import Optional, Tuple
 
 import numpy as np
 
 from ._ipm import BlockData, ConeProgram, solve_ipm
-from ._symmetry import (SPLIT_SEED, _coalesce, _congruence, _ConstraintKeys, _expand,
-                        _Forms, _groups, _image_terms, _is_permutation, _key_rows,
-                        _row_transform, _same, _splitmix)
 from .momentize import CompiledBlock, LinearConstraint, Relation, SdpProblem, _combine
+from .ncwords import NcPolynomial, reduce_word
 
 DEFAULT_EPS_FEAS = 1e-6
 DEFAULT_TAU_RANK = 1e-6
 # Largest residual of a numerical_limit outcome that still counts as a bound.
 ACCEPT_TOL = 1e-5
-# Symmetry-adapted blocks: relative eigenvalue gap between clusters (the
-# random algebra elements take SPLIT_SEED), verification tolerance relative
-# to the coefficient scale, and the doubles per chunk of the verification.
+# Symmetry: seed of the deterministic point of the check and of the random
+# algebra elements; symmetry-adapted blocks: relative eigenvalue gap between
+# clusters, verification tolerance relative to the coefficient scale, and
+# the doubles per chunk of the verification.
+SPLIT_SEED = 2010
 CLUSTER_GAP = 1e-8
 SPLIT_TOL = 1e-9
 SPLIT_CHUNK = 1 << 19
@@ -206,6 +214,260 @@ def _merged(terms: dict, label: list) -> dict:
     for vid, coef in terms.items():
         _combine(out, label[vid], coef)
     return out
+
+
+def _splitmix(count: int, seed: int) -> np.ndarray:
+    """``count`` deterministic numbers in [-1, 1): the SplitMix64 mix of the
+    Weyl sequence seed + k, in uint64 arithmetic (numpy alone)."""
+    z = (np.arange(1, count + 1, dtype=np.uint64) + np.uint64(seed)) \
+        * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)).astype(float) * 2.0 ** -52 - 1.0
+
+
+def _key_rows(V: np.ndarray, C: np.ndarray, eq: np.ndarray,
+              rhs: np.ndarray) -> np.ndarray:
+    """One byte key per constraint of equal term count, equal exactly when
+    the ``LinearConstraint.key``s are: terms sorted by variable, and the row
+    divided by its first nonzero coefficient, an inequality by its absolute
+    value, so that rows cutting out the same set share a key.
+
+    V and C hold the variables and coefficients, one row per constraint.
+    """
+    m, k = V.shape
+    idx = np.arange(m)[:, None], np.argsort(V, axis=1)
+    C = C[idx]
+    lead = np.concatenate([C, np.ones((m, 1))], axis=1)  # a row of zeros is divided by 1
+    d = lead[np.arange(m), (lead != 0).argmax(axis=1)]
+    d = np.where(eq, d, np.abs(d))
+    rows = np.empty((m, 2 + 2 * k))
+    rows[:, 0], rows[:, 1], rows[:, 2:2 + k] = eq, np.round(rhs / d, 12), V[idx]
+    rows[:, 2 + k:] = np.round(C / d[:, None], 12)
+    rows += 0.0  # no -0.0
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
+def _groups(cid, var, coef, ncon: int) -> dict:
+    """{term count: (constraint ids, variables, coefficients)}, one row per
+    constraint, of the forms whose terms are (constraint id, variable,
+    coefficient) sorted by constraint id."""
+    cnt = np.bincount(cid, minlength=ncon)
+    o = np.argsort(cnt[cid], kind="stable")
+    var, coef = var[o], coef[o]
+    out, at = {}, 0
+    for size in np.flatnonzero(np.bincount(cnt)).tolist():
+        ids = np.flatnonzero(cnt == size)
+        k = len(ids) * size
+        shape = (len(ids), size)
+        out[size] = (ids, var[at:at + k].reshape(shape), coef[at:at + k].reshape(shape))
+        at += k
+    return out
+
+
+def _expand(smap: tuple, key, var, coef):
+    """Terms (key, u, coef * S[var, u]) of forms mapped through the variable
+    map S = (start, cols, vals): row v of S holds cols and vals at
+    start[v]:start[v + 1]."""
+    start, cols, vals = smap
+    cnt = start[var + 1] - start[var]
+    term = np.repeat(np.arange(len(var)), cnt)
+    at = np.arange(len(term)) + np.repeat(start[var] - np.cumsum(cnt) + cnt, cnt)
+    return key[term], cols[at], coef[term] * vals[at]
+
+
+def _coalesce(key, val):
+    """Sorted distinct keys and the sums of their values; a sum below 1e-12
+    times the largest one has cancelled and is dropped."""
+    o = np.argsort(key, kind="stable")
+    key, val = key[o], val[o]
+    if key.size:
+        first = np.ones(key.size, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        first = np.flatnonzero(first)
+        key, val = key[first], np.add.reduceat(val, first)
+    keep = np.abs(val) > 1e-12 * np.abs(val).max(initial=0.0)
+    return key[keep], val[keep]
+
+
+def _same(ka, va, kb, vb) -> bool:
+    """Equal coalesced forms: the same keys, values within 1e-12 relative."""
+    return np.array_equal(ka, kb) and bool(
+        np.abs(va - vb).max(initial=0.0) <= 1e-12 * (1.0 + np.abs(va).max(initial=0.0)))
+
+
+class _ConstraintKeys:
+    """The constraint set keyed once per problem, for its images under a
+    variable map; constraints are grouped by term count."""
+
+    def __init__(self, constraints: list):
+        self.cons = constraints
+        size = np.fromiter((len(c.terms) for c in constraints), np.int64, len(constraints))
+        total = int(size.sum())
+        self.cid = np.repeat(np.arange(len(constraints)), size)
+        self.var = np.fromiter(chain.from_iterable(c.terms for c in constraints),
+                               np.int64, total)
+        self.coef = np.fromiter(chain.from_iterable(c.terms.values() for c in constraints),
+                                float, total)
+        self.eq = np.array([c.relation == Relation.EQ for c in constraints], dtype=bool)
+        self.rhs = np.array([c.rhs for c in constraints], dtype=float)
+        self.groups = _groups(self.cid, self.var, self.coef, len(constraints))
+        self.keys = {size: np.sort(self._keys(ids, V, C))
+                     for size, (ids, V, C) in self.groups.items()}
+
+    def _keys(self, ids, V, C):
+        return _key_rows(V, C, self.eq[ids], self.rhs[ids])
+
+    def outside(self, smap) -> Optional[LinearConstraint]:
+        """A constraint whose image under the variable map ``smap`` (a
+        permutation sigma, or S as in ``_expand``) is no constraint, or None.
+        A permutation keeps each constraint's term count."""
+        if isinstance(smap, np.ndarray):
+            smap = (np.arange(len(smap) + 1), smap, np.ones(len(smap)))
+        start, cols, vals = smap
+        n = len(start) - 1
+        if np.array_equal(start, np.arange(n + 1)) and (vals == 1.0).all():
+            images = {size: (ids, cols[V], C) for size, (ids, V, C) in self.groups.items()}
+        else:
+            cid, var, coef = _expand(smap, self.cid, self.var, self.coef)
+            key, coef = _coalesce(cid * n + var, coef)
+            images = _groups(key // n, key % n, coef, len(self.cons))
+        for size, (ids, V, C) in images.items():
+            keys, img = self.keys.get(size), self._keys(ids, V, C)
+            if keys is None:
+                return self.cons[ids[0]]
+            pos = np.minimum(np.searchsorted(keys, img), len(keys) - 1)
+            miss = np.flatnonzero(keys[pos] != img)
+            if miss.size:
+                return self.cons[ids[miss[0]]]
+        return None
+
+
+def _image_terms(image) -> tuple:
+    """(word, coefficient) pairs of a symbol's image, a Symbol or an
+    NcPolynomial."""
+    if isinstance(image, NcPolynomial):
+        return tuple(image.terms.items())
+    return (((image,), 1.0),)
+
+
+def _is_permutation(perm: dict) -> bool:
+    """Whether the symbol map sends every symbol to a symbol."""
+    return all(len(t) == 1 and len(t[0][0]) == 1 and t[0][1] == 1.0
+               for t in map(_image_terms, perm.values()))
+
+
+def _row_transform(words: list, target: list, images: dict, rw):
+    """(i, p, T[i, p]) sorted by p, where the image of row word i, mapped
+    and reduced, is sum_p T[i, p] target[p]; None when an image leaves the
+    span of ``target``."""
+    where = {w: p for p, w in enumerate(target)}
+    out = []
+    for i, w in enumerate(words):
+        terms = [((), 1.0)]
+        for a in w:
+            img = images.get(a)
+            terms = ([(u + (a,), c) for u, c in terms] if img is None
+                     else [(u + v, c * d) for u, c in terms for v, d in img])
+        row: dict = {}
+        for u, c in terms:
+            _combine(row, reduce_word(u, rw), c)
+        for u, c in row.items():
+            if u not in where:
+                return None
+            out.append((where[u], i, c))
+    out.sort()
+    p, i, t = (np.array(x).reshape(-1) for x in zip(*out)) if out else (np.zeros(0),) * 3
+    return i.astype(np.int64), p.astype(np.int64), t.astype(float)
+
+
+class _Forms:
+    """What the checks of one problem's symbol maps share: its constraint
+    keys and objective; every block's upper-triangle entries in global rows
+    (block k's rows from ``roff[k]``, its positions from ``off[k]``), the
+    moment block's and the others' apart, and by global position; the
+    moment block's one-term entries; and the other blocks in classes of one
+    size and one list of row words, with their values at one point, one
+    stack per class."""
+
+    def __init__(self, problem: SdpProblem):
+        blocks, n = problem.blocks, problem.num_vars
+        self.mi = mi = problem.moment_block_index()
+        self.keys = _ConstraintKeys(problem.constraints)
+        self.objective = np.zeros(n)
+        self.objective[list(problem.objective)] = list(problem.objective.values())
+        self.point = _splitmix(n, SPLIT_SEED)
+        sizes = np.array([blk.size for blk in blocks])
+        self.roff = np.r_[0, np.cumsum(sizes)]
+        self.off = np.r_[0, np.cumsum(sizes ** 2)]
+        self.row_block = np.repeat(np.arange(len(blocks)), sizes)
+        entries = [(blk.var_ids, r + blk.rows, r + blk.cols, blk.coefs)
+                   for r, blk in zip(self.roff, blocks)]
+        none = [(np.zeros(0, np.int64),) * 3 + (np.zeros(0),)]
+        self.entries = [tuple(np.concatenate(x) for x in zip(*part)) for part in
+                        (entries[mi:mi + 1], entries[:mi] + entries[mi + 1:] or none)]
+        self.upper = tuple(np.concatenate(x) for x in zip(*[
+            (self.off[k] + blk.rows * blk.size + blk.cols, blk.var_ids, blk.coefs)
+            for k, blk in enumerate(blocks)]))
+        # Every variable with a one-term entry in the moment block: its first
+        # such position and coefficient.
+        mom = blocks[mi]
+        pos = mom.rows * mom.size + mom.cols
+        one = np.bincount(pos, minlength=mom.size ** 2)[pos] == 1
+        v, first = np.unique(mom.var_ids[one], return_index=True)
+        self.one = v, self.off[mi] + pos[one][first], mom.coefs[one][first]
+        self.covered = np.zeros(n, dtype=bool)
+        self.covered[v] = True
+        classes: dict = {}
+        for k, blk in enumerate(blocks):
+            if k != mi:
+                classes.setdefault((blk.size, tuple(blk.row_words)), []).append(k)
+        self.classes = [(size, ks) for (size, _), ks in classes.items()]
+        self.take = [(self.off[ks][:, None] + np.arange(size * size)).reshape(-1)
+                     for size, ks in self.classes]
+        self.values = self.stacks(self.point)
+
+    def stacks(self, y: np.ndarray) -> list:
+        """The values at y of the blocks other than the moment block, one
+        (blocks, size, size) stack per class."""
+        pos, v, c = self.upper
+        flat = np.bincount(pos, c * y[v], self.off[-1])
+        out = []
+        for take, (size, ks) in zip(self.take, self.classes):
+            U = flat[take].reshape(len(ks), size, size)
+            out.append(U + np.swapaxes(np.triu(U, 1), 1, 2))
+        return out
+
+
+def _congruence(T: tuple, forms: _Forms, upper: tuple):
+    """Entries of T E T' on the upper triangles of the blocks, E the forms
+    ``upper`` (variables, global rows p <= columns q, coefficients): (global
+    position, variable, coefficient).
+
+    T = (i, p, t) in global rows, sorted by p, maps every row of a block to
+    rows of one other block.  An entry with p < q stands for (q, p) too: its
+    images are folded onto the upper triangle, twice where they land on the
+    diagonal.  A diagonal entry keeps its images on the upper triangle."""
+    ti, tp, tv = T
+    cstart = np.searchsorted(tp, np.arange(len(forms.row_block) + 1))
+    cnt = np.diff(cstart)
+    vids, p, q, c = upper
+    a, b = cnt[p], cnt[q]
+    ne = a * b
+    e = np.repeat(np.arange(len(p)), ne)
+    k = np.arange(len(e)) - np.repeat(np.cumsum(ne) - ne, ne)
+    ia, jb = cstart[p][e] + k // b[e], cstart[q][e] + k % b[e]
+    i, j = ti[ia], ti[jb]
+    coef = c[e] * tv[ia] * tv[jb]
+    off = (p != q)[e]
+    coef[off & (i == j)] *= 2.0
+    keep = off | (i <= j)
+    i, j, e, coef = np.minimum(i, j)[keep], np.maximum(i, j)[keep], e[keep], coef[keep]
+    blk = forms.row_block[i]
+    r0 = forms.roff[blk]
+    pos = forms.off[blk] + (i - r0) * (forms.roff[blk + 1] - r0) + j - r0
+    return pos, vids[e], coef
 
 
 def _variable_permutation(problem: SdpProblem, perm: dict, forms: _Forms) -> tuple:
@@ -331,18 +593,6 @@ def _orbit_labels(problem: SdpProblem, forms: Optional[_Forms] = None) -> np.nda
     return np.unique(_least_labels(np.array(maps)), return_inverse=True)[1]
 
 
-def _one_involution(maps: list) -> bool:
-    """Whether the symbol permutations among ``maps`` are one involution.
-    The group it generates has only one-dimensional real irreducible
-    representations, so no part of a block repeats and ``_split_block``
-    cannot reduce one."""
-    perms = [p for p in maps if _is_permutation(p)]
-    if len(perms) != 1:
-        return False
-    image = {a: _image_terms(b)[0][0][0] for a, b in perms[0].items()}
-    return all(image.get(b, b) == a for a, b in image.items())
-
-
 def _check_group(problem: SdpProblem):
     """SymmetryError unless the symbol maps generate a finite group.
 
@@ -382,16 +632,14 @@ def _check_group(problem: SdpProblem):
         new = np.array(sorted(fresh)).reshape(-1, d).T
 
 
-def _fixed_rows(problem: SdpProblem, label: np.ndarray,
-                forms: Optional[_Forms] = None) -> list:
+def _fixed_rows(problem: SdpProblem, label: np.ndarray, forms: _Forms) -> list:
     """The rows y = S y over the merged variables y = z[label], for every
     symbol map of ``problem.symmetries`` that is no permutation (see the
-    module notes); ``forms`` as in ``_orbit_labels``."""
+    module notes); ``forms`` is the problem's ``_Forms``."""
     maps = [p for p in problem.symmetries if not _is_permutation(p)]
     if not maps:
         return []
     _check_group(problem)
-    forms = forms if forms is not None else _Forms(problem)
     n, m = problem.num_vars, int(label.max()) + 1
     parts = []
     for perm in maps:
@@ -730,7 +978,7 @@ def _build_cone_program(
             blk.vals = np.concatenate([blk.vals, -np.ones(sz)])
         objective = np.append(objective, 1.0)
     nv = len(objective)
-    if m < n and not _one_involution(problem.symmetries):
+    if m < n:
         blocks = [blk if blk.size < 2 else _split_block(blk, nv) or blk
                   for blk in blocks]
 

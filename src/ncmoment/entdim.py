@@ -15,18 +15,19 @@ completeness holds by construction and needs no sum-rule equalities, and
 the eliminated operators enter as localizing generators and data polynomials.
 
 The program does not change under the relabelings of parties, questions and
-answers that fix the table.  ``build_xi_problem`` finds them (``_stabilizer``,
-a search of at most ``BASIS_CAP`` steps) and attaches generators as symbol
-maps: a kept symbol goes to the operator of its relabelled answer, which is
-one minus the other answers' symbols when that answer has none.  The solver
-checks them and solves on their fixed subspace (see :mod:`ncmoment.conic`).
+answers that fix the table.  ``build_xi_problem`` finds them (``_stabilizer``
+tries every relabeling, and none when there are more than ``BASIS_CAP``) and
+attaches generators as symbol maps: a kept symbol goes to the operator of its
+relabelled answer, which is one minus the other answers' symbols when that
+answer has none.  The solver checks them and solves on their fixed subspace
+(see :mod:`ncmoment.conic`).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial, lcm
 
 import numpy as np
@@ -58,8 +59,13 @@ class CorrelationError(ValueError):
 
 
 class InfeasibleCorrelationError(RuntimeError):
-    """The table lies outside the level-r relaxation (within tolerance);
-    ``margin`` bounds the value of its margin program from above."""
+    """The table lies outside the level-r relaxation (within tolerance).
+
+    ``margin`` bounds from above the value of the margin program that the
+    solver saw.  When a relabeling that fixes the table flips an answer,
+    that is the program restricted to the fixed subspace of the relabelings
+    (see :mod:`ncmoment.conic`): its margin is negative exactly when the
+    full program's is, but may lie below it."""
 
     def __init__(self, r: int, margin: float):
         self.r = r
@@ -232,13 +238,9 @@ class EntDimResult:
     )
 
 
-class _Cap(Exception):
-    pass
-
-
 def _stabilizer(P: Correlation) -> list:
-    """The relabelings that fix the table, or none when the search would
-    take more than ``BASIS_CAP`` steps.
+    """The relabelings that fix the table, or none when there are more than
+    ``BASIS_CAP`` relabelings to try.
 
     A relabeling permutes the questions of each party (pS, pT), the answers
     of each question (sig[s], tau[t]) and, where the two parties have the
@@ -246,67 +248,41 @@ def _stabilizer(P: Correlation) -> list:
     of the answer operators, Alice's (s, a) at s * nA + a, then Bob's.  It
     fixes P when P(a, b | s, t) = U(sig_s(a), tau_t(b) | pS(s), pT(t)), with
     U = P, or P with the parties swapped; entries are compared rounded to
-    12 digits, as the solver compares constraints.  Which answer
-    permutations carry each (s, t) block onto each block is tabulated
-    first; then the answer permutations are chosen question by question,
-    alternating between the parties, among those that fit every block of
-    the questions chosen so far.  A step is one tabulated pair of answer
-    permutations per pair of blocks, one pair of question permutations, or
-    one answer permutation chosen.
+    12 digits, as the solver compares constraints.  Every relabeling is
+    tried: the answer permutations of all questions at once, for each
+    choice of the swap and the question permutations.
     """
     sc = P.scenario
     nA, nB, nS, nT = sc.nA, sc.nB, sc.nS, sc.nT
     table = np.round(P.table, 12)
     views = [table] + ([table.transpose(1, 0, 3, 2)] if (nA, nS) == (nB, nT) else [])
-    budget = [BASIS_CAP]
-
-    def spend(steps):
-        budget[0] -= steps
-        if budget[0] < 0:
-            raise _Cap
-
-    found, chosen = [], ({}, {})
-
-    def search(k, fit):
-        if k == len(slots):
-            found.append((dict(chosen[0]), dict(chosen[1])))
-            return
-        q, side = slots[k]
-        ok = np.ones(len(pb) if side else len(pa), dtype=bool)
-        for other, idx in chosen[1 - side].items():
-            ok &= fit[other, q, idx] if side else fit[q, other, :, idx]
-        for idx in np.flatnonzero(ok).tolist():
-            spend(1)
-            chosen[side][q] = idx
-            search(k + 1, fit)
-            del chosen[side][q]
-
-    out = []
-    try:
-        spend(len(views) * (factorial(nA) * factorial(nB) * (nS * nT) ** 2
-                            + factorial(nS) * factorial(nT)))
-        pa = np.array(list(permutations(range(nA))))
-        pb = np.array(list(permutations(range(nB))))
-        # fits[u][s, t, s2, t2, i, j]: pa[i], pb[j] carry block (s, t) of the
-        # table onto block (s2, t2) of view u
-        blocks = table.transpose(2, 3, 0, 1)[:, :, None, None, None, None]
-        fits = [(U[pa[:, None, :, None], pb[None, :, None, :]].transpose(4, 5, 0, 1, 2, 3)
-                 == blocks).all(axis=(-2, -1)) for U in views]
-        slots = sorted([(s, 0) for s in range(nS)] + [(t, 1) for t in range(nT)])
-        for swap, fit in enumerate(fits):
-            for ps in permutations(range(nS)):
-                for pt in permutations(range(nT)):
-                    found.clear()
-                    search(0, fit[np.arange(nS)[:, None], np.arange(nT),
-                                  np.array(ps)[:, None], np.array(pt)])
-                    for sig, tau in found:
-                        alice_ = [(nS * nA if swap else 0) + ps[s] * nA + pa[sig[s]][a]
-                                  for s in range(nS) for a in range(nA)]
-                        bob_ = [(0 if swap else nS * nA) + pt[t] * nB + pb[tau[t]][b]
-                                for t in range(nT) for b in range(nB)]
-                        out.append(tuple(alice_ + bob_))
-    except _Cap:
+    if (len(views) * factorial(nS) * factorial(nT) * factorial(nA) ** nS
+            * factorial(nB) ** nT > BASIS_CAP):
         return []
+    pa = np.array(list(permutations(range(nA))))
+    pb = np.array(list(permutations(range(nB))))
+    # Answer permutations, one per question, Alice's and Bob's questions
+    # interleaved in the order (0, Alice), (0, Bob), (1, Alice), ...
+    slots = sorted([(s, 0) for s in range(nS)] + [(t, 1) for t in range(nT)])
+    pick = np.array(list(product(*[range(len(pb) if side else len(pa))
+                                   for _, side in slots])))
+    sig = pa[pick[:, [k for k, (_, side) in enumerate(slots) if not side]]]
+    tau = pb[pick[:, [k for k, (_, side) in enumerate(slots) if side]]]
+    # a[n, a, 0, s, 0] = sig_s(a) and b[n, 0, b, 0, t] = tau_t(b) of choice n
+    a = sig.transpose(0, 2, 1)[:, :, None, :, None]
+    b = tau.transpose(0, 2, 1)[:, None, :, None, :]
+    out = []
+    for swap, U in enumerate(views):
+        for ps in permutations(range(nS)):
+            for pt in permutations(range(nT)):
+                fits = (U[a, b, np.array(ps)[:, None], np.array(pt)] == table).all(
+                    axis=(1, 2, 3, 4))
+                for n in np.flatnonzero(fits).tolist():
+                    alice_ = [(nS * nA if swap else 0) + ps[s] * nA + sig[n, s, x]
+                              for s in range(nS) for x in range(nA)]
+                    bob_ = [(0 if swap else nS * nA) + pt[t] * nB + tau[n, t, y]
+                            for t in range(nT) for y in range(nB)]
+                    out.append(tuple(int(g) for g in alice_ + bob_))
     return out
 
 

@@ -364,12 +364,13 @@ def test_stabilizer_orders(label, order):
 
 
 @pytest.mark.parametrize("n,k", [
-    (3, 3),  # about 3 * 10^6 relabelings fix it: the choices run out
-    (4, 4),  # about 10^14: too many block fits to tabulate
-    (2, 8),  # too many question permutations to try
+    (3, 3),  # about 3 * 10^6 relabelings, all of which fix it
+    (4, 4),  # about 10^14
+    (2, 8),  # about 2 * 10^14
 ])
 def test_stabilizer_search_gives_up_at_the_cap(n, k):
-    # a uniform table, with n answers and k questions per party
+    # a uniform table, with n answers and k questions per party: more
+    # relabelings than BASIS_CAP, so none is tried
     P = Correlation(Scenario(n, n, k, k), np.full((n, n, k, k), 1 / n ** 2))
     assert entdim._stabilizer(P) == []
 
@@ -412,3 +413,19 @@ def test_missing_block_image_raises():
 
 def _outcome(s, a):
     return entdim._outcome(alice, s, a, 2).reduced(RewriteSystem())
+
+
+def test_pr_box_margin_bounds_the_restricted_program():
+    # The PR box's answer flips are no permutations, so its level-3 program
+    # is solved on the fixed subspace of its relabelings.  The certificate's
+    # margin bounds the margin of that restricted program (about -0.114),
+    # which lies below the full program's (about -0.061, a 9 s solve): only
+    # the sign carries over to the full program.
+    P = corrlab.pr_box()
+    with pytest.raises(InfeasibleCorrelationError) as exc:
+        xi_q(P, 3)
+    prob = build_xi_problem(P, 3)
+    assert any(not conic._is_permutation(g) for g in prob.symmetries)
+    feasible, margin = conic.feasibility(dataclasses.replace(prob, objective={}))
+    assert not feasible
+    assert margin <= exc.value.margin < 0
