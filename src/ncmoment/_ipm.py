@@ -47,8 +47,9 @@ counts every copy: the adjoint and the Schur rows weight each row by its
 multiplicity (the Schur rows by its square root), as do the duality gap, the
 barrier size ``ntot`` and the dual objective.  Step lengths and the
 neighbourhood guard read eigenvalues, which the copies only repeat, so they
-need no weight.  Blocks without multiplicities take the unweighted kernels
-unchanged.
+need no weight.  A block without multiplicities gets multiplicity one on
+every row, so every block takes the same weighted kernels; a weight of 1.0
+leaves every product exact.
 
 Size groups.  ``ConeProgram.finalize`` groups the blocks by size; X, S and
 every per-iteration kernel work on one stacked (k, n, n) array per group:
@@ -120,9 +121,9 @@ class SizeGroup:
     ``members`` are their indices in ``ConeProgram.blocks``, ascending.  The
     owner map is kept as coordinate triples sorted by ``entry``, the flat
     index into the stack: variable ``vids[i]`` enters that entry with
-    coefficient ``vals[i]``.  ``weight`` holds the row multiplicities, or
-    None when every row counts once; ``wvals`` are ``vals`` times the
-    multiplicity of their row (``vals`` itself when unweighted).
+    coefficient ``vals[i]``.  ``weight`` holds the row multiplicities (ones
+    for a block without them); ``wvals`` are ``vals`` times the
+    multiplicity of their row.
     """
 
     size: int
@@ -132,7 +133,7 @@ class SizeGroup:
     vids: np.ndarray
     vals: np.ndarray
     nvars: int
-    weight: Optional[np.ndarray]  # (k, size)
+    weight: np.ndarray  # (k, size)
     wvals: np.ndarray
 
     def linear(self, y: np.ndarray) -> np.ndarray:
@@ -154,8 +155,6 @@ class SizeGroup:
         Exact when S vanishes between rows of different multiplicity, as the
         slack, the constant and every coefficient matrix do.
         """
-        if self.weight is None:
-            return float(np.vdot(X, S))
         return float(np.vdot(X * self.weight[:, :, None], S))
 
 
@@ -169,13 +168,10 @@ def _size_group(blocks: list, members: list, nvars: int) -> SizeGroup:
     vids = np.concatenate([blk.vids for blk in part])[order]
     vals = np.concatenate([blk.vals for blk in part])[order]
     const = np.stack([blk.const for blk in part]).astype(float)
-    weight, wvals = None, vals
-    if any(blk.mult is not None for blk in part):
-        weight = np.stack([np.ones(n) if blk.mult is None else blk.mult
-                           for blk in part]).astype(float)
-        wvals = vals * weight.reshape(-1)[entry // n]
+    weight = np.stack([np.ones(n) if blk.mult is None else blk.mult
+                       for blk in part]).astype(float)
     return SizeGroup(n, np.array(members), const, entry, vids, vals, nvars,
-                     weight, wvals)
+                     weight, vals * weight.reshape(-1)[entry // n])
 
 
 @dataclass
@@ -269,9 +265,7 @@ def _coefficients(group: SizeGroup) -> np.ndarray:
     by sqrt m, so the Gram matrix counts every copy of the row.
     """
     n, k, nv = group.size, len(group.members), group.nvars
-    vals = group.vals
-    if group.weight is not None:
-        vals = vals * np.sqrt(group.weight.reshape(-1)[group.entry // n])
+    vals = group.vals * np.sqrt(group.weight.reshape(-1)[group.entry // n])
     return np.bincount(group.entry * nv + group.vids, vals,
                        k * n * n * nv).reshape(k, n, n, nv)
 
@@ -343,8 +337,7 @@ def solve_ipm(prog: ConeProgram) -> IpmResult:
     b = prog.objective
     groups = prog.groups
     # rows of all blocks, each counted with its multiplicity
-    ntot = sum(g.const.shape[0] * g.size if g.weight is None else g.weight.sum()
-               for g in groups)
+    ntot = sum(g.weight.sum() for g in groups)
 
     bscale = 1.0 + float(np.abs(b).max(initial=0.0))
     cscale = 1.0 + max(float(np.abs(g.const).max(initial=0.0)) for g in groups)
@@ -354,8 +347,8 @@ def solve_ipm(prog: ConeProgram) -> IpmResult:
 
     # The coefficient stacks with the constant, row-weighted alike, as one
     # more column: its Gram rows give A*(WCW) and <C, WCW>.
-    pregram = [np.concatenate([_coefficients(g), (g.const if g.weight is None else
-                               g.const * np.sqrt(g.weight)[:, :, None])[..., None]],
+    pregram = [np.concatenate([_coefficients(g),
+                               (g.const * np.sqrt(g.weight)[:, :, None])[..., None]],
                               axis=-1) for g in groups]
 
     # Starting point: y = 0, scaled identity cone pair, tau = 1 and kappa at
@@ -414,8 +407,7 @@ def solve_ipm(prog: ConeProgram) -> IpmResult:
             # X / (-<C, X>) with A*(X) = 0 is a Farkas certificate; y with
             # b'y > 0 and A(y) PSD is an improving ray.
             if cx < 0 and np.abs(adj).max(initial=0.0) <= TOL * -cx:
-                trace = sum(float((np.diagonal(Xg, 0, 1, 2)
-                                   * (1.0 if g.weight is None else g.weight)).sum())
+                trace = sum(float((np.diagonal(Xg, 0, 1, 2) * g.weight).sum())
                             for g, Xg in zip(groups, X))
                 status, stop = "infeasible", "farkas"
                 certificate = {"reason": "Farkas certificate", "margin": cx / trace,

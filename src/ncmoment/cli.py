@@ -238,22 +238,11 @@ def cmd_check_classical(args) -> int:
     return 0 if cert.verdict == corrlab.Verdict.CLASSICAL else 2
 
 
-def _family_to_json(fam: np.ndarray, d: int) -> str:
-    arr = np.stack([fam.real, fam.imag], axis=-1)
-    return json.dumps({"d": d, "X": arr.tolist()}, sort_keys=True)
-
-
-def _family_from_json(text: str):
-    obj = json.loads(text)
-    arr = np.array(obj["X"], dtype=float)
-    return arr[..., 0] + 1j * arr[..., 1], int(obj["d"])
-
-
 def cmd_sync(args) -> int:
     if args.random_family:
         nS, nA = (int(x) for x in args.random_family.split(","))
         fam = corrlab.random_projector_family(nS, nA, args.dim, args.seed)
-        _write(_family_to_json(fam, args.dim), args.out)
+        _write(corrlab.family_to_json(fam, args.dim), args.out)
         return 0
     if args.gram:
         with open(args.input) as fh:
@@ -271,7 +260,7 @@ def cmd_sync(args) -> int:
         return 0 if gram.min_eigenvalue() >= -1e-9 else 2
     if args.realize:
         with open(args.input) as fh:
-            fam, d = _family_from_json(fh.read())
+            fam, d = corrlab.family_from_json(fh.read())
         gram = corrlab.cpsd_gram_from_projectors(fam, d)
         real = corrlab.gram_to_realization(corrlab.factorize(gram))
         produced = corrlab.realize(real)

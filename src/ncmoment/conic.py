@@ -24,40 +24,45 @@ certificates.
 Symmetry.  A builder may attach symbol maps (``SdpProblem.symmetries``).
 An image is a symbol or an affine polynomial, such as x -> 1 - x for an
 answer relabeling in the Collins-Gisin alphabet.  Before the solve each map
-phi is turned into the linear map S of the moment variables that it induces,
-(S y)_v = L_y(phi(w_v)), and checked, else SymmetryError.  Every block's row
-words are mapped, reduced and expanded over the rows of an image block of
-its size, giving a row transform T (a permutation rho when symbols go to
-symbols; localizing blocks may trade places, as loc[x] and loc[1 - x] do).
-The moment block is its own image, and S is read off its one-term entries:
-the variable at (i, j) goes to the form of T M T' at (i, j).  Then one
-vectorized pass over all blocks checks that S applied to each block's form
-at (i, j) is the form of T E T' at (i, j), E the image block's forms, so
-every block at S y is congruent to its image at y; and S must map the
-constraint set (rows compared up to scale) and the objective onto
-themselves.  The maps must generate a finite group: images affine in the
-alphabet, every map invertible, and the images of the symbols under the
+phi is turned into the linear map S of the moment variables that it
+induces, (S y)_v = L_y(phi(w_v)), and checked, else SymmetryError.  Every
+block's row words are mapped, reduced and expanded over the rows of an
+image block of its size, giving a row transform T (a permutation rho when
+symbols go to symbols; localizing blocks may trade places, as loc[x] and
+loc[1 - x] do).  The moment block is its own image, and S is read off its
+one-term entries: the variable at (i, j) goes to the form of T M T' at
+(i, j).  Then one vectorized pass over all blocks checks that S applied to
+each block's form at (i, j) is the form of T E T' at (i, j), E the image
+block's forms, so every block at S y is congruent to its image at y; and S
+must map the constraint set and the objective onto themselves.  Constraints are
+compared by the row rule that :mod:`ncmoment.momentize` owns
+(``_key_rows``: rows that cut out the same set, i.e. equal up to scale, an
+inequality up to a positive one), the rule that also deduplicates every
+constraint list.  The maps must generate a finite group: images affine in
+the alphabet, every map invertible, and the images of the symbols under the
 group few (``_check_group``).
 
-The solver works on the fixed subspace of that group.  The variables of one
-orbit of the group that the symbol permutations generate are merged into
-one, so the solver sees one variable per orbit and y = z[label]; a problem
-without symmetries has singleton orbits.  Every other map adds its rows
-y = S y, written over the merged variables, to the merged equality rows of
-the lift below.  Because the program is invariant, the group average of a
-feasible point is feasible, has the same objective and lies in the fixed
-subspace.  So the restricted program's optimum is the full optimum, its dual
-objective bounds the full optimum by weak duality, and its Farkas
-certificates hold for the full program: a feasible point of the full program
-would average to one of the restricted program.  The margin's value does
-not carry over.  The margin program (every block >= tI) is invariant only
-under maps whose row transforms are orthogonal, as permutations' are; under
-an answer flip a block at S y is T B(y) T' >= t TT', not tI.  So with such
-maps the restricted margin can lie strictly below the full one (the PR box
-at level 3: -0.114 against -0.061), and a certificate's margin bounds the
-restricted margin only.  Its sign carries over: a full point with every
-block >= 0, or > 0, averages to a restricted one.  The orbit images of an
-inequality become one 1x1 block whose multiplicity counts its distinct rows.
+The solver works on the fixed subspace of that group, which one pass
+(``_fixed_subspace``) describes.  The variables of one orbit of the group
+that the symbol permutations generate are merged into one, so the solver
+sees one variable per orbit and y = z[label]; a problem without symmetries
+has singleton orbits.  Every other map adds its rows y = S y, written over
+the merged variables, to the merged equality rows of the lift below; the
+two row sets are deduplicated together.  Because the program is invariant,
+the group average of a feasible point is feasible, has the same objective
+and lies in the fixed subspace.  So the restricted program's optimum is the
+full optimum, its dual objective bounds the full optimum by weak duality,
+and its Farkas certificates hold for the full program: a feasible point of
+the full program would average to one of the restricted program.  The
+margin's value does not carry over.  The margin program (every block >= tI)
+is invariant only under maps whose row transforms are orthogonal, as
+permutations' are; under an answer flip a block at S y is
+T B(y) T' >= t TT', not tI.  So with such maps the restricted margin can
+lie strictly below the full one (the PR box at level 3: -0.114 against
+-0.061), and a certificate's margin bounds the restricted margin only.  Its sign carries
+over: a full point with every block >= 0, or > 0, averages to a restricted
+one.  The orbit images of an inequality become one 1x1 block whose
+multiplicity counts its distinct rows (classes of the row rule).
 Correctness rests on the checks alone; a missed symmetry costs only speed.
 
 The lift.  The merged equality rows are solved once, by sparse substitution
@@ -105,14 +110,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
 from typing import Optional, Tuple
 
 import numpy as np
 
 from ._ipm import BlockData, ConeProgram, solve_ipm
-from .momentize import CompiledBlock, LinearConstraint, Relation, SdpProblem, _combine
-from .ncwords import NcPolynomial, reduce_word
+from .momentize import (CompiledBlock, LinearConstraint, Relation, SdpProblem, _groups,
+                        _key_rows, _term_arrays, distinct, row_classes)
+from .ncwords import NcPolynomial, _combine, reduce_word
 
 DEFAULT_EPS_FEAS = 1e-6
 DEFAULT_TAU_RANK = 1e-6
@@ -227,45 +232,6 @@ def _splitmix(count: int, seed: int) -> np.ndarray:
     return (z >> np.uint64(11)).astype(float) * 2.0 ** -52 - 1.0
 
 
-def _key_rows(V: np.ndarray, C: np.ndarray, eq: np.ndarray,
-              rhs: np.ndarray) -> np.ndarray:
-    """One byte key per constraint of equal term count, equal exactly when
-    the ``LinearConstraint.key``s are: terms sorted by variable, and the row
-    divided by its first nonzero coefficient, an inequality by its absolute
-    value, so that rows cutting out the same set share a key.
-
-    V and C hold the variables and coefficients, one row per constraint.
-    """
-    m, k = V.shape
-    idx = np.arange(m)[:, None], np.argsort(V, axis=1)
-    C = C[idx]
-    lead = np.concatenate([C, np.ones((m, 1))], axis=1)  # a row of zeros is divided by 1
-    d = lead[np.arange(m), (lead != 0).argmax(axis=1)]
-    d = np.where(eq, d, np.abs(d))
-    rows = np.empty((m, 2 + 2 * k))
-    rows[:, 0], rows[:, 1], rows[:, 2:2 + k] = eq, np.round(rhs / d, 12), V[idx]
-    rows[:, 2 + k:] = np.round(C / d[:, None], 12)
-    rows += 0.0  # no -0.0
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-
-
-def _groups(cid, var, coef, ncon: int) -> dict:
-    """{term count: (constraint ids, variables, coefficients)}, one row per
-    constraint, of the forms whose terms are (constraint id, variable,
-    coefficient) sorted by constraint id."""
-    cnt = np.bincount(cid, minlength=ncon)
-    o = np.argsort(cnt[cid], kind="stable")
-    var, coef = var[o], coef[o]
-    out, at = {}, 0
-    for size in np.flatnonzero(np.bincount(cnt)).tolist():
-        ids = np.flatnonzero(cnt == size)
-        k = len(ids) * size
-        shape = (len(ids), size)
-        out[size] = (ids, var[at:at + k].reshape(shape), coef[at:at + k].reshape(shape))
-        at += k
-    return out
-
-
 def _expand(smap: tuple, key, var, coef):
     """Terms (key, u, coef * S[var, u]) of forms mapped through the variable
     map S = (start, cols, vals): row v of S holds cols and vals at
@@ -298,42 +264,26 @@ def _same(ka, va, kb, vb) -> bool:
 
 
 class _ConstraintKeys:
-    """The constraint set keyed once per problem, for its images under a
-    variable map; constraints are grouped by term count."""
+    """The constraint set keyed once per problem by the row rule
+    (``momentize._key_rows``), for its images under a variable map;
+    constraints are grouped by term count."""
 
     def __init__(self, constraints: list):
         self.cons = constraints
-        size = np.fromiter((len(c.terms) for c in constraints), np.int64, len(constraints))
-        total = int(size.sum())
-        self.cid = np.repeat(np.arange(len(constraints)), size)
-        self.var = np.fromiter(chain.from_iterable(c.terms for c in constraints),
-                               np.int64, total)
-        self.coef = np.fromiter(chain.from_iterable(c.terms.values() for c in constraints),
-                                float, total)
-        self.eq = np.array([c.relation == Relation.EQ for c in constraints], dtype=bool)
-        self.rhs = np.array([c.rhs for c in constraints], dtype=float)
-        self.groups = _groups(self.cid, self.var, self.coef, len(constraints))
-        self.keys = {size: np.sort(self._keys(ids, V, C))
-                     for size, (ids, V, C) in self.groups.items()}
+        self.cid, self.var, self.coef, self.eq, self.rhs = _term_arrays(constraints)
+        self.keys = {size: np.sort(self._keys(ids, V, C)) for size, (ids, V, C)
+                     in _groups(self.cid, self.var, self.coef, len(constraints)).items()}
 
     def _keys(self, ids, V, C):
         return _key_rows(V, C, self.eq[ids], self.rhs[ids])
 
-    def outside(self, smap) -> Optional[LinearConstraint]:
-        """A constraint whose image under the variable map ``smap`` (a
-        permutation sigma, or S as in ``_expand``) is no constraint, or None.
-        A permutation keeps each constraint's term count."""
-        if isinstance(smap, np.ndarray):
-            smap = (np.arange(len(smap) + 1), smap, np.ones(len(smap)))
-        start, cols, vals = smap
-        n = len(start) - 1
-        if np.array_equal(start, np.arange(n + 1)) and (vals == 1.0).all():
-            images = {size: (ids, cols[V], C) for size, (ids, V, C) in self.groups.items()}
-        else:
-            cid, var, coef = _expand(smap, self.cid, self.var, self.coef)
-            key, coef = _coalesce(cid * n + var, coef)
-            images = _groups(key // n, key % n, coef, len(self.cons))
-        for size, (ids, V, C) in images.items():
+    def outside(self, smap: tuple) -> Optional[LinearConstraint]:
+        """A constraint whose image under the variable map ``smap`` (start,
+        cols, vals) (see ``_expand``) is no constraint, or None."""
+        n = len(smap[0]) - 1
+        cid, var, coef = _expand(smap, self.cid, self.var, self.coef)
+        key, coef = _coalesce(cid * n + var, coef)
+        for size, (ids, V, C) in _groups(key // n, key % n, coef, len(self.cons)).items():
             keys, img = self.keys.get(size), self._keys(ids, V, C)
             if keys is None:
                 return self.cons[ids[0]]
@@ -570,19 +520,23 @@ def _variable_permutation(problem: SdpProblem, perm: dict, forms: _Forms) -> tup
     return smap
 
 
-def _orbit_labels(problem: SdpProblem, forms: Optional[_Forms] = None) -> np.ndarray:
-    """Orbit label of every variable under the group that the symbol
-    permutations of ``problem.symmetries`` generate.
+def _fixed_subspace(problem: SdpProblem) -> tuple:
+    """The fixed subspace of the group that ``problem.symmetries`` generate
+    (see the module notes), as (label, rows).
 
-    Labels are 0..m-1, numbered by each orbit's least variable; without
-    such symmetries every variable is its own orbit.  ``forms`` is the
-    problem's ``_Forms``, built here when not given.
+    ``label`` is the orbit of every variable under the symbol permutations,
+    0..m-1 numbered by each orbit's least variable; ``rows`` are the rows
+    y = S y of every other map, written over the merged variables
+    y = z[label].  Without symmetries every variable is its own orbit and
+    there are no rows.
     """
     n = problem.num_vars
-    perms = [p for p in problem.symmetries if _is_permutation(p)]
-    if not perms:
-        return np.arange(n)
-    forms = forms if forms is not None else _Forms(problem)
+    if not problem.symmetries:
+        return np.arange(n), []
+    forms = _Forms(problem)
+    is_perm = [_is_permutation(p) for p in problem.symmetries]
+    perms = [p for p, f in zip(problem.symmetries, is_perm) if f]
+    others = [p for p, f in zip(problem.symmetries, is_perm) if not f]
     maps = []
     for perm in perms:
         start, sigma, vals = _variable_permutation(problem, perm, forms)
@@ -590,7 +544,22 @@ def _orbit_labels(problem: SdpProblem, forms: Optional[_Forms] = None) -> np.nda
                 and np.array_equal(np.sort(sigma), np.arange(n))):
             raise SymmetryError("the induced variable map is not a permutation")
         maps += [sigma, np.argsort(sigma)]
-    return np.unique(_least_labels(np.array(maps)), return_inverse=True)[1]
+    label = (np.unique(_least_labels(np.array(maps)), return_inverse=True)[1]
+             if maps else np.arange(n))
+    if others:
+        _check_group(problem)
+    m, rows = int(label.max()) + 1, []
+    for perm in others:
+        start, cols, vals = _variable_permutation(problem, perm, forms)
+        v = np.repeat(np.arange(n), np.diff(start))
+        key, val = _coalesce(
+            np.concatenate([np.arange(n) * m + label, v * m + label[cols]]),
+            np.concatenate([np.ones(n), -vals]))
+        cut = np.searchsorted(key, np.arange(n + 1) * m).tolist()
+        var, val = (key % m).tolist(), val.tolist()
+        rows += [LinearConstraint(dict(zip(var[a:b], val[a:b])), 0.0)
+                 for a, b in zip(cut, cut[1:]) if a < b]
+    return label, rows
 
 
 def _check_group(problem: SdpProblem):
@@ -630,34 +599,6 @@ def _check_group(problem: SdpProblem):
             raise SymmetryError("the symbol maps generate more than "
                                 f"{2 * (d - 1)} images of the symbols")
         new = np.array(sorted(fresh)).reshape(-1, d).T
-
-
-def _fixed_rows(problem: SdpProblem, label: np.ndarray, forms: _Forms) -> list:
-    """The rows y = S y over the merged variables y = z[label], for every
-    symbol map of ``problem.symmetries`` that is no permutation (see the
-    module notes); ``forms`` is the problem's ``_Forms``."""
-    maps = [p for p in problem.symmetries if not _is_permutation(p)]
-    if not maps:
-        return []
-    _check_group(problem)
-    n, m = problem.num_vars, int(label.max()) + 1
-    parts = []
-    for perm in maps:
-        start, cols, vals = _variable_permutation(problem, perm, forms)
-        v = np.repeat(np.arange(n), np.diff(start))
-        key, val = _coalesce(
-            np.concatenate([np.arange(n) * m + label, v * m + label[cols]]),
-            np.concatenate([np.ones(n), -vals]))
-        parts.append((key // m + len(parts) * n, key % m, val))
-    row, var, val = (np.concatenate(x) for x in zip(*parts))
-    ids, row = np.unique(row, return_inverse=True)
-    cut = np.searchsorted(row, np.arange(len(ids) + 1))
-    one, zero = np.ones(len(ids), dtype=bool), np.zeros(len(ids))
-    keep = np.sort(np.concatenate([  # one row of each set of multiples
-        rid[np.unique(_key_rows(V, C, one[rid], zero[rid]), return_index=True)[1]]
-        for rid, V, C in _groups(row, var, val, len(ids)).values()]))
-    return [LinearConstraint(dict(zip(var[cut[r]:cut[r + 1]].tolist(),
-                                      val[cut[r]:cut[r + 1]].tolist())), 0.0) for r in keep]
 
 
 def _least_labels(nbr: np.ndarray) -> np.ndarray:
@@ -874,13 +815,10 @@ class Lift:
         """The block over z: coefficients E'_j = sum_k B[k, j] E_k, summed
         per entry, and constant C + E(y0)."""
         (rows, cols, vals), n, nv = self.B, blk.size, len(self.y0)
-        start = np.searchsorted(rows, np.arange(nv + 1))
-        cnt = (start[1:] - start[:-1])[blk.vids]
-        term = np.repeat(np.arange(len(blk.vids)), cnt)
-        at = np.arange(len(term)) + np.repeat(start[blk.vids] - np.cumsum(cnt) + cnt, cnt)
         pos = blk.rows * n + blk.cols
-        key, inv = np.unique(pos[term] * nv + cols[at], return_inverse=True)
-        coef = np.bincount(inv, blk.vals[term] * vals[at], len(key))
+        p, z, c = _expand((np.searchsorted(rows, np.arange(nv + 1)), cols, vals),
+                          pos, blk.vids, blk.vals)
+        key, coef = _coalesce(p * nv + z, c)
         const = blk.const + np.bincount(pos, blk.vals * self.y0[blk.vids],
                                         n * n).reshape(n, n)
         return BlockData(n, const, key % nv, key // nv // n, key // nv % n,
@@ -927,8 +865,7 @@ def _build_cone_program(
     the orbits and the last free coordinate.
     """
     n = problem.num_vars
-    forms = _Forms(problem) if problem.symmetries else None
-    label = _orbit_labels(problem, forms)
+    label, fixed = _fixed_subspace(problem)
     lab = label.tolist()
     m = int(label.max()) + 1
     sign = 1.0 if problem.sense == "max" else -1.0
@@ -943,19 +880,26 @@ def _build_cone_program(
         covered[vids] = True
         blocks.append(BlockData(blk.size, np.zeros((blk.size, blk.size)),
                                 label[vids], rows, cols, vals))
-    orbit = {}  # merged inequality -> the distinct rows it stands for
+    # One 1x1 block per class of merged inequalities; its multiplicity counts
+    # the classes of the rows in it.
+    live = []
     for con in problem.ge_constraints:
         covered[list(con.terms)] = True
         merged = LinearConstraint(_merged(con.terms, lab), con.rhs, Relation.GE)
         if merged.terms or con.rhs > 0:  # else 0 >= rhs
-            orbit.setdefault(merged.key(), (merged, set()))[1].add(con.key())
-    for merged, rows in orbit.values():
+            live.append((con, merged))
+    nge = len(live)
+    orbit = row_classes([merged for _, merged in live])
+    pairs, _ = _coalesce(orbit * nge + row_classes([con for con, _ in live]), np.ones(nge))
+    count = np.bincount(pairs // nge, minlength=nge)
+    for i in np.flatnonzero(orbit == np.arange(nge)).tolist():
+        merged = live[i][1]
         items = sorted(merged.terms.items())
         z = np.zeros(len(items), dtype=np.int64)
         blocks.append(BlockData(1, np.array([[-merged.rhs]]),
                                 np.array([v for v, _ in items], dtype=np.int64), z, z,
                                 np.array([cf for _, cf in items], dtype=float),
-                                np.array([len(rows)], float) if len(rows) > 1 else None))
+                                np.array([count[i]], float) if count[i] > 1 else None))
 
     referenced = np.zeros(n, dtype=bool)
     referenced[list(problem.objective)] = True
@@ -982,13 +926,9 @@ def _build_cone_program(
         blocks = [blk if blk.size < 2 else _split_block(blk, nv) or blk
                   for blk in blocks]
 
-    eqs, seen = [], set()
-    for con in problem.eq_constraints:
-        merged = LinearConstraint(_merged(con.terms, lab), con.rhs)
-        if (merged.terms or merged.rhs) and merged.key() not in seen:
-            seen.add(merged.key())
-            eqs.append(merged)
-    eqs += _fixed_rows(problem, label, forms)
+    eqs = [LinearConstraint(_merged(con.terms, lab), con.rhs)
+           for con in problem.eq_constraints]
+    eqs = distinct([e for e in eqs if e.terms or e.rhs] + fixed)
     prog, lift = _lifted_program(objective, blocks, eqs, label)
     return prog, sign, lift
 

@@ -69,27 +69,72 @@ class Realization:
                     )
 
     def to_json(self) -> str:
-        def cplx(arr):
-            a = np.asarray(arr, dtype=complex)
-            return np.stack([a.real, a.imag], axis=-1).tolist()
-
         return json.dumps(
-            {"d": self.d, "psi": cplx(self.psi),
-             "E": cplx(self.E), "F": cplx(self.F)},
+            {"d": self.d, "psi": _to_pairs(self.psi),
+             "E": _to_pairs(self.E), "F": _to_pairs(self.F)},
             sort_keys=True,
         )
 
     @staticmethod
     def from_json(text: str) -> "Realization":
+        obj = _json_object(text, ("d", "psi", "E", "F"))
+        d = obj["d"]
+        return Realization(d, _from_pairs(obj, "psi", (d * d,)),
+                           _from_pairs(obj, "E", (None, None, d, d)),
+                           _from_pairs(obj, "F", (None, None, d, d)))
+
+
+# The JSON codec of realizations and projector families: an object with the
+# local dimension "d" and complex arrays written as [re, im] pairs.
+
+def _to_pairs(arr) -> list:
+    a = np.asarray(arr, dtype=complex)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
+
+
+def _from_pairs(obj: dict, key: str, shape: tuple) -> np.ndarray:
+    """The complex array ``obj[key]`` of [re, im] pairs; ValidationError
+    unless its shape is ``shape`` (None matches any extent)."""
+    try:
+        a = np.array(obj[key], dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f'"{key}" must be a numeric array') from None
+    if a.ndim != len(shape) + 1 or a.shape[-1] != 2 or any(
+            x is not None and x != y for x, y in zip(shape, a.shape)):
+        want = ", ".join("*" if x is None else str(x) for x in shape)
+        raise ValidationError(f'"{key}" must have shape ({want}) of [re, im] pairs, '
+                              f"got {a.shape}")
+    return a[..., 0] + 1j * a[..., 1]
+
+
+def _json_object(text: str, keys: tuple) -> dict:
+    """The JSON object ``text``, with every key of ``keys`` and a positive
+    integer "d"; ValidationError otherwise."""
+    try:
         obj = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ValidationError(f"invalid JSON: {e}") from None
+    if not isinstance(obj, dict):
+        raise ValidationError("expected a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise ValidationError(f'JSON misses key "{key}"')
+    d = obj["d"]
+    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+        raise ValidationError('"d" must be a positive integer')
+    return obj
 
-        def decplx(x):
-            a = np.array(x, dtype=float)
-            return a[..., 0] + 1j * a[..., 1]
 
-        return Realization(
-            int(obj["d"]), decplx(obj["psi"]), decplx(obj["E"]), decplx(obj["F"])
-        )
+def family_to_json(fam: np.ndarray, d: int) -> str:
+    """JSON of a projector family (nS, nA, d, d), the format of ``sync``."""
+    return json.dumps({"d": d, "X": _to_pairs(fam)}, sort_keys=True)
+
+
+def family_from_json(text: str) -> tuple:
+    """(family, d) from the JSON of ``family_to_json``."""
+    obj = _json_object(text, ("d", "X"))
+    d = obj["d"]
+    return _from_pairs(obj, "X", (None, None, d, d)), d
 
 
 def realize(real: Realization) -> Correlation:

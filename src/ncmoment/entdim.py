@@ -106,6 +106,8 @@ class Correlation:
                 f"table shape {t.shape} does not match scenario "
                 f"({sc.nA},{sc.nB},{sc.nS},{sc.nT})"
             )
+        if not np.isfinite(t).all():
+            raise CorrelationError("the table holds a value that is not finite")
         if t.min() < -1e-12:
             idx = np.unravel_index(t.argmin(), t.shape)
             raise CorrelationError(
@@ -148,11 +150,19 @@ class Correlation:
             obj = json.loads(text)
         except json.JSONDecodeError as e:
             raise CorrelationError(f"invalid JSON: {e}") from None
+        if not isinstance(obj, dict):
+            raise CorrelationError("correlation JSON must be an object")
         for key in ("A", "B", "S", "T", "P"):
             if key not in obj:
                 raise CorrelationError(f'correlation JSON misses key "{key}"')
-        sc = Scenario(obj["A"], obj["B"], obj["S"], obj["T"])
-        return Correlation(sc, np.array(obj["P"], dtype=float))
+        counts = [obj[key] for key in "ABST"]
+        if not all(isinstance(c, int) and not isinstance(c, bool) for c in counts):
+            raise CorrelationError('"A", "B", "S" and "T" must be integers')
+        try:
+            table = np.array(obj["P"], dtype=float)
+        except (TypeError, ValueError):
+            raise CorrelationError('"P" must be a numeric array') from None
+        return Correlation(Scenario(*counts), table)
 
 
 # Highest level of the hierarchy that build_xi_problem accepts.  The state

@@ -4,7 +4,7 @@ automorphism generators."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 MAX_CLIQUES = 1_000_000
@@ -40,15 +40,6 @@ class Graph:
 
     def has_edge(self, i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) in self.edges
-
-    def neighbors(self, i: int) -> set:
-        out = set()
-        for a, b in self.edges:
-            if a == i:
-                out.add(b)
-            elif b == i:
-                out.add(a)
-        return out
 
     def adjacency(self):
         adj = [set() for _ in range(self.n)]
@@ -137,38 +128,11 @@ def star_product(k: int, g: Graph) -> Graph:
 @dataclass
 class CliqueList:
     cliques: list  # list of frozensets
-    policy: str  # "maximal" or "all<=cap"
 
 
-def maximal_cliques(g: Graph, cap: int = MAX_CLIQUES) -> CliqueList:
-    """All maximal cliques via recursive pivoting enumeration."""
-    adj = g.adjacency()
-    out = []
-
-    def extend(clique, candidates, excluded):
-        if not candidates and not excluded:
-            out.append(frozenset(clique))
-            if len(out) > cap:
-                raise CliqueCapError(f"more than {cap} maximal cliques")
-            return
-        pivot = max(candidates | excluded, key=lambda u: len(adj[u] & candidates))
-        for v in sorted(candidates - adj[pivot]):
-            extend(clique + [v], candidates & adj[v], excluded & adj[v])
-            candidates = candidates - {v}
-            excluded = excluded | {v}
-
-    extend([], set(range(g.n)), set())
-    out.sort(key=lambda c: (len(c), sorted(c)))
-    return CliqueList(out, "maximal")
-
-
-def all_cliques(g: Graph, size_cap: Optional[int] = None,
-                count_cap: int = MAX_CLIQUES) -> CliqueList:
-    """Every clique of size between 1 and size_cap, singletons included."""
-    if size_cap is None:
-        size_cap = g.n
-    if size_cap < 1:
-        raise ValueError("size_cap must be at least 1")
+def all_cliques(g: Graph, count_cap: int = MAX_CLIQUES) -> CliqueList:
+    """Every clique, singletons included, sorted by size; CliqueCapError
+    past ``count_cap`` cliques."""
     adj = g.adjacency()
     out = []
 
@@ -178,12 +142,11 @@ def all_cliques(g: Graph, size_cap: Optional[int] = None,
             out.append(frozenset(c2))
             if len(out) > count_cap:
                 raise CliqueCapError(f"more than {count_cap} cliques")
-            if len(c2) < size_cap:
-                extend(c2, {u for u in candidates if u > v} & adj[v])
+            extend(c2, {u for u in candidates if u > v} & adj[v])
 
     extend([], set(range(g.n)))
     out.sort(key=lambda c: (len(c), sorted(c)))
-    return CliqueList(out, f"all<={size_cap}")
+    return CliqueList(out)
 
 
 def _refine(adj: list, colours: list) -> tuple:
@@ -314,13 +277,16 @@ def from_json(text: str) -> Graph:
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise GraphFormatError('graph JSON needs keys "n" and "edges"')
     n = obj["n"]
-    if not isinstance(n, int) or n < 0:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise GraphFormatError('"n" must be a nonnegative integer')
+    if not isinstance(obj["edges"], list):
+        raise GraphFormatError('"edges" must be a list of pairs [i, j]')
     seen = set()
     edges = []
     for pos, e in enumerate(obj["edges"]):
-        if not (isinstance(e, list) and len(e) == 2):
-            raise GraphFormatError(f"edge #{pos}: expected a pair [i, j]")
+        if not (isinstance(e, list) and len(e) == 2 and all(
+                isinstance(v, int) and not isinstance(v, bool) for v in e)):
+            raise GraphFormatError(f"edge #{pos}: expected a pair [i, j] of integers")
         i, j = e
         if i == j:
             raise GraphFormatError(f"edge #{pos}: loop at vertex {i}")

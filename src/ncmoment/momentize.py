@@ -14,6 +14,7 @@ from __future__ import annotations
 import gc
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -26,6 +27,7 @@ from .ncwords import (
     RewriteSystem,
     Symbol,
     Word,
+    _combine,
     canonical_reduced,
     enumerate_basis,
     involution,
@@ -113,26 +115,87 @@ class LinearConstraint:
     rhs: float
     relation: Relation = Relation.EQ
 
-    def key(self):
-        """Equal for rows that cut out the same set: terms sorted by
-        variable, and the row divided by its first nonzero coefficient (an
-        inequality by its absolute value)."""
-        items = sorted(self.terms.items())
-        d = next((c for _, c in items if c), 1.0)
-        if self.relation != Relation.EQ:
-            d = abs(d)
-        return (self.relation, tuple((v, round(c / d, 12)) for v, c in items),
-                round(self.rhs / d, 12))
+    def key(self) -> bytes:
+        """Equal exactly for rows in one class of the row rule (see
+        ``_key_rows``), i.e. rows that cut out the same set."""
+        _, var, coef, eq, rhs = _term_arrays([self])
+        return _key_rows(var[None], coef[None], eq, rhs)[0].tobytes()
 
 
-def _combine(terms: dict, vid: Optional[int], coeff: float):
-    if vid is None or coeff == 0:
-        return
-    c = terms.get(vid, 0.0) + coeff
-    if c == 0:
-        terms.pop(vid, None)
-    else:
-        terms[vid] = c
+def _key_rows(V: np.ndarray, C: np.ndarray, eq: np.ndarray,
+              rhs: np.ndarray) -> np.ndarray:
+    """The row rule: one byte key per constraint of equal term count, equal
+    exactly for rows that cut out the same set.  A key holds the terms
+    sorted by variable and the row divided by its first nonzero coefficient
+    (an inequality by its absolute value), rounded to 12 decimals.
+
+    V and C hold the variables and coefficients, one row per constraint;
+    ``eq`` marks the equalities.  Every comparison of constraints, here and
+    in :mod:`ncmoment.conic`, goes through this rule.
+    """
+    m, k = V.shape
+    idx = np.arange(m)[:, None], np.argsort(V, axis=1)
+    C = C[idx]
+    lead = np.concatenate([C, np.ones((m, 1))], axis=1)  # a row of zeros is divided by 1
+    d = lead[np.arange(m), (lead != 0).argmax(axis=1)]
+    d = np.where(eq, d, np.abs(d))
+    rows = np.empty((m, 2 + 2 * k))
+    rows[:, 0], rows[:, 1], rows[:, 2:2 + k] = eq, np.round(rhs / d, 12), V[idx]
+    rows[:, 2 + k:] = np.round(C / d[:, None], 12)
+    rows += 0.0  # no -0.0
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
+def _term_arrays(constraints: Sequence[LinearConstraint]) -> tuple:
+    """(cid, var, coef, eq, rhs): every term of the constraints as
+    (constraint id, variable, coefficient), in order, and per constraint
+    whether it is an equality and its right-hand side."""
+    size = np.fromiter((len(c.terms) for c in constraints), np.int64, len(constraints))
+    total = int(size.sum())
+    cid = np.repeat(np.arange(len(constraints)), size)
+    var = np.fromiter(chain.from_iterable(c.terms for c in constraints), np.int64, total)
+    coef = np.fromiter(chain.from_iterable(c.terms.values() for c in constraints),
+                       float, total)
+    eq = np.fromiter((c.relation == Relation.EQ for c in constraints), bool,
+                     len(constraints))
+    rhs = np.fromiter((c.rhs for c in constraints), float, len(constraints))
+    return cid, var, coef, eq, rhs
+
+
+def _groups(cid, var, coef, ncon: int) -> dict:
+    """{term count: (constraint ids, variables, coefficients)}, one row per
+    constraint, of the forms whose terms are (constraint id, variable,
+    coefficient) sorted by constraint id."""
+    cnt = np.bincount(cid, minlength=ncon)
+    o = np.argsort(cnt[cid], kind="stable")
+    var, coef = var[o], coef[o]
+    out, at = {}, 0
+    for size in np.flatnonzero(np.bincount(cnt)).tolist():
+        ids = np.flatnonzero(cnt == size)
+        k = len(ids) * size
+        shape = (len(ids), size)
+        out[size] = (ids, var[at:at + k].reshape(shape), coef[at:at + k].reshape(shape))
+        at += k
+    return out
+
+
+def row_classes(constraints: Sequence[LinearConstraint]) -> np.ndarray:
+    """For every constraint, the index of the first constraint in its class
+    of the row rule (``_key_rows``)."""
+    cid, var, coef, eq, rhs = _term_arrays(constraints)
+    first = np.arange(len(constraints))
+    for ids, V, C in _groups(cid, var, coef, len(constraints)).values():
+        _, lead, inv = np.unique(_key_rows(V, C, eq[ids], rhs[ids]),
+                                 return_index=True, return_inverse=True)
+        first[ids] = ids[lead][inv.reshape(-1)]
+    return first
+
+
+def distinct(constraints: Sequence[LinearConstraint]) -> list:
+    """The first constraint of every class of rows that cut out the same
+    set (``_key_rows``), in their order."""
+    first = row_classes(constraints)
+    return [constraints[i] for i in np.flatnonzero(first == np.arange(len(first)))]
 
 
 @dataclass
@@ -251,13 +314,12 @@ def ideal_constraints(
     """Equality constraints L(p*h) = 0 over all reduced multipliers p.
 
     Right multipliers are implied by traciality, so one-sided products
-    suffice.  Duplicates (after canonicalization of the full linear form)
-    are removed.  Words are reduced with the index's rewrite system.
+    suffice.  Rows that cut out the same set are kept once (``distinct``).
+    Words are reduced with the index's rewrite system.
     """
     rw = index.rw
     gens = [g.reduced(rw) for g in generators]
     out = []
-    seen = set()
     for h in gens:
         if h.is_zero():
             continue
@@ -266,14 +328,9 @@ def ideal_constraints(
             continue
         for p in enumerate_basis(symbols, budget, rw):
             terms = index.form((p + w, c) for w, c in h.terms.items())
-            if not terms:
-                continue
-            con = LinearConstraint(terms, 0.0, Relation.EQ)
-            k = con.key()
-            if k not in seen:
-                seen.add(k)
-                out.append(con)
-    return out
+            if terms:
+                out.append(LinearConstraint(terms, 0.0, Relation.EQ))
+    return distinct(out)
 
 
 def state_commutator_constraints(
@@ -284,10 +341,10 @@ def state_commutator_constraints(
 ) -> list:
     """Equalities L(p z u z v z) = L(p z v z u z) for all word triples in budget.
 
-    Pairs whose two sides canonicalize identically are skipped and the list is
-    duplicate-free.  The multiplier p ranges over words reduced with the
-    index's rewrite system, so that the full truncated ideal of the
-    block-swap relations is covered.
+    Pairs whose two sides canonicalize identically are skipped, and rows that
+    cut out the same set are kept once (``distinct``).  The multiplier p
+    ranges over words reduced with the index's rewrite system, so that the
+    full truncated ideal of the block-swap relations is covered.
     """
     budget = 2 * r - 3
     if budget < 0:
@@ -297,7 +354,6 @@ def state_commutator_constraints(
     for w in words:
         by_deg.setdefault(len(w), []).append(w)
     out = []
-    seen = set()
     max_deg = max(by_deg)
     for du in range(0, max_deg + 1):
         for dv in range(du, max_deg + 1 - du):
@@ -314,14 +370,9 @@ def state_commutator_constraints(
                             terms: dict = {}
                             _combine(terms, lhs, 1.0)
                             _combine(terms, rhs, -1.0)
-                            if not terms:
-                                continue
-                            con = LinearConstraint(terms, 0.0, Relation.EQ)
-                            k = con.key()
-                            if k not in seen:
-                                seen.add(k)
-                                out.append(con)
-    return out
+                            if terms:
+                                out.append(LinearConstraint(terms, 0.0, Relation.EQ))
+    return distinct(out)
 
 
 @dataclass
@@ -420,9 +471,10 @@ def assemble(
     """Compile symbolic blocks and constraints into a solver-ready problem.
 
     Identically-zero rows/columns (index words reduced to zero) are dropped,
-    duplicate constraints removed, and per-variable sparse coefficient arrays
-    built for every block.  ``symmetries`` are stored as given; the solver
-    checks them.
+    constraints without terms dropped and the rest kept once per class of
+    rows that cut out the same set (``distinct``), and per-variable sparse
+    coefficient arrays built for every block.  ``symmetries`` are stored as
+    given; the solver checks them.
     """
     if not blocks:
         raise ValueError("an SDP needs at least one PSD block")
@@ -458,18 +510,13 @@ def assemble(
             )
         )
 
-    dedup, seen = [], set()
-    for con in constraints:
-        if not con.terms:
-            continue
+    live = [con for con in constraints if con.terms]
+    for con in live:
         for vid in con.terms:
             if not (0 <= vid < nv):
                 raise ValueError(f"constraint references unindexed variable {vid}")
             used[vid] = True
-        k = con.key()
-        if k not in seen:
-            seen.add(k)
-            dedup.append(con)
+    dedup = distinct(live)
 
     meta = dict(metadata or {})
     meta.setdefault("block_sizes", [b.size for b in compiled])

@@ -321,6 +321,18 @@ def enumerate_basis(
     return out
 
 
+def _combine(terms: dict, key, coeff: float):
+    """terms[key] += coeff, dropping a sum that is zero; a key of None (a
+    word or class that is zero) or a zero coefficient adds nothing."""
+    if key is None or coeff == 0:
+        return
+    c = terms.get(key, 0.0) + coeff
+    if c == 0:
+        terms.pop(key, None)
+    else:
+        terms[key] = c
+
+
 @dataclass(frozen=True)
 class NcPolynomial:
     """Formal real linear combination of words; zero coefficients are dropped."""
@@ -349,11 +361,7 @@ class NcPolynomial:
     def __add__(self, other: "NcPolynomial") -> "NcPolynomial":
         terms = dict(self.terms)
         for w, c in other.terms.items():
-            c2 = terms.get(w, 0.0) + c
-            if c2 == 0:
-                terms.pop(w, None)
-            else:
-                terms[w] = c2
+            _combine(terms, w, c)
         return NcPolynomial(terms)
 
     def __sub__(self, other: "NcPolynomial") -> "NcPolynomial":
@@ -367,12 +375,7 @@ class NcPolynomial:
         terms = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                w = w1 + w2
-                c = terms.get(w, 0.0) + c1 * c2
-                if c == 0:
-                    terms.pop(w, None)
-                else:
-                    terms[w] = c
+                _combine(terms, w1 + w2, c1 * c2)
         return NcPolynomial(terms)
 
     __rmul__ = __mul__
@@ -383,14 +386,7 @@ class NcPolynomial:
     def reduced(self, rw: RewriteSystem) -> "NcPolynomial":
         terms = {}
         for w, c in self.terms.items():
-            r = reduce_word(w, rw)
-            if r is None:
-                continue
-            c2 = terms.get(r, 0.0) + c
-            if c2 == 0:
-                terms.pop(r, None)
-            else:
-                terms[r] = c2
+            _combine(terms, reduce_word(w, rw), c)
         return NcPolynomial(terms)
 
     def is_symmetric(self, rw: RewriteSystem = EMPTY_REWRITES) -> bool:

@@ -243,9 +243,7 @@ def test_sync_gram_and_realize(tmp_path):
     real = corrlab.Realization.from_json(open(real_out).read())
     real.validate()
     # gram of the corresponding synchronous correlation
-    from ncmoment.cli import _family_from_json
-
-    famarr, d = _family_from_json(open(fam).read())
+    famarr, d = corrlab.family_from_json(open(fam).read())
     P = corrlab.synchronous_from_projectors(famarr, d)
     corr = str(tmp_path / "sync_corr.json")
     with open(corr, "w") as fh:
@@ -285,3 +283,24 @@ def test_corr_bound_loads_neither_numpy_random_nor_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command,text", [
+    (["corr-bound"], "5"),
+    (["corr-bound"], '{"A": "2", "B": 2, "S": 2, "T": 2, "P": []}'),
+    (["sync", "--realize"], '{"d": 2}'),
+    (["sync", "--realize"], '{"d": 2, "X": [[1]]}'),
+    (["graph-bound", "--param", "theta"], '{"n": 3, "edges": [["a", 1]]}'),
+    (["graph-bound", "--param", "theta"], '{"n": 3, "edges": 5}'),
+    (["corr-bound"], '{"A": 1, "B": 1, "S": 1, "T": 1, "P": [[[[NaN]]]]}'),
+], ids=["corr-not-object", "corr-count-not-int", "sync-no-family",
+        "sync-family-shape", "graph-vertex-not-int", "graph-edges-not-list",
+        "corr-not-finite"])
+def test_malformed_json_is_one_error_line(command, text, tmp_path, capsys):
+    # The reader rejects the input with its own format error: one
+    # "error: ..." line and exit code 1, no traceback.
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(command + ["--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

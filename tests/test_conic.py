@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ncmoment import _ipm, conic, graphs, qgraph, witness
+from ncmoment import _ipm, conic, corrlab, entdim, graphs, qgraph, witness
 from ncmoment.conic import SolveStatus, SymmetryError
 from ncmoment.momentize import (
     LinearConstraint,
@@ -374,7 +374,7 @@ def test_orbit_merging_keeps_the_solution(name, build, n, r):
     assert full.num_orbits == prob.num_vars
     assert merged.num_orbits < prob.num_vars
     # the lifted moment vector is full width and constant on every orbit
-    label = conic._orbit_labels(prob)
+    label, _ = conic._fixed_subspace(prob)
     assert merged.y.shape == (prob.num_vars,)
     assert label.max() + 1 == merged.num_orbits
     for o in range(merged.num_orbits):
@@ -413,7 +413,7 @@ def test_merged_searches_keep_the_unmerged_iterations(name, monkeypatch):
     merged = SEARCHES[name]()
     merged_counts = counts[:]
     counts.clear()
-    monkeypatch.setattr(conic, "_orbit_labels", lambda p, forms=None: np.arange(p.num_vars))
+    monkeypatch.setattr(conic, "_fixed_subspace", lambda p: (np.arange(p.num_vars), []))
     full = SEARCHES[name]()
     assert abs(merged.value - full.value) <= 1e-9
     assert merged_counts == counts
@@ -421,8 +421,8 @@ def test_merged_searches_keep_the_unmerged_iterations(name, monkeypatch):
 
 def test_orbit_counts_and_reduced_data():
     # D9 on the level-2 stability program of C9: 328 variables, 29 orbits
-    assert conic._orbit_labels(
-        qgraph.build_stab_problem(graphs.cycle(9), 2)).max() + 1 == 29
+    assert conic._fixed_subspace(
+        qgraph.build_stab_problem(graphs.cycle(9), 2))[0].max() + 1 == 29
     # theta-plus on C7: the 14 pair inequalities merge into one per orbit
     # of non-adjacent pairs (distance 2 and distance 3)
     prob = qgraph.build_col_problem(graphs.cycle(7), 2, S.THETA_PLUS)
@@ -434,6 +434,44 @@ def test_orbit_counts_and_reduced_data():
     o = lift.label[prob.index.var_of((vertex(0),))]
     assert len(lift.eqs) == 1 and lift.y0[o] == 1.0 and o not in lift.B[0]
     assert prog.nvars == 12
+
+
+def _dense(blk, nvars):
+    """Constant and coefficient matrices E_k of a BlockData, (nvars, n, n)."""
+    E = np.zeros((nvars, blk.size, blk.size))
+    np.add.at(E, (blk.vids, blk.rows, blk.cols), blk.vals)
+    return blk.const, E
+
+
+@pytest.mark.parametrize("build", [
+    lambda: entdim.build_xi_problem(corrlab.realize(corrlab.tsirelson_chsh()), 2),
+    lambda: qgraph.build_col_problem(graphs.cycle(7), 2, S.THETA_PLUS),
+], ids=["tsirelson r2", "theta-plus C7 r2"])
+def test_lift_block_matches_a_dense_reference(build, monkeypatch):
+    # Every block over the free coordinates z is the constant C + E(y0) and
+    # the coefficients sum_k B[k, j] E_k of the block it lifts.
+    prob = build()
+    assert prob.symmetries
+    seen, block = [], conic.Lift.block
+
+    def recording(lift, blk):
+        out = block(lift, blk)
+        seen.append((lift, blk, out))
+        return out
+
+    monkeypatch.setattr(conic.Lift, "block", recording)
+    prog, _, lift = conic._build_cone_program(prob)
+    assert len(seen) == len(prog.blocks)
+    (rows, cols, vals), nv = lift.B, len(lift.y0)
+    B = np.zeros((nv, prog.nvars))
+    np.add.at(B, (rows, cols), vals)
+    for _, blk, out in seen:
+        C, E = _dense(blk, nv)
+        C2, E2 = _dense(out, prog.nvars)
+        scale = 1.0 + np.abs(E).max()
+        assert np.abs(C2 - (C + np.einsum("k,kij->ij", lift.y0, E))).max() <= 1e-12 * scale
+        assert np.abs(E2 - np.einsum("kj,kab->jab", B, E)).max() <= 1e-12 * scale
+        assert np.array_equal(out.mult, blk.mult) or out.mult is blk.mult is None
 
 
 def test_non_automorphism_raises():
@@ -462,14 +500,14 @@ def test_constraint_keys_map_through_sigma():
             LinearConstraint({1: 1.0, 2: 2.0}, 1.0, Relation.GE),
             LinearConstraint({}, 0.0, Relation.EQ)]
     keys = conic._ConstraintKeys(cons)
-    swap = np.array([1, 0, 2])
+    swap = (np.arange(4), np.array([1, 0, 2]), np.ones(3))
     # x1 - x0 = 0 is the first equality up to sign; the inequalities trade
     assert keys.outside(swap) is None
     # an inequality is not matched up to sign
     flipped = conic._ConstraintKeys(
         cons[:1] + [LinearConstraint({0: -1.0, 2: -2.0}, -1.0, Relation.GE)] + cons[2:])
     assert flipped.outside(swap).terms == {0: -1.0, 2: -2.0}
-    assert flipped.outside(np.arange(3)) is None
+    assert flipped.outside((np.arange(4), np.arange(3), np.ones(3))) is None
 
 
 def test_symmetry_changing_the_objective_raises():
@@ -630,7 +668,7 @@ def test_programs_without_symmetry_keep_their_cone_data(monkeypatch):
     assert [blk.size for blk in prog.blocks[:len(prob.blocks)]] == [
         blk.size for blk in prob.blocks]
     assert all(blk.mult is None for blk in prog.blocks)
-    assert all(g.weight is None and g.wvals is g.vals for g in prog.groups)
+    assert all((g.weight == 1.0).all() for g in prog.groups)
 
 
 def test_lift_does_not_depend_on_row_order_or_scale():
@@ -669,7 +707,7 @@ def test_scaled_equalities_keep_the_symmetry_check():
     assert abs(sol.objective - 2.5) <= 1e-6
     # inequalities match up to a positive scale only
     keys = conic._ConstraintKeys([LinearConstraint({0: 2.0, 1: 4.0}, 2.0, Relation.GE)])
-    assert keys.outside(np.array([0, 1])) is None
+    assert keys.outside((np.arange(3), np.array([0, 1]), np.ones(2))) is None
     assert LinearConstraint({0: 1.0, 1: 2.0}, 1.0, Relation.GE).key() == \
         LinearConstraint({0: 2.0, 1: 4.0}, 2.0, Relation.GE).key()
     assert LinearConstraint({0: -1.0, 1: -2.0}, -1.0, Relation.GE).key() != \

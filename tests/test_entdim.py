@@ -50,6 +50,14 @@ def test_correlation_validation_negative():
         Correlation(CHSH, t)
 
 
+def test_correlation_validation_not_finite():
+    # a NaN fails every comparison, so the sign and sum checks alone pass it
+    t = np.full((2, 2, 2, 2), 0.25)
+    t[0, 0, 0, 0] = np.nan
+    with pytest.raises(CorrelationError, match="not finite"):
+        Correlation(CHSH, t)
+
+
 def test_correlation_validation_normalization():
     t = np.full((2, 2, 2, 2), 0.3)
     with pytest.raises(CorrelationError, match="sum"):

@@ -19,7 +19,6 @@ from ncmoment.graphs import (
     from_dimacs,
     from_json,
     greedy_stable_set,
-    maximal_cliques,
     path,
     star_product,
     to_json,
@@ -74,7 +73,7 @@ def test_cartesian_k2_k2_is_c4():
     prod = cartesian_product(complete(2), 2)
     c4 = cycle(4)
     assert prod.num_edges == 4
-    degs = sorted(len(prod.neighbors(v)) for v in range(4))
+    degs = sorted(len(nb) for nb in prod.adjacency())
     assert degs == [2, 2, 2, 2]
 
 
@@ -126,21 +125,9 @@ def test_complement_c5_self():
     assert comp.edges == frozenset(mapped)
 
 
-def test_maximal_cliques_c5():
-    cl = maximal_cliques(cycle(5))
-    assert cl.policy == "maximal"
-    assert sorted(sorted(c) for c in cl.cliques) == sorted(
-        sorted(e) for e in cycle(5).edges)
-
-
 def test_all_cliques_k4_count():
     cl = all_cliques(complete(4))
     assert len(cl.cliques) == 15  # 4 + 6 + 4 + 1
-
-
-def test_all_cliques_size_cap():
-    cl = all_cliques(complete(4), size_cap=2)
-    assert len(cl.cliques) == 10
 
 
 def test_clique_count_cap():

@@ -14,9 +14,11 @@ from ncmoment.momentize import (
     SymbolicBlock,
     VariableIndex,
     assemble,
+    distinct,
     ideal_constraints,
     localizing_block,
     moment_block,
+    row_classes,
     state_commutator_constraints,
 )
 from ncmoment.ncwords import (
@@ -382,3 +384,51 @@ def test_moment_block_registers_every_class(g, r, commutative):
     index = VariableIndex(2 * r, rw, mode)
     moment_block(enumerate_basis(syms, r, rw), index)
     assert index.words == _classes_up_to(syms, 2 * r, rw, mode)
+
+
+@st.composite
+def _rows(draw):
+    """A row over variables 0..19 with small nonzero integer coefficients."""
+    vids = draw(st.lists(st.integers(0, 19), min_size=1, max_size=6, unique=True))
+    coefs = draw(st.lists(st.integers(-9, 9).filter(bool), min_size=len(vids),
+                          max_size=len(vids)))
+    relation = draw(st.sampled_from([Relation.EQ, Relation.GE]))
+    return LinearConstraint(dict(zip(vids, map(float, coefs))),
+                            float(draw(st.integers(-9, 9))), relation)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_rows(), st.floats(0.01, 100.0), st.booleans(), st.randoms(use_true_random=False))
+def test_row_rule_keeps_rescaled_reordered_rows_in_one_class(row, factor, flip, rnd):
+    # An equality keeps its class under any nonzero factor, an inequality
+    # under a positive one; the term order never matters.
+    if flip and row.relation == Relation.EQ:
+        factor = -factor
+    items = list(row.terms.items())
+    rnd.shuffle(items)
+    moved = LinearConstraint({v: factor * c for v, c in items}, factor * row.rhs,
+                             row.relation)
+    assert moved.key() == row.key()
+    assert distinct([row, moved]) == [row]
+    # an inequality and its negation cut out different sets
+    if row.relation == Relation.GE:
+        negated = LinearConstraint({v: -c for v, c in items}, -row.rhs, Relation.GE)
+        assert negated.key() != row.key()
+        assert distinct([row, negated]) == [row, negated]
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.lists(_rows(), min_size=1, max_size=8), st.lists(st.integers(0, 7), max_size=8))
+def test_row_key_agrees_with_the_deduplication(rows, copies):
+    # Scaled copies of some rows, put after them: two rows share a key
+    # exactly when the deduplication puts them in one class.
+    rows = rows + [LinearConstraint({v: 3.0 * c for v, c in rows[i].terms.items()},
+                                    3.0 * rows[i].rhs, rows[i].relation)
+                   for i in copies if i < len(rows)]
+    first = row_classes(rows)
+    keys = [row.key() for row in rows]
+    for i, j in np.ndindex(len(rows), len(rows)):
+        assert (first[i] == first[j]) == (keys[i] == keys[j])
+    kept = distinct(rows)
+    assert [row.key() for row in kept] == list(dict.fromkeys(keys))
+    assert all(row is rows[k] for row, k in zip(kept, sorted(set(first.tolist()))))
