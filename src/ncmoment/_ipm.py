@@ -30,14 +30,17 @@ dtau solves the scalar gap equation.  Its pivot (b + A*(WCW))'q + <C, WCW>
 + kappa/tau cancels near degenerate optima, so it follows the Schur rank
 rule: below (n + 1) eps times its largest term, dtau = 0.
 
-Outcomes.  Results are reported divided by tau.  ``optimal`` once their
-relative residuals and gap are within ``TOL``.  While kappa > tau,
-``infeasible`` when X^ = X / (-<C, X>) has |A*(X^)|_inf <= ``TOL`` (a Farkas
-certificate; its margin <C, X> / tr_w X bounds max { t : C + A(y) >= t I }
-from above), and ``unbounded`` when b'y > 0 and lambda_min A(y) >=
--``TOL`` b'y (an improving ray).  Else ``numerical_limit``; ``stop`` says
-why the loop ended.  With no free variable the program is ``infeasible``
-when a constant block is indefinite.
+Outcomes.  Results are reported divided by tau.  The loop records only why
+it ended (``stop``), and the status follows from that alone.  ``converged``
+once the relative residuals and gap are within ``TOL``: ``optimal``.  While
+kappa > tau, ``farkas`` when X^ = X / (-<C, X>) has |A*(X^)|_inf <= ``TOL``
+(a Farkas certificate; its margin <C, X> / tr_w X bounds
+max { t : C + A(y) >= t I } from above): ``infeasible``; and ``ray`` when
+b'y > 0 and lambda_min A(y) >= -``TOL`` b'y (an improving ray):
+``unbounded``.  ``iteration_cap`` and ``no_step`` give ``numerical_limit``
+at the iterate of least residual, whatever its residuals; whether that is a
+bound is decided in :mod:`ncmoment.conic` alone.  With no free variable the
+program is ``infeasible`` when a constant block is indefinite.
 
 Row multiplicities.  A block may carry one multiplicity per row
 (``BlockData.mult``): it then stands for a larger block that is
@@ -93,6 +96,9 @@ import numpy as np
 MAX_ITER = 120
 # Largest relative residual and relative gap of an optimal outcome.
 TOL = 1e-8
+# The status of each stop reason; iteration_cap and no_step give
+# numerical_limit, which conic accepts or rejects by its residuals.
+_STATUS = {"converged": "optimal", "farkas": "infeasible", "ray": "unbounded"}
 
 
 @dataclass
@@ -367,7 +373,7 @@ def solve_ipm(prog: ConeProgram) -> IpmResult:
     rs, lams, _ = zip(*map(_nt_scaling, X, S))
 
     best, best_quality = None, np.inf
-    status, stop, certificate = "numerical_limit", "iteration_cap", None
+    stop, certificate = "iteration_cap", None
     schur_rank_deficient = 0
     it = 0
     for it in range(1, MAX_ITER + 1):
@@ -400,7 +406,7 @@ def solve_ipm(prog: ConeProgram) -> IpmResult:
             best_quality = quality
 
         if max(err_lmi, err_adj) <= TOL and relgap <= TOL:
-            status, stop = "optimal", "converged"
+            stop = "converged"
             break
 
         if kappa > tau:
@@ -409,14 +415,14 @@ def solve_ipm(prog: ConeProgram) -> IpmResult:
             if cx < 0 and np.abs(adj).max(initial=0.0) <= TOL * -cx:
                 trace = sum(float((np.diagonal(Xg, 0, 1, 2) * g.weight).sum())
                             for g, Xg in zip(groups, X))
-                status, stop = "infeasible", "farkas"
+                stop = "farkas"
                 certificate = {"reason": "Farkas certificate", "margin": cx / trace,
                                "residual": float(np.abs(adj).max()) / -cx}
             elif by > 0:
                 low = min(float(np.linalg.eigvalsh(g.linear(y))[:, 0].min())
                           for g in groups)
                 if low >= -TOL * by:
-                    status, stop = "unbounded", "ray"
+                    stop = "ray"
                     certificate = {"reason": "improving ray: the returned y",
                                    "residual": max(-low, 0.0) / by}
             if certificate is not None:
@@ -542,10 +548,7 @@ def solve_ipm(prog: ConeProgram) -> IpmResult:
         rs, lams, _ = zip(*scaled)
 
     res = best
-    if (status == "numerical_limit" and max(res.err_lmi, res.err_adj) <= 10 * TOL
-            and res.mu / (1.0 + abs(res.pobj)) <= 10 * TOL):
-        status = "optimal"
-    res.status, res.iterations, res.stop = status, it, stop
+    res.status, res.iterations, res.stop = _STATUS.get(stop, "numerical_limit"), it, stop
     res.schur_rank_deficient = schur_rank_deficient
     res.lmi_norm = max(float(np.abs(np.linalg.eigvalsh(g.lmi_value(res.y) - Sg)).max())
                        for g, Sg in zip(groups, res.S))

@@ -244,6 +244,8 @@ def cmd_sync(args) -> int:
         fam = corrlab.random_projector_family(nS, nA, args.dim, args.seed)
         _write(corrlab.family_to_json(fam, args.dim), args.out)
         return 0
+    if (args.gram or args.realize) and args.input is None:
+        raise ValueError("sync --gram and sync --realize need --input")
     if args.gram:
         with open(args.input) as fh:
             P = Correlation.from_json(fh.read())

@@ -4,9 +4,11 @@ Every solve runs the interior-point method in :mod:`ncmoment._ipm`; SDPA
 files are exchange I/O only.  Inequalities are implemented as 1x1 PSD blocks
 so the core solver only sees a single cone type.
 
-Acceptance.  This module alone decides which solver outcome is a bound.
-``optimal`` is accepted.  ``numerical_limit`` is accepted only when the
-largest of its lmi, adjoint, equality and gap residuals is at most
+Acceptance.  This module alone decides which solver outcome is a bound;
+the interior point reports every solve that stopped short of ``TOL``
+(``iteration_cap``, ``no_step``) as ``numerical_limit``, whatever its
+residuals.  ``optimal`` is accepted.  ``numerical_limit`` is accepted only
+when the largest of its lmi, adjoint, equality and gap residuals is at most
 ``ACCEPT_TOL``; otherwise the solve raises SolverError.  One solve gives
 every verdict: the interior point's self-dual embedding returns
 ``infeasible`` with a Farkas certificate, whose ``margin`` is an upper
@@ -31,16 +33,18 @@ image block of its size, giving a row transform T (a permutation rho when
 symbols go to symbols; localizing blocks may trade places, as loc[x] and
 loc[1 - x] do).  The moment block is its own image, and S is read off its
 one-term entries: the variable at (i, j) goes to the form of T M T' at
-(i, j).  Then one vectorized pass over all blocks checks that S applied to
-each block's form at (i, j) is the form of T E T' at (i, j), E the image
-block's forms, so every block at S y is congruent to its image at y; and S
-must map the constraint set and the objective onto themselves.  Constraints are
-compared by the row rule that :mod:`ncmoment.momentize` owns
-(``_key_rows``: rows that cut out the same set, i.e. equal up to scale, an
-inequality up to a positive one), the rule that also deduplicates every
-constraint list.  The maps must generate a finite group: images affine in
-the alphabet, every map invertible, and the images of the symbols under the
-group few (``_check_group``).
+(i, j), and the moment block's forms mapped through S must be those of
+T M T'.  Every other block's image is the first block of its size not yet
+taken, itself first, whose forms E give T E T' the block's forms mapped
+through S, compared exactly: the comparison that picks an image is the one
+that verifies it.  So every block at S y is congruent to its image at y;
+and S must map the constraint set and the objective onto themselves.
+Constraints are compared by the row rule that :mod:`ncmoment.momentize`
+owns (``_key_rows``: rows that cut out the same set, i.e. equal up to
+scale, an inequality up to a positive one), the rule that also deduplicates
+every constraint list.  The maps must generate a finite group: images
+affine in the alphabet, every map invertible, and the images of the symbols
+under the group few (``_check_group``).
 
 The solver works on the fixed subspace of that group, which one pass
 (``_fixed_subspace``) describes.  The variables of one orbit of the group
@@ -116,17 +120,16 @@ import numpy as np
 
 from ._ipm import BlockData, ConeProgram, solve_ipm
 from .momentize import (CompiledBlock, LinearConstraint, Relation, SdpProblem, _groups,
-                        _key_rows, _term_arrays, distinct, row_classes)
+                        _key_rows, _term_arrays, distinct, row_classes, row_residuals)
 from .ncwords import NcPolynomial, _combine, reduce_word
 
 DEFAULT_EPS_FEAS = 1e-6
 DEFAULT_TAU_RANK = 1e-6
 # Largest residual of a numerical_limit outcome that still counts as a bound.
 ACCEPT_TOL = 1e-5
-# Symmetry: seed of the deterministic point of the check and of the random
-# algebra elements; symmetry-adapted blocks: relative eigenvalue gap between
-# clusters, verification tolerance relative to the coefficient scale, and
-# the doubles per chunk of the verification.
+# Symmetry-adapted blocks: seed of the random algebra elements, relative
+# eigenvalue gap between clusters, verification tolerance relative to the
+# coefficient scale, and the doubles per chunk of the verification.
 SPLIT_SEED = 2010
 CLUSTER_GAP = 1e-8
 SPLIT_TOL = 1e-9
@@ -335,28 +338,25 @@ def _row_transform(words: list, target: list, images: dict, rw):
 class _Forms:
     """What the checks of one problem's symbol maps share: its constraint
     keys and objective; every block's upper-triangle entries in global rows
-    (block k's rows from ``roff[k]``, its positions from ``off[k]``), the
-    moment block's and the others' apart, and by global position; the
-    moment block's one-term entries; and the other blocks in classes of one
-    size and one list of row words, with their values at one point, one
-    stack per class."""
+    (block k's rows from ``roff[k]``, its positions from ``off[k]``) and by
+    global position; the moment block's one-term entries; and the other
+    blocks in classes of one size and one list of row words, with the
+    entries of each class."""
 
     def __init__(self, problem: SdpProblem):
         blocks, n = problem.blocks, problem.num_vars
+        self.n = n
         self.mi = mi = problem.moment_block_index()
         self.keys = _ConstraintKeys(problem.constraints)
         self.objective = np.zeros(n)
         self.objective[list(problem.objective)] = list(problem.objective.values())
-        self.point = _splitmix(n, SPLIT_SEED)
         sizes = np.array([blk.size for blk in blocks])
         self.roff = np.r_[0, np.cumsum(sizes)]
         self.off = np.r_[0, np.cumsum(sizes ** 2)]
         self.row_block = np.repeat(np.arange(len(blocks)), sizes)
         entries = [(blk.var_ids, r + blk.rows, r + blk.cols, blk.coefs)
                    for r, blk in zip(self.roff, blocks)]
-        none = [(np.zeros(0, np.int64),) * 3 + (np.zeros(0),)]
-        self.entries = [tuple(np.concatenate(x) for x in zip(*part)) for part in
-                        (entries[mi:mi + 1], entries[:mi] + entries[mi + 1:] or none)]
+        self.moment = entries[mi]
         self.upper = tuple(np.concatenate(x) for x in zip(*[
             (self.off[k] + blk.rows * blk.size + blk.cols, blk.var_ids, blk.coefs)
             for k, blk in enumerate(blocks)]))
@@ -373,21 +373,15 @@ class _Forms:
         for k, blk in enumerate(blocks):
             if k != mi:
                 classes.setdefault((blk.size, tuple(blk.row_words)), []).append(k)
-        self.classes = [(size, ks) for (size, _), ks in classes.items()]
-        self.take = [(self.off[ks][:, None] + np.arange(size * size)).reshape(-1)
-                     for size, ks in self.classes]
-        self.values = self.stacks(self.point)
+        self.classes = [(size, ks, tuple(np.concatenate(x) for x in
+                                         zip(*[entries[k] for k in ks])))
+                        for (size, _), ks in classes.items()]
 
-    def stacks(self, y: np.ndarray) -> list:
-        """The values at y of the blocks other than the moment block, one
-        (blocks, size, size) stack per class."""
-        pos, v, c = self.upper
-        flat = np.bincount(pos, c * y[v], self.off[-1])
-        out = []
-        for take, (size, ks) in zip(self.take, self.classes):
-            U = flat[take].reshape(len(ks), size, size)
-            out.append(U + np.swapaxes(np.triu(U, 1), 1, 2))
-        return out
+    def local(self, key, val, k: int) -> tuple:
+        """The terms of block k among coalesced forms keyed position * n +
+        variable, keyed by its own positions."""
+        a, b = np.searchsorted(key, self.off[k:k + 2] * self.n)
+        return key[a:b] - self.off[k] * self.n, val[a:b]
 
 
 def _congruence(T: tuple, forms: _Forms, upper: tuple):
@@ -426,15 +420,15 @@ def _variable_permutation(problem: SdpProblem, perm: dict, forms: _Forms) -> tup
     to symbols.
 
     Each block's row words are mapped, reduced and expanded over the rows
-    of its image block, giving a row transform T.  S is read off the moment
-    block, which is its own image: the variable of a one-term entry (i, j)
-    goes to the form of T M T' at (i, j); a variable with no such entry is
-    held fixed.  The image of every other block is the first block of its
-    size, itself first, whose value at a point agrees; then one vectorized
-    pass checks that every block's entry form at (i, j) mapped through S is
-    the form of T E T' at (i, j), E its image's forms.  Raises SymmetryError
-    unless every block has an image, no two the same, and S maps the
-    constraint set and the objective onto themselves.
+    of an image block of its size, giving a row transform T.  S is read off
+    the moment block, which is its own image: the variable of a one-term
+    entry (i, j) goes to the form of T M T' at (i, j); a variable with no
+    such entry is held fixed.  Every block's entry forms mapped through S
+    must be the forms of T E T', E its image's forms: the moment block's
+    those of T M T', and every other block's those of the first block of
+    its size not yet taken, itself first, for which they are.  Raises
+    SymmetryError unless every block has an image and S maps the constraint
+    set and the objective onto themselves.
     """
     n, blocks = problem.num_vars, problem.blocks
     if problem.index is None:
@@ -450,7 +444,7 @@ def _variable_permutation(problem: SdpProblem, perm: dict, forms: _Forms) -> tup
     T = transform(mi, mi)
     if T is None:
         raise SymmetryError(f"{mom.label}: row words do not map onto themselves")
-    moment = _congruence((T[0] + r0, T[1] + r0, T[2]), forms, forms.entries[0])
+    moment = _congruence((T[0] + r0, T[1] + r0, T[2]), forms, forms.moment)
     mkey, mval = _coalesce(moment[0] * n + moment[1], moment[2])
     v, at, c = forms.one
     lo, hi = np.searchsorted(mkey, at * n), np.searchsorted(mkey, (at + 1) * n)
@@ -465,51 +459,32 @@ def _variable_permutation(problem: SdpProblem, perm: dict, forms: _Forms) -> tup
     rows = np.repeat(np.arange(n), count)
     smap = (np.r_[0, np.cumsum(count)], cols, vals)
 
-    # Block images: value at S y = T (value at y) T', compared at once for
-    # the blocks of one class (one size, one list of row words).
-    W = forms.stacks(np.bincount(rows, vals * forms.point[cols], n))
-    parts, taken = [], set()
-    for (size, src), Ws in zip(forms.classes, W):
-        tol = 1e-9 * (1.0 + np.abs(Ws).max())
-        fits, mapped = [], False  # (source, image, T) whose values agree
-        for (size2, dst), V in zip(forms.classes, forms.values):
+    # Every block's forms mapped through S, against those of its image.
+    pos, var, coef = _expand(smap, *forms.upper)
+    lkey, lval = _coalesce(pos * n + var, coef)
+    if not _same(*forms.local(lkey, lval, mi), *forms.local(mkey, mval, mi)):
+        raise SymmetryError(f"{mom.label}: entry forms do not map onto themselves")
+    taken = set()
+    for size, src, _ in forms.classes:
+        image = {}  # candidate k2 -> T E T' of block k2, at its own positions
+        for size2, dst, upper in forms.classes:
             T = transform(src[0], dst[0]) if size2 == size else None
             if T is None:
                 continue
-            mapped = True
-            Tm = np.bincount(T[0] * size + T[1], T[2], size * size).reshape(size, size)
-            err = np.abs(Ws[:, None] - (Tm @ V @ Tm.T)[None]).max(axis=(2, 3))
-            fits += [(src[a], dst[b], T) for a, b in zip(*np.nonzero(err <= tol))]
+            r = np.repeat(forms.roff[dst], len(T[0]))
+            i, p, t = (np.tile(x, len(dst)) for x in T)
+            pos, var, coef = _congruence((i + r, p + r, t), forms, upper)
+            key, val = _coalesce(pos * n + var, coef)
+            image.update((k2, forms.local(key, val, k2)) for k2 in dst)
         for k in src:
-            pick = sorted((k2 != k, k2, T) for k1, k2, T in fits
-                          if k1 == k and k2 not in taken)
-            if not pick:
+            mine = forms.local(lkey, lval, k)
+            k2 = next((k2 for k2 in sorted(image, key=lambda k2: (k2 != k, k2))
+                       if k2 not in taken and _same(*mine, *image[k2])), None)
+            if k2 is None:
                 raise SymmetryError(f"{blocks[k].label}: " + (
-                    "entry forms do not map onto themselves" if mapped
+                    "entry forms do not map onto themselves" if image
                     else "row words do not map onto a block"))
-            _, k2, T = pick[0]
-            parts.append((T[0] + forms.roff[k], T[1] + forms.roff[k2], T[2]))
             taken.add(k2)
-
-    # Every block in one pass: S applied to its forms against T E T', the
-    # moment block's (keys from off[mi] * n on) put in among the others'.
-    pos, var, coef = _expand(smap, *forms.upper)
-    lkey, lval = _coalesce(pos * n + var, coef)
-    rkey, rval = mkey, mval
-    if parts:
-        T = [np.concatenate(x) for x in zip(*parts)]
-        o = np.argsort(T[1], kind="stable")
-        pos, var, coef = _congruence(tuple(x[o] for x in T), forms, forms.entries[1])
-        okey, oval = _coalesce(pos * n + var, coef)
-        cut = np.searchsorted(okey, forms.off[mi] * n)
-        rkey = np.concatenate([okey[:cut], mkey, okey[cut:]])
-        rval = np.concatenate([oval[:cut], mval, oval[cut:]])
-    if not _same(lkey, lval, rkey, rval):
-        for k, blk in enumerate(blocks):  # name the first block that fails
-            lk, rk = (np.searchsorted(key, forms.off[k:k + 2] * n) for key in (lkey, rkey))
-            if not _same(lkey[slice(*lk)], lval[slice(*lk)], rkey[slice(*rk)],
-                         rval[slice(*rk)]):
-                raise SymmetryError(f"{blk.label}: entry forms do not map onto themselves")
     con = forms.keys.outside(smap)
     if con is not None:
         raise SymmetryError(f"constraint {con.terms} maps outside the constraint set")
@@ -807,9 +782,8 @@ class Lift:
 
     def residual(self, y: np.ndarray) -> float:
         """Largest equality residual of y, relative to 1 + max |rhs|."""
-        top = max((abs(sum(c * y[v] for v, c in e.terms.items()) - e.rhs)
-                   for e in self.eqs), default=0.0)
-        return top / (1.0 + max((abs(e.rhs) for e in self.eqs), default=0.0))
+        res, rhs = row_residuals(self.eqs, y)
+        return float(np.abs(res).max(initial=0.0) / (1.0 + np.abs(rhs).max(initial=0.0)))
 
     def block(self, blk: BlockData) -> BlockData:
         """The block over z: coefficients E'_j = sum_k B[k, j] E_k, summed

@@ -162,6 +162,13 @@ def _term_arrays(constraints: Sequence[LinearConstraint]) -> tuple:
     return cid, var, coef, eq, rhs
 
 
+def row_residuals(constraints: Sequence[LinearConstraint], y: np.ndarray) -> tuple:
+    """Every constraint's form at y less its right-hand side, and the
+    right-hand sides; one pass over the terms, summed in their order."""
+    cid, var, coef, _, rhs = _term_arrays(constraints)
+    return np.bincount(cid, coef * y[var], len(constraints)) - rhs, rhs
+
+
 def _groups(cid, var, coef, ncon: int) -> dict:
     """{term count: (constraint ids, variables, coefficients)}, one row per
     constraint, of the forms whose terms are (constraint id, variable,
@@ -437,11 +444,8 @@ class SdpProblem:
         return 0
 
     def constraint_residuals(self, y: np.ndarray):
-        eq = [sum(c * y[v] for v, c in con.terms.items()) - con.rhs
-              for con in self.eq_constraints]
-        ge = [sum(c * y[v] for v, c in con.terms.items()) - con.rhs
-              for con in self.ge_constraints]
-        return np.array(eq), np.array(ge)
+        return (row_residuals(self.eq_constraints, y)[0],
+                row_residuals(self.ge_constraints, y)[0])
 
 
 def _trim_zero_rows(block: SymbolicBlock) -> SymbolicBlock:

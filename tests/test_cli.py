@@ -255,6 +255,25 @@ def test_sync_gram_and_realize(tmp_path):
     assert gram["min_eigenvalue"] >= -1e-9
 
 
+@pytest.mark.parametrize("mode", ["--gram", "--realize"])
+def test_sync_without_input_is_one_error_line(mode, capsys):
+    assert main(["sync", mode]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--input" in err
+
+
+def test_gen_realization_out_reproduces_the_table(tmp_path):
+    corr, real = str(tmp_path / "corr.json"), str(tmp_path / "real.json")
+    rc = main(["gen", "--model", "tensor", "--dim", "2", "--scenario", "2,2,2,2",
+               "--seed", "7", "--out", corr, "--realization-out", real])
+    assert rc == 0
+    table = Correlation.from_json(open(corr).read()).table
+    produced = corrlab.realize(corrlab.Realization.from_json(open(real).read())).table
+    assert produced.shape == table.shape
+    assert np.abs(produced - table).max() <= 1e-12
+
+
 def test_unknown_parameter_rejected(c5_file, capsys):
     with pytest.raises(SystemExit):
         main(["graph-bound", "--param", "bogus", "--input", c5_file])

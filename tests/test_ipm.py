@@ -192,6 +192,19 @@ def test_failed_scaling_stops_without_a_step(monkeypatch):
         conic.solve(prob)
 
 
+def test_iteration_cap_is_a_numerical_limit(monkeypatch):
+    # Nine iterations leave C5's level-2 stability bound within 1.2e-7 of
+    # its value 2: the interior point reports numerical_limit, and conic's
+    # acceptance rule alone accepts it by its residuals.
+    monkeypatch.setattr(_ipm, "MAX_ITER", 9)
+    sol = conic.solve(qgraph.build_stab_problem(graphs.cycle(5), 2))
+    assert (sol.status, sol.stop, sol.iterations) == (
+        conic.SolveStatus.NUMERICAL_LIMIT, "iteration_cap", 9)
+    assert abs(sol.objective - 2.0) <= 1e-6
+    assert max(sol.residuals[k] for k in ("lmi", "adjoint", "equality", "gap")) \
+        <= conic.ACCEPT_TOL
+
+
 def test_lifted_chsh_level_two_takes_no_svd(monkeypatch):
     # Two size groups (8 blocks of size 6, one of size 26).  Each iterate is
     # factored once, by the scaling that the neighbourhood guard computes:

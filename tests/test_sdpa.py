@@ -90,6 +90,22 @@ def test_ge_constraints_become_diagonal_slack_block():
     assert parsed.block_sizes[-1] < 0  # diagonal slack block
 
 
+def test_slack_block_roundtrip():
+    # theta+ of C5 at r = 1: a 6-row moment block and five inequalities,
+    # which come back as a 5-row diagonal block of slacks
+    prob = qgraph.build_col_problem(graphs.cycle(5), 1,
+                                    qgraph.Strengthening.THETA_PLUS)
+    data = conic.export_sdpa(prob)
+    assert data.decode().splitlines()[2] == "6 -5"
+    imported = conic.import_sdpa(data)
+    slack = imported.blocks[1]
+    assert slack.size == 5 and np.array_equal(slack.rows, slack.cols)
+    direct, via_file = conic.solve(prob), conic.solve(imported)
+    assert direct.status == via_file.status == SolveStatus.OPTIMAL
+    assert abs(direct.objective - np.sqrt(5.0)) <= 1e-6
+    assert abs(direct.objective - via_file.objective) <= 1e-8
+
+
 def test_parse_error_line_two():
     with pytest.raises(SdpaFormatError, match="line 2"):
         conic.parse_sdpa(b"1\nnot-a-number\n1\n1\n1 1 1 1 1\n")
