@@ -120,7 +120,8 @@ import numpy as np
 
 from ._ipm import BlockData, ConeProgram, solve_ipm
 from .momentize import (CompiledBlock, LinearConstraint, Relation, SdpProblem, _groups,
-                        _key_rows, _term_arrays, distinct, row_classes, row_residuals)
+                        _key_rows, _term_arrays, assemble, distinct, row_classes,
+                        row_residuals)
 from .ncwords import NcPolynomial, _combine, reduce_word
 
 DEFAULT_EPS_FEAS = 1e-6
@@ -1263,29 +1264,15 @@ def parse_sdpa(data: bytes) -> SdpaProblem:
 
 def sdpa_to_problem(parsed: SdpaProblem) -> SdpProblem:
     """Rebuild an LMI-form problem whose variables are the matrix entries."""
-    from .momentize import LinearConstraint, SymbolicBlock, assemble
-
-    blocks = []
-    slots = {}
-
-    def add_block(label, size, diagonal):
-        b = len(blocks)
-        entries = {}
-        if diagonal:
-            for i in range(size):
-                vid = len(slots)
-                slots[(b, i, i)] = vid
-                entries[(i, i)] = [(vid, 1.0)]
-        else:
-            for i in range(size):
-                for j in range(i, size):
-                    vid = len(slots)
-                    slots[(b, i, j)] = vid
-                    entries[(i, j)] = [(vid, 1.0)]
-        blocks.append(SymbolicBlock(label, [(i,) for i in range(size)], entries))
-
-    for bi, sz in enumerate(parsed.block_sizes):
-        add_block("moment" if bi == 0 else f"block{bi}", abs(sz), sz < 0)
+    blocks, slots = [], {}
+    for b, sz in enumerate(parsed.block_sizes):
+        n = abs(sz)
+        rows, cols = np.diag_indices(n) if sz < 0 else np.triu_indices(n)
+        vids = np.arange(len(slots), len(slots) + len(rows))
+        slots.update(zip(zip([b] * len(rows), rows.tolist(), cols.tolist()), vids.tolist()))
+        blocks.append(CompiledBlock("moment" if b == 0 else f"block{b}",
+                                    [(i,) for i in range(n)], vids, rows, cols,
+                                    np.ones(len(rows))))
 
     def form_of(entries):
         terms = {}

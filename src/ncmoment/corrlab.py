@@ -246,6 +246,9 @@ def random_classical(scenario: Scenario, n_atoms: int, seed: int) -> Correlation
 def random_projector_family(nS: int, nA: int, d: int, seed: int) -> np.ndarray:
     """Projector measurement families: for every question a random unitary
     splits the standard basis into nA groups (possibly empty)."""
+    for name, n in (("nS", nS), ("nA", nA), ("d", d)):
+        if n < 1:
+            raise ValueError(f"{name} must be at least 1, got {n}")
     rng = np.random.default_rng(seed)
     fam = np.zeros((nS, nA, d, d), dtype=complex)
     for s in range(nS):

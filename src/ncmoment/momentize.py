@@ -1,5 +1,5 @@
-"""Symbolic moment and localizing matrices, truncated-ideal constraints,
-and their assembly into a concrete block-diagonal SDP.
+"""Moment and localizing matrices, truncated-ideal constraints, and their
+assembly into a concrete block-diagonal SDP.
 
 The SDP is stored in linear-matrix-inequality form over the moment variables
 L(w): each block is a symmetric matrix whose entries are linear forms in the
@@ -7,6 +7,11 @@ variables, together with linear equality/inequality constraints.  A variable
 is one class of reduced words of degree at most 2r, named by its least
 member.  The word layer canonicalizes each class where the program meets it;
 the moment block meets every class and numbers them (see ``VariableIndex``).
+
+A block has one format from the builder to the solver (``CompiledBlock``):
+its row words and coordinate arrays ``rows``, ``cols``, ``var_ids`` and
+``coefs`` over the upper triangle.  ``moment_block`` and ``localizing_block``
+write them as they go, and ``assemble`` only drops rows that hold no term.
 """
 
 from __future__ import annotations
@@ -206,65 +211,85 @@ def distinct(constraints: Sequence[LinearConstraint]) -> list:
 
 
 @dataclass
-class SymbolicBlock:
-    """Symmetric matrix of linear forms L(u* g v) over a word basis.
+class CompiledBlock:
+    """Symmetric matrix of linear forms L(u* g v) over a word basis, as
+    coordinate arrays over the upper triangle.
 
-    ``entries`` maps upper-triangle positions (i, j), i <= j, to a list of
-    (variable id, coefficient) pairs; positions whose form is identically zero
-    are absent.
+    The block matrix is B(y) = sum_k coefs[k] * y[var_ids[k]] * E(rows[k], cols[k])
+    with E(i, j) the symmetric unit matrix.  Terms are ordered by row, then
+    column, then variable within an entry; entries whose form is identically
+    zero have no term.
     """
 
     label: str
     row_words: list
-    entries: dict
+    var_ids: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    coefs: np.ndarray
 
     @property
     def size(self) -> int:
         return len(self.row_words)
 
-    def dense_forms(self):
-        """Iterate (i, j, var_id, coeff) over the stored upper triangle."""
-        for (i, j), form in self.entries.items():
-            for vid, c in form:
-                yield i, j, vid, c
+    @property
+    def row_degrees(self) -> np.ndarray:
+        return np.array([len(w) for w in self.row_words])
+
+    def materialize(self, y: np.ndarray) -> np.ndarray:
+        m = np.zeros((self.size, self.size))
+        np.add.at(m, (self.rows, self.cols), self.coefs * y[self.var_ids])
+        low = np.tril(m.T, -1)
+        return m + low
 
 
-def moment_block(basis_r: Sequence[Word], index: VariableIndex) -> SymbolicBlock:
+def moment_block(basis_r: Sequence[Word], index: VariableIndex) -> CompiledBlock:
     """Moment matrix with entry (u, v) = L(u* v).
 
     Every reduced word of degree <= 2r is u* v for two row words, so this
-    block meets every class of the index; it numbers the new ones in
-    (degree, lex) order before it maps the entries to ids.  It raises
-    BasisSizeError after the first row whose new classes take the index
-    past its cap, before it canonicalizes the remaining rows.
+    block meets every class of the index.  A class the index does not hold
+    yet gets a provisional id; after the last row the new classes are
+    numbered in (degree, lex) order and the provisional ids mapped to them
+    with one lookup.  It raises BasisSizeError after the first row whose new
+    classes take the index past its cap, before it canonicalizes the
+    remaining rows.
     """
-    # CPython tracks the acyclic words and forms made here; at r = 3 they push
-    # a full collection that frees nothing in here (20 ms, C7, 2-core VM).
+    # CPython tracks the acyclic words made here; at r = 3 they push a full
+    # collection that frees nothing in here (20 ms, C7, 2-core VM).
     enabled = gc.isenabled()
     gc.disable()
     try:
-        canon, new, known = {}, set(), index.id_of
-        room = index.cap - len(index)
+        rw, mode, known = index.rw, index.mode, index.id_of.get
+        n, nv, room = len(basis_r), len(index), index.cap - len(index)
+        ids, fresh = [], {}  # ids: one per upper-triangle entry, -1 for zero
         for i, u in enumerate(basis_r):
             ustar = involution(u)
-            for j in range(i, len(basis_r)):
-                w = canonical_reduced(ustar + basis_r[j], index.rw, index.mode)
-                if w is not None:
-                    canon[(i, j)] = w
-                    if w not in known:
-                        new.add(w)
-            if len(new) > room:
+            for j in range(i, n):
+                w = canonical_reduced(ustar + basis_r[j], rw, mode)
+                if w is None:
+                    ids.append(-1)
+                    continue
+                vid = known(w)
+                if vid is None:
+                    vid = fresh.setdefault(w, nv + len(fresh))
+                ids.append(vid)
+            if len(fresh) > room:
                 raise BasisSizeError(
                     f"variable index exceeds cap of {index.cap} words")
-        for w in sorted(new, key=lambda w: (len(w), w)):
+        for w in sorted(fresh, key=lambda w: (len(w), w)):
             index._register(w)
-        entries = {ij: [(index.id_of[w], 1.0)] for ij, w in canon.items()}
     finally:
         if enabled:
             gc.enable()
-    if not entries or entries.get((0, 0)) != [(0, 1.0)]:
+    final = np.arange(nv + len(fresh))
+    final[nv:] = [index.id_of[w] for w in fresh]
+    ids = np.array(ids, dtype=np.int64)
+    if not ids.size or ids[0] != 0:
         raise InternalConsistencyError("moment block (1,1) entry must be L(1)")
-    return SymbolicBlock("moment", list(basis_r), entries)
+    live = ids >= 0
+    rows, cols = np.triu_indices(n)
+    return CompiledBlock("moment", list(basis_r), final[ids[live]], rows[live],
+                         cols[live], np.ones(int(live.sum())))
 
 
 def localizing_block(
@@ -273,7 +298,7 @@ def localizing_block(
     index: VariableIndex,
     symbols: Iterable[Symbol],
     label: Optional[str] = None,
-) -> SymbolicBlock:
+) -> CompiledBlock:
     """Localizing matrix for a symmetric generator g.
 
     Rows and columns are indexed by words of degree at most r - ceil(deg(g)/2);
@@ -290,26 +315,25 @@ def localizing_block(
     if not g.is_symmetric(rw):
         raise ValueError(f"generator {g} is not symmetric after reduction")
     d = r - (g.deg + 1) // 2
-    rows = enumerate_basis(symbols, max(d, 0), rw)
-    entries = {}
-    for i, u in enumerate(rows):
+    words = enumerate_basis(symbols, max(d, 0), rw)
+    n = len(words)
+    forms = [[()] * n for _ in range(n)]  # sorted (variable, coefficient) pairs
+    for i, u in enumerate(words):
         ustar = involution(u)
-        for j in range(i, len(rows)):
-            form = index.form((ustar + w + rows[j], c) for w, c in g.terms.items())
-            if form:
-                entries[(i, j)] = sorted(form.items())
+        for j in range(i, n):
+            form = index.form((ustar + w + words[j], c) for w, c in g.terms.items())
+            forms[i][j] = forms[j][i] = tuple(sorted(form.items()))
     keep, seen = [], set()
-    for i in range(len(rows)):
-        row = tuple(tuple(entries.get((min(i, j), max(i, j)), ()))
-                    for j in range(len(rows)))
+    for i, row in enumerate(map(tuple, forms)):
         if any(row) and row not in seen:
             seen.add(row)
             keep.append(i)
-    new = {old: k for k, old in enumerate(keep)}
-    entries = {(new[i], new[j]): form for (i, j), form in entries.items()
-               if i in new and j in new}
-    return SymbolicBlock(label or f"loc[{g}]", [rows[i] for i in keep],
-                         entries)
+    terms = [(a, b, vid, c) for a, i in enumerate(keep)
+             for b in range(a, len(keep)) for vid, c in forms[i][keep[b]]]
+    rows, cols, vids, coefs = zip(*terms) if terms else ((),) * 4
+    return CompiledBlock(label or f"loc[{g}]", [words[i] for i in keep],
+                         np.array(vids, dtype=np.int64), np.array(rows, dtype=np.int64),
+                         np.array(cols, dtype=np.int64), np.array(coefs, dtype=float))
 
 
 def ideal_constraints(
@@ -383,30 +407,6 @@ def state_commutator_constraints(
 
 
 @dataclass
-class CompiledBlock:
-    """A symbolic block instantiated to per-variable sparse coefficient data.
-
-    The block matrix is B(y) = sum_k coefs[k] * y[var_ids[k]] * E(rows[k], cols[k])
-    with E(i, j) the symmetric unit matrix; arrays cover the upper triangle.
-    """
-
-    label: str
-    size: int
-    row_words: list
-    row_degrees: np.ndarray
-    var_ids: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-    coefs: np.ndarray
-
-    def materialize(self, y: np.ndarray) -> np.ndarray:
-        m = np.zeros((self.size, self.size))
-        np.add.at(m, (self.rows, self.cols), self.coefs * y[self.var_ids])
-        low = np.tril(m.T, -1)
-        return m + low
-
-
-@dataclass
 class SdpProblem:
     """Concrete SDP over moment variables.
 
@@ -448,23 +448,21 @@ class SdpProblem:
                 row_residuals(self.ge_constraints, y)[0])
 
 
-def _trim_zero_rows(block: SymbolicBlock) -> SymbolicBlock:
-    live = set()
-    for (i, j) in block.entries:
-        live.add(i)
-        live.add(j)
-    if len(live) == block.size:
-        return block
-    keep = sorted(live)
-    remap = {old: new for new, old in enumerate(keep)}
-    entries = {(remap[i], remap[j]): v for (i, j), v in block.entries.items()}
-    return SymbolicBlock(block.label, [block.row_words[i] for i in keep], entries)
+def _trim_zero_rows(blk: CompiledBlock) -> CompiledBlock:
+    """The block without its rows and columns that hold no term."""
+    live = np.zeros(blk.size, dtype=bool)
+    live[blk.rows] = live[blk.cols] = True
+    if live.all():
+        return blk
+    new = np.cumsum(live) - 1
+    return CompiledBlock(blk.label, [w for w, k in zip(blk.row_words, live) if k],
+                         blk.var_ids, new[blk.rows], new[blk.cols], blk.coefs)
 
 
 def assemble(
     objective: dict,
     sense: str,
-    blocks: Sequence[SymbolicBlock],
+    blocks: Sequence[CompiledBlock],
     constraints: Sequence[LinearConstraint],
     index: VariableIndex,
     description: str = "",
@@ -472,13 +470,12 @@ def assemble(
     metadata: Optional[dict] = None,
     symmetries: Sequence[dict] = (),
 ) -> SdpProblem:
-    """Compile symbolic blocks and constraints into a solver-ready problem.
+    """Collect blocks and constraints into a solver-ready problem.
 
-    Identically-zero rows/columns (index words reduced to zero) are dropped,
-    constraints without terms dropped and the rest kept once per class of
-    rows that cut out the same set (``distinct``), and per-variable sparse
-    coefficient arrays built for every block.  ``symmetries`` are stored as
-    given; the solver checks them.
+    Block rows and columns that hold no term (index words reduced to zero)
+    are dropped, constraints without terms dropped and the rest kept once
+    per class of rows that cut out the same set (``distinct``).
+    ``symmetries`` are stored as given; the solver checks them.
     """
     if not blocks:
         raise ValueError("an SDP needs at least one PSD block")
@@ -489,30 +486,10 @@ def assemble(
         if not (0 <= vid < nv):
             raise ValueError(f"objective references unindexed variable {vid}")
 
-    compiled = []
+    blocks = [_trim_zero_rows(blk) for blk in blocks]
     used = np.zeros(nv, dtype=bool)
     for blk in blocks:
-        blk = _trim_zero_rows(blk)
-        vids, rows, cols, coefs = [], [], [], []
-        for i, j, vid, c in blk.dense_forms():
-            vids.append(vid)
-            rows.append(i)
-            cols.append(j)
-            coefs.append(c)
-            used[vid] = True
-        order = np.lexsort((np.array(cols), np.array(rows)))
-        compiled.append(
-            CompiledBlock(
-                label=blk.label,
-                size=blk.size,
-                row_words=blk.row_words,
-                row_degrees=np.array([len(w) for w in blk.row_words]),
-                var_ids=np.array(vids, dtype=np.int64)[order],
-                rows=np.array(rows, dtype=np.int64)[order],
-                cols=np.array(cols, dtype=np.int64)[order],
-                coefs=np.array(coefs, dtype=float)[order],
-            )
-        )
+        used[blk.var_ids] = True
 
     live = [con for con in constraints if con.terms]
     for con in live:
@@ -523,14 +500,14 @@ def assemble(
     dedup = distinct(live)
 
     meta = dict(metadata or {})
-    meta.setdefault("block_sizes", [b.size for b in compiled])
+    meta.setdefault("block_sizes", [b.size for b in blocks])
     meta.setdefault("num_eq", sum(c.relation == Relation.EQ for c in dedup))
     meta.setdefault("num_ge", sum(c.relation == Relation.GE for c in dedup))
     meta.setdefault("num_vars_used", int(used.sum()))
     return SdpProblem(
         objective=dict(objective),
         sense=sense,
-        blocks=compiled,
+        blocks=blocks,
         constraints=dedup,
         num_vars=nv,
         index=index,

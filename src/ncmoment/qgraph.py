@@ -102,6 +102,8 @@ def _mode(commutative: bool) -> EquivalenceMode:
 
 
 def build_stab_problem(g: Graph, r: int, commutative: bool = False) -> SdpProblem:
+    if r < 1:
+        raise ValueError("r must be at least 1")
     syms, rw = _vertex_rewrites(g, commutative)
     mode = _mode(commutative)
     index = VariableIndex(2 * r, rw, mode)
@@ -125,6 +127,8 @@ def build_col_problem(
     strengthening: Strengthening = Strengthening.NONE,
     commutative: bool = False,
 ) -> SdpProblem:
+    if r < 1:
+        raise ValueError("r must be at least 1")
     syms, rw = _vertex_rewrites(g, commutative)
     mode = _mode(commutative)
     index = VariableIndex(2 * r, rw, mode)
@@ -258,6 +262,8 @@ def _labeled_system(groups: list, zero: set, description: str, r: int,
     Members of a group are mutually orthogonal; ``zero`` lists the further
     pairs with product zero (either order suffices).  L(1) = 1 normalizes.
     """
+    if r < 1:
+        raise ValueError("r must be at least 1")
     syms = [s for group in groups for s in group]
     zero = set(zero)
     for group in groups:

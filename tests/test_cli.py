@@ -263,6 +263,32 @@ def test_sync_without_input_is_one_error_line(mode, capsys):
     assert "--input" in err
 
 
+@pytest.mark.parametrize("family,dim,name", [("2,2", "0", "d"), ("0,2", "2", "nS"),
+                                              ("2,0", "2", "nA")])
+def test_sync_random_family_rejects_empty_counts(family, dim, name, tmp_path, capsys):
+    out = tmp_path / "fam.json"
+    assert main(["sync", "--random-family", family, "--dim", dim,
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} must be at least 1") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("param", sorted(GRAPH_PARAMS))
+def test_graph_bound_level_zero(param, c5_file, tmp_path, capsys):
+    # theta ignores the level; every hierarchy needs r >= 1
+    out = tmp_path / "rep.json"
+    rc = main(["graph-bound", "--param", param, "--level", "0",
+               "--input", c5_file, "--out", str(out)])
+    err = capsys.readouterr().err
+    if param == "theta":
+        assert (rc, err) == (0, "")
+        assert abs(read_report(out)["value"] - 5 ** 0.5) < 1e-4
+    else:
+        assert (rc, err) == (1, "error: r must be at least 1\n")
+        assert not out.exists()
+
+
 def test_gen_realization_out_reproduces_the_table(tmp_path):
     corr, real = str(tmp_path / "corr.json"), str(tmp_path / "real.json")
     rc = main(["gen", "--model", "tensor", "--dim", "2", "--scenario", "2,2,2,2",

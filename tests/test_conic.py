@@ -10,7 +10,6 @@ from ncmoment.conic import SolveStatus, SymmetryError
 from ncmoment.momentize import (
     LinearConstraint,
     Relation,
-    SymbolicBlock,
     VariableIndex,
     assemble,
     localizing_block,

@@ -140,10 +140,15 @@ def test_z_block_is_a_moment_submatrix(r):
     assert loc.size > 1
     at = {w: i for i, w in enumerate(rows)}
     zrow = [at[reduce_word((z,) + u, rw)] for u in loc.row_words]
-    for i in range(loc.size):
-        for j in range(i, loc.size):
-            p, q = sorted((zrow[i], zrow[j]))
-            assert loc.entries.get((i, j)) == moment.entries.get((p, q))
+    # every term of loc at (i, j) is the term of the moment block at the
+    # rows (z u_i, z u_j), and the moment block has no other term there
+    assert len(set(zrow)) == loc.size
+    moved = sorted((*sorted((zrow[i], zrow[j])), vid, c) for i, j, vid, c in zip(
+        loc.rows.tolist(), loc.cols.tolist(), loc.var_ids.tolist(), loc.coefs.tolist()))
+    on_z = sorted(t for t in zip(moment.rows.tolist(), moment.cols.tolist(),
+                                 moment.var_ids.tolist(), moment.coefs.tolist())
+                  if t[0] in zrow and t[1] in zrow)
+    assert moved == on_z
 
 
 def test_single_answer_party_has_no_constant_block():

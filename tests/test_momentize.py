@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncmoment import corrlab, qgraph, witness
+from ncmoment import conic, corrlab, entdim, qgraph, witness
 from ncmoment.entdim import Scenario, build_entdim_sets, build_xi_problem
 from ncmoment.momentize import (
     InternalConsistencyError,
     LinearConstraint,
+    CompiledBlock,
     Relation,
-    SymbolicBlock,
     VariableIndex,
     assemble,
     distinct,
@@ -30,6 +30,7 @@ from ncmoment.ncwords import (
     bob,
     canonical_reduced,
     enumerate_basis,
+    involution,
     state_symbol,
     vertex,
 )
@@ -40,13 +41,22 @@ TRC = EquivalenceMode.TRACIAL_SYMMETRIC
 PLAIN = EquivalenceMode.PLAIN
 
 
+def _forms(blk):
+    """{(i, j): [(variable, coefficient), ...]} read from the block's arrays."""
+    out = {}
+    for i, j, vid, c in zip(blk.rows.tolist(), blk.cols.tolist(),
+                            blk.var_ids.tolist(), blk.coefs.tolist()):
+        out.setdefault((i, j), []).append((vid, c))
+    return out
+
+
 def test_moment_block_identity_only():
     x = vertex(0)
     rw = RewriteSystem(idempotents=frozenset([x]))
     index = VariableIndex(2, rw, TRC)
     blk = moment_block([IDENTITY], index)
     assert blk.size == 1
-    assert blk.entries[(0, 0)] == [(0, 1.0)]
+    assert _forms(blk)[(0, 0)] == [(0, 1.0)]
 
 
 def test_moment_block_idempotent_merges_diagonal():
@@ -55,8 +65,8 @@ def test_moment_block_idempotent_merges_diagonal():
     index = VariableIndex(2, rw, TRC)
     blk = moment_block([IDENTITY, (x,)], index)
     vx = index.var_of((x,))
-    assert blk.entries[(0, 1)] == [(vx, 1.0)]
-    assert blk.entries[(1, 1)] == [(vx, 1.0)]  # x^2 reduces to x
+    assert _forms(blk)[(0, 1)] == [(vx, 1.0)]
+    assert _forms(blk)[(1, 1)] == [(vx, 1.0)]  # x^2 reduces to x
 
 
 def test_moment_block_c5_edges_vanish():
@@ -67,7 +77,7 @@ def test_moment_block_c5_edges_vanish():
     blk = moment_block(rows, index)
     assert blk.size == 6
     for (i, j) in g.edges:
-        assert (min(i, j) + 1, max(i, j) + 1) not in blk.entries
+        assert (min(i, j) + 1, max(i, j) + 1) not in _forms(blk)
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -94,7 +104,7 @@ def test_localizing_block_state_symbol_order_one():
     z = state_symbol()
     blk = localizing_block(NcPolynomial.from_word((z,)), 1, index, sets.symbols)
     assert blk.size == 1
-    assert blk.entries[(0, 0)] == [(index.var_of((z,)), 1.0)]
+    assert _forms(blk)[(0, 0)] == [(index.var_of((z,)), 1.0)]
 
 
 def test_localizing_block_povm_not_idempotent():
@@ -106,7 +116,7 @@ def test_localizing_block_povm_not_idempotent():
     # rows indexed by words of degree <= 1; entry (1, x) is L(x*x), distinct
     # from L(x) since measurement symbols are not projectors
     i_x = blk.row_words.index((x,))
-    entry = dict(blk.entries)[(0, i_x)]
+    entry = _forms(blk)[(0, i_x)]
     assert entry == [(index.var_of((x, x)), 1.0)]
     assert index.var_of((x, x)) != index.var_of((x,))
 
@@ -120,7 +130,7 @@ def test_localizing_block_clique_polynomial():
     for i in clique:
         gc = gc - NcPolynomial.from_word((vertex(i),))
     blk = localizing_block(gc, 2, index, syms)
-    form = dict(blk.entries[(0, 0)])
+    form = dict(_forms(blk)[(0, 0)])
     assert form[0] == 1.0
     for i in clique:
         assert form[index.var_of((vertex(i),))] == -1.0
@@ -284,7 +294,8 @@ def test_assemble_trims_zero_rows():
     x = vertex(0)
     rw = RewriteSystem(idempotents=frozenset([x]))
     index = VariableIndex(2, rw, TRC)
-    blk = SymbolicBlock("moment", [IDENTITY, (x,)], {(0, 0): [(0, 1.0)]})
+    one = np.zeros(1, dtype=np.int64)
+    blk = CompiledBlock("moment", [IDENTITY, (x,)], one, one, one, np.ones(1))
     prob = assemble({0: 1.0}, "min", [blk], [], index)
     assert prob.blocks[0].size == 1
 
@@ -432,3 +443,130 @@ def test_row_key_agrees_with_the_deduplication(rows, copies):
     kept = distinct(rows)
     assert [row.key() for row in kept] == list(dict.fromkeys(keys))
     assert all(row is rows[k] for row, k in zip(kept, sorted(set(first.tolist()))))
+
+
+# ---------------------------------------------------------------------------
+# Reference: blocks built entry by entry as {(i, j): form} dicts
+# ---------------------------------------------------------------------------
+
+
+def _reference_arrays(label, row_words, entries):
+    """The block of {(i, j): [(variable, coefficient), ...]}, i <= j, without
+    its rows that hold no entry, as arrays sorted by row and column."""
+    live = sorted({k for ij in entries for k in ij})
+    at = {old: new for new, old in enumerate(live)}
+    terms = [(at[i], at[j], vid, c) for (i, j), form in entries.items()
+             for vid, c in form]
+    rows, cols, vids, coefs = (np.array(a) for a in zip(*terms))
+    order = np.lexsort((cols, rows))
+    return CompiledBlock(label, [row_words[i] for i in live],
+                         vids.astype(np.int64)[order], rows.astype(np.int64)[order],
+                         cols.astype(np.int64)[order], coefs.astype(float)[order])
+
+
+def _reference_moment_block(basis_r, index):
+    """Canonicalize every entry, number the new classes in (degree, lex)
+    order, then map each entry to its id."""
+    canon, new = {}, set()
+    for i, u in enumerate(basis_r):
+        for j in range(i, len(basis_r)):
+            w = canonical_reduced(involution(u) + basis_r[j], index.rw, index.mode)
+            if w is not None:
+                canon[(i, j)] = w
+                if w not in index.id_of:
+                    new.add(w)
+    for w in sorted(new, key=lambda w: (len(w), w)):
+        index._register(w)
+    entries = {ij: [(index.id_of[w], 1.0)] for ij, w in canon.items()}
+    return _reference_arrays("moment", list(basis_r), entries)
+
+
+def _reference_localizing_block(g, r, index, symbols, label=None):
+    """Forms of L(u* g v) by entry; rows that are zero or repeat an earlier
+    row form for form are dropped."""
+    g = g.reduced(index.rw)
+    rows = enumerate_basis(symbols, max(r - (g.deg + 1) // 2, 0), index.rw)
+    entries = {}
+    for i, u in enumerate(rows):
+        for j in range(i, len(rows)):
+            form = index.form((involution(u) + w + rows[j], c) for w, c in g.terms.items())
+            if form:
+                entries[(i, j)] = sorted(form.items())
+    keep, seen = [], set()
+    for i in range(len(rows)):
+        row = tuple(tuple(entries.get((min(i, j), max(i, j)), ())) for j in range(len(rows)))
+        if any(row) and row not in seen:
+            seen.add(row)
+            keep.append(i)
+    new = {old: k for k, old in enumerate(keep)}
+    entries = {(new[i], new[j]): form for (i, j), form in entries.items()
+               if i in new and j in new}
+    return _reference_arrays(label or f"loc[{g}]", [rows[i] for i in keep], entries)
+
+
+def _assert_same_blocks(got, want):
+    assert [(b.label, b.size, b.row_words) for b in got] == [
+        (b.label, b.size, b.row_words) for b in want]
+    for a, b in zip(got, want):
+        for attr in ("row_degrees", "var_ids", "rows", "cols", "coefs"):
+            x, y = getattr(a, attr), getattr(b, attr)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), attr
+
+
+def _assert_same_problem(got, want):
+    _assert_same_blocks(got.blocks, want.blocks)
+    assert got.index.words == want.index.words  # ids in registration order
+    assert got.num_vars == want.num_vars
+    assert ([(c.terms, c.rhs, c.relation) for c in got.constraints]
+            == [(c.terms, c.rhs, c.relation) for c in want.constraints])
+    assert got.objective == want.objective
+    assert got.metadata == want.metadata
+
+
+def _graph_build(builder, n, r, commutative):
+    return lambda: getattr(qgraph, builder)(cycle(n), r, commutative=commutative)
+
+
+def _xi_build(scenario, r, seed):
+    table = (corrlab.tsirelson_chsh() if scenario == (2, 2, 2, 2) else
+             corrlab.random_realization(Scenario(*scenario), 2, seed))
+    return lambda: build_xi_problem(corrlab.realize(table), r)
+
+
+_REFERENCE_BUILDS = {
+    **{f"{b} C{n} r{r}{' comm' if c else ''}": _graph_build(b, n, r, c)
+       for b, n in (("build_stab_problem", 5), ("build_col_problem", 7))
+       for r in (1, 2, 3) for c in (False, True)},
+    **{f"xi CHSH r{r}": _xi_build((2, 2, 2, 2), r, 0) for r in (1, 2, 3)},
+    "xi (2,2,1,1) r3": _xi_build((2, 2, 1, 1), 3, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCE_BUILDS))
+def test_builders_match_the_entry_by_entry_reference(name, monkeypatch):
+    build = _REFERENCE_BUILDS[name]
+    got = build()
+    for mod in (qgraph, entdim):
+        monkeypatch.setattr(mod, "moment_block", _reference_moment_block)
+    monkeypatch.setattr(entdim, "localizing_block", _reference_localizing_block)
+    _assert_same_problem(got, build())
+
+
+@pytest.mark.parametrize("strengthening", ["NONE", "THETA_PLUS"])
+def test_sdpa_import_matches_the_entry_by_entry_reference(strengthening):
+    # theta+ adds inequalities, which come back as a diagonal slack block
+    prob = qgraph.build_col_problem(cycle(5), 1, qgraph.Strengthening[strengthening])
+    parsed = conic.parse_sdpa(conic.export_sdpa(prob))
+    blocks, vid = [], 0
+    for b, sz in enumerate(parsed.block_sizes):
+        n = abs(sz)
+        entries = {}
+        for i in range(n):
+            for j in range(i, i + 1 if sz < 0 else n):
+                entries[(i, j)] = [(vid, 1.0)]
+                vid += 1
+        blocks.append(_reference_arrays("moment" if b == 0 else f"block{b}",
+                                        [(i,) for i in range(n)], entries))
+    imported = conic.sdpa_to_problem(parsed)
+    _assert_same_blocks(imported.blocks, blocks)
+    assert imported.num_vars == vid

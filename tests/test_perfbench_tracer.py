@@ -9,7 +9,7 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from ncmoment import momentize
+from ncmoment import graphs, momentize, qgraph
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -34,3 +34,20 @@ def test_assemble_takes_constraints_fourth():
     params = list(inspect.signature(momentize.assemble).parameters.values())
     assert params[3].name == "constraints"
     assert params[3].kind == inspect.Parameter.POSITIONAL_OR_KEYWORD
+
+
+def test_probe_reads_block_sizes_and_terms():
+    # The untimed pass sums the blocks' size into momentize.psd_dim, and
+    # their var_ids and the constraints' terms into momentize.nnz.
+    tracer = _load_tracer()
+    probe = tracer.Probe()
+    probe.install()
+    try:
+        problem = qgraph.build_stab_problem(graphs.cycle(5), 2)
+    finally:
+        probe.uninstall()
+    metrics = probe.metrics()
+    assert metrics["momentize.psd_dim"] == sum(problem.metadata["block_sizes"]) == 16
+    nnz = (sum(len(b.rows) for b in problem.blocks)
+           + sum(len(c.terms) for c in problem.constraints))
+    assert metrics["momentize.nnz"] == nnz > 0
